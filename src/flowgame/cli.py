@@ -195,7 +195,9 @@ def _load_json_file(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the interpreter's
+        # int-conversion digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -24,7 +24,7 @@ best-response gaps are exactly zero.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -337,14 +337,25 @@ def best_attacker_response(
     exhaustive: bool = False,
 ) -> BestResponse:
     """Exact best response of the attacker to a router mixture, by
-    enumerating edge subsets.
+    depth-first branch-and-bound over candidate edge sets.
 
     By default only edges carrying positive expected flow are candidates:
     disrupting an unloaded edge loses nothing for the router and costs
     its capacity, so it never appears in a best response. ``exhaustive``
-    enumerates subsets of every edge instead. Ties break toward the
-    lexicographically smallest edge set, so the empty attack wins all
-    zero-value ties.
+    makes every edge a candidate instead; ``max_attack_edges`` caps the
+    number of candidates. Ties break toward the lexicographically
+    smallest edge set, so the empty attack wins all zero-value ties.
+
+    Each (support flow, path) pair is an item worth p2 * prob * amount,
+    lost when any of its edges is cut; an attack is worth the items it
+    covers minus the capacity it cuts. Coverage is submodular, so no
+    extension of an attack gains more than the sum of the positive
+    marginal gains of the remaining edges. The search visits edge-id
+    tuples in lexicographic pre-order, skips every subtree whose bound
+    does not beat the incumbent, and replaces the incumbent only on a
+    strictly higher value, so the first optimum found is the smallest.
+    Weights and capacities are scaled to integers by the LCM of their
+    denominators, which keeps the search exact without Fractions.
     """
     loads = expected_edge_loads(net, s1)
     if exhaustive:
@@ -357,36 +368,60 @@ def best_attacker_response(
             f"of {max_attack_edges}"
         )
 
-    flows_info = []
-    for flow, p in s1.support:
-        paths = [
-            (frozenset(net.edge_ids_on_path(nodes)), amount)
-            for nodes, amount in flow.paths
-        ]
-        flows_info.append((p, flow.value, paths))
+    # Every edge on a support path carries positive load, so it is a
+    # candidate in both modes.
+    hits = dict.fromkeys(candidates, 0)
+    weights = []
+    for flow, prob in s1.support:
+        for nodes, amount in flow.paths:
+            for edge_id in net.edge_ids_on_path(nodes):
+                hits[edge_id] |= 1 << len(weights)
+            weights.append(params.p2 * prob * amount)
+    costs = [net.edge(i).capacity for i in candidates]
+    scale = math.lcm(*(x.denominator for x in weights + costs))
+    weights = [x.numerator * (scale // x.denominator) for x in weights]
+    costs = [x.numerator * (scale // x.denominator) for x in costs]
+    masks = [hits[i] for i in candidates]
+    k = len(candidates)
 
-    best_value = None
-    best_ids = None
-    for size in range(len(candidates) + 1):
-        for ids in itertools.combinations(candidates, size):
-            id_set = frozenset(ids)
-            cost = sum((net.edge(i).capacity for i in ids), ZERO)
-            lost = ZERO
-            for p, total, paths in flows_info:
-                surviving = sum(
-                    (amount for edge_set, amount in paths if id_set.isdisjoint(edge_set)),
-                    ZERO,
-                )
-                lost += p * (total - surviving)
-            value = params.p2 * lost - cost
-            if (
-                best_value is None
-                or value > best_value
-                or (value == best_value and ids < best_ids)
-            ):
-                best_value = value
-                best_ids = ids
-    return BestResponse(best_value, Attack(best_ids))
+    def expand(start, value, covered):
+        """A search node: its value, covered items, the marginal gain of
+        each candidate from ``start`` on, and the suffix sums of the
+        positive gains."""
+        gains = [0] * k
+        rest = [0] * (k + 1)
+        for i in range(k - 1, start - 1, -1):
+            new, gain = masks[i] & ~covered, -costs[i]
+            while new:
+                low = new & -new
+                gain += weights[low.bit_length() - 1]
+                new ^= low
+            gains[i] = gain
+            rest[i] = rest[i + 1] + max(gain, 0)
+        return value, covered, gains, rest
+
+    best, best_set = 0, ()
+    chosen, nodes, i = [], [expand(0, 0, 0)], 0
+    while nodes:
+        value, covered, gains, rest = nodes[-1]
+        if i == k or value + rest[i] <= best:
+            # No child from i on can beat the incumbent: back up.
+            nodes.pop()
+            if chosen:
+                i = chosen.pop() + 1
+            continue
+        child = value + gains[i]
+        if child + rest[i + 1] <= best:
+            i += 1
+            continue
+        chosen.append(i)
+        if child > best:
+            best, best_set = child, tuple(chosen)
+        nodes.append(expand(i + 1, child, covered | masks[i]))
+        i += 1
+    return BestResponse(
+        Fraction(best, scale), Attack(tuple(candidates[j] for j in best_set))
+    )
 
 
 # ---------------------------------------------------------------------------

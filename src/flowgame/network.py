@@ -223,7 +223,9 @@ def network_from_json(data) -> Network:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, or an integer literal past the interpreter's
+            # int-conversion digit limit
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("network JSON must be an object")
@@ -246,10 +248,12 @@ def network_from_json(data) -> Network:
             edges.append((entry["from"], entry["to"], entry["capacity"], entry["cost"]))
         except KeyError as exc:
             raise ParseError(f"edge #{i} is missing key {exc.args[0]!r}") from exc
+        if not isinstance(entry["from"], str) or not isinstance(entry["to"], str):
+            raise ParseError(f"edge #{i}: 'from' and 'to' must be strings")
 
     if "sources" in data or "sinks" in data:
-        sources = data.get("sources", [data["source"]] if "source" in data else [])
-        sinks = data.get("sinks", [data["sink"]] if "sink" in data else [])
+        sources = _terminal_list(data, "sources", "source")
+        sinks = _terminal_list(data, "sinks", "sink")
         return normalize_terminals(nodes, edges, sources, sinks)
 
     try:
@@ -257,7 +261,24 @@ def network_from_json(data) -> Network:
         sink = data["sink"]
     except KeyError as exc:
         raise ParseError(f"network JSON is missing key {exc.args[0]!r}") from exc
+    if not isinstance(source, str) or not isinstance(sink, str):
+        raise ParseError("'source' and 'sink' must be strings")
     return make_network(nodes, edges, source, sink)
+
+
+def _terminal_list(data: dict, plural: str, singular: str) -> list:
+    """The terminals listed under ``plural``, else the one named under
+    ``singular``, else none."""
+    if plural in data:
+        names = data[plural]
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ParseError(f"'{plural}' must be a list of strings")
+        return names
+    if singular not in data:
+        return []
+    if not isinstance(data[singular], str):
+        raise ParseError(f"'{singular}' must be a string")
+    return [data[singular]]
 
 
 def network_to_json(net: Network) -> dict:

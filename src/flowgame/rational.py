@@ -35,11 +35,15 @@ def parse_rational(value, what: str = "value") -> Fraction:
         text = value.strip()
         if _RATIONAL_RE.match(text):
             num, _, den = text.partition("/")
-            if den:
-                if int(den) == 0:
-                    raise ParseError(f"{what} has a zero denominator: {value!r}")
-                return Fraction(int(num), int(den))
-            return Fraction(int(num))
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError as exc:  # past the interpreter's int-conversion digit limit
+                raise ParseError(
+                    f"{what} has too many digits ({len(text)} characters)"
+                ) from exc
+            if den == 0:
+                raise ParseError(f"{what} has a zero denominator: {value!r}")
+            return Fraction(num, den)
         raise ParseError(
             f"{what} must be an exact rational such as '3' or '7/2', "
             f"got {value!r}"

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from flowgame.cli import main
 
 from conftest import FIXTURES
@@ -118,6 +120,66 @@ def test_analyze_validation_error(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "capacity" in err
+
+
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+UNIT_EDGE = {"from": "s", "to": "t", "capacity": "1", "cost": "1"}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"sources": [["s"]], "sink": "t"},
+        {"source": "s", "sinks": [["t"]]},
+        {"source": ["s"], "sink": "t"},
+        {"source": ["s"], "sinks": ["t"]},
+        {"sources": "s", "sink": "t"},
+        {"source": "s", "sink": "t", "edges": [dict(UNIT_EDGE, to=["t"])]},
+    ],
+)
+def test_analyze_non_string_node_names_exit_2(tmp_path, capsys, fields):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": ["s", "t"], "edges": [UNIT_EDGE], **fields}))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert_one_line_error(code, err)
+    assert "must be" in err
+
+
+# past the interpreter's 4300-digit limit on int conversion
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "capacity",
+    [json.dumps(HUGE), HUGE, json.dumps(f"1/{HUGE}")],
+    ids=["rational-string", "integer-literal", "denominator"],
+)
+def test_analyze_oversized_number_exits_2(tmp_path, capsys, capacity):
+    path = tmp_path / "net.json"
+    path.write_text(
+        '{"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": '
+        f'[{{"from": "s", "to": "t", "capacity": {capacity}, "cost": "1"}}]}}'
+    )
+    code, _, err = run(capsys, "analyze", str(path))
+    assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("p1,p2", [(HUGE, "2"), ("6", f"1/{HUGE}")], ids=["p1", "p2"])
+def test_solve_oversized_params_exit_2(capsys, p1, p2):
+    code, _, err = run(capsys, "solve", TRIPLE_CUT, "--p1", p1, "--p2", p2)
+    assert_one_line_error(code, err)
+    assert "too many digits" in err
+
+
+def test_analyze_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_bytes(b'{"nodes": ["s\xff"]}')
+    code, _, err = run(capsys, "analyze", str(path))
+    assert_one_line_error(code, err)
 
 
 # ---------------------------------------------------------------------------

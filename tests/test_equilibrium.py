@@ -12,6 +12,7 @@ from flowgame import (
     WrongRegion,
     analyze,
     attack,
+    attacker_payoff,
     best_attacker_response,
     best_router_response,
     classify_region,
@@ -31,6 +32,7 @@ from flowgame import (
 )
 
 from conftest import random_network, random_path_flow, random_probabilities
+from oracles import brute_force_attacker_response
 
 F = Fraction
 
@@ -295,6 +297,87 @@ def test_edge_budget_exceeded(contested):
         best_attacker_response(
             net, point_mass(analysis.optimal_flow), params, max_attack_edges=3
         )
+
+
+def test_attacker_search_matches_brute_force_on_random_networks():
+    rng = random.Random(2024)
+    for _ in range(300):
+        net = random_network(rng, max_internal=3)
+        paths = enumerate_simple_paths(net, 5000)
+        params = GameParams(F(rng.randint(1, 8)), F(rng.randint(1, 12), rng.randint(1, 3)))
+        flows = list(
+            dict.fromkeys(
+                random_path_flow(rng, net, paths) for _ in range(rng.randint(2, 3))
+            )
+        )
+        s1 = mixture(zip(flows, random_probabilities(rng, len(flows))))
+        for exhaustive in (False, True):
+            fast = best_attacker_response(net, s1, params, exhaustive=exhaustive)
+            slow = brute_force_attacker_response(net, s1, params, exhaustive=exhaustive)
+            assert fast.value == slow.value
+            assert fast.action.edge_ids == slow.action.edge_ids
+
+
+def complete_layered_network(rng, width):
+    """s -> width a-nodes -> width b-nodes -> t with every edge present;
+    unit capacities into and out of the layers, 1-3 between them, and
+    uniform costs, so every path is a cheapest path."""
+    layer_a = [f"a{i}" for i in range(width)]
+    layer_b = [f"b{i}" for i in range(width)]
+    edges = [("s", a, 1, 1) for a in layer_a]
+    edges += [(a, b, rng.randint(1, 3), 1) for a in layer_a for b in layer_b]
+    edges += [(b, "t", 1, 1) for b in layer_b]
+    return make_network(["s", "t", *layer_a, *layer_b], edges, "s", "t")
+
+
+@pytest.mark.parametrize("width", [3, 4, 5])
+def test_attacker_search_matches_brute_force_on_layered_networks(width):
+    net = complete_layered_network(random.Random(width), width)
+    analysis = analyze(net)
+    params = GameParams(F(9, 2), F(5, 2))
+    equilibrium = construct_equilibrium(net, params, analysis).s1
+    first_path = analysis.optimal_flow.paths[0]
+    off_equilibrium = mixture(
+        [(analysis.optimal_flow, F(1, 2)), (path_flow(net, [first_path]), F(1, 2))]
+    )
+    values = []
+    for s1 in (equilibrium, off_equilibrium):
+        fast = best_attacker_response(net, s1, params)
+        slow = brute_force_attacker_response(net, s1, params)
+        assert fast.value == slow.value
+        assert fast.action.edge_ids == slow.action.edge_ids
+        values.append(fast.value)
+    assert values[0] == 0 < values[1]
+
+
+@pytest.mark.parametrize("shared_at", [0, 3])
+def test_attacker_tie_goes_to_lexicographically_smallest_set(shared_at):
+    # Two unit paths s-a-c-t and s-b-c-t share the edge c->t of capacity
+    # 2. With p2 = 2, cutting c->t alone, both unit source edges, or s->b
+    # and the unit edge a->c is each worth 4 - 2 = 2, the maximum; the
+    # smallest id tuple must win, whether or not it is the longest.
+    # At id 3, c->t is an optimum met after the smallest one, with edge
+    # a->c still ahead of it in the search.
+    edges = [("s", "a", 1, 0), ("s", "b", 1, 0), ("b", "c", 3, 0), ("a", "c", 1, 0)]
+    edges.insert(shared_at, ("c", "t", 2, 0))
+    net = make_network(["s", "a", "b", "c", "t"], edges, "s", "t")
+    params = GameParams(F(1), F(2))
+    flow = path_flow(net, [(("s", "a", "c", "t"), 1), (("s", "b", "c", "t"), 1)])
+    optima = [
+        attack(net, pairs)
+        for pairs in ([("c", "t")], [("s", "a"), ("s", "b")], [("s", "b"), ("a", "c")])
+    ]
+    assert all(attacker_payoff(net, flow, atk, params) == 2 for atk in optima)
+    expected = min(atk.edge_ids for atk in optima)
+
+    for exhaustive in (False, True):
+        best = best_attacker_response(net, point_mass(flow), params, exhaustive=exhaustive)
+        assert best.value == 2
+        assert best.action.edge_ids == expected
+        slow = brute_force_attacker_response(
+            net, point_mass(flow), params, exhaustive=exhaustive
+        )
+        assert slow == best
 
 
 # ---------------------------------------------------------------------------
