@@ -44,7 +44,6 @@ from .flows import (
     check_cheapest_routing,
     cheapest_path_cost,
     decompose,
-    enumerate_partition_cuts,
     flow_value,
     is_feasible,
     max_flow,

@@ -67,7 +67,12 @@ EXIT_BUDGET = 5
 # ---------------------------------------------------------------------------
 
 def _rat(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as exc:  # past the interpreter's int-conversion digit limit
+        raise FlowGameError(
+            "a result has too many digits to print; use inputs with fewer digits"
+        ) from exc
 
 
 def _flow_json(net: Network, flow: PathFlow) -> dict:
@@ -432,8 +437,8 @@ def cmd_maximin(args) -> int:
     params = _game_params(args)
     analysis = analyze(net)
 
-    value1, action1 = maximin(net, params, 1, args.max_paths, args.max_attack_edges)
-    value2, action2 = maximin(net, params, 2, args.max_paths, args.max_attack_edges)
+    value1, action1 = maximin(net, params, 1)
+    value2, action2 = maximin(net, params, 2)
     report = {
         "router_maximin": {"value": _rat(value1), "action": _action_name(action1)},
         "attacker_maximin": {"value": _rat(value2), "action": _action_name(action2)},
@@ -455,6 +460,10 @@ def cmd_maximin(args) -> int:
                 "router_mixture": _strategy1_json(net, cert2),
             },
         }
+    except PathBudgetExceeded:
+        # Running out of path budget stops the command; it does not just
+        # drop the certificates.
+        raise
     except FlowGameError as exc:
         report["minimax_certificates"] = None
         report["minimax_note"] = str(exc)

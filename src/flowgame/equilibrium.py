@@ -60,11 +60,6 @@ from .network import Network, ZERO
 
 ONE = Fraction(1)
 
-# Partition enumeration of every min-cut is used for the support-property
-# checks up to this many nodes; larger networks fall back to the canonical
-# residual min-cut.
-ALL_CUTS_NODE_LIMIT = 16
-
 
 # ---------------------------------------------------------------------------
 # Regions
@@ -263,25 +258,27 @@ def enumerate_simple_paths(net: Network, budget: int) -> tuple:
     paths = []
     on_path = [net.source]
     visited = {net.source}
-
-    def walk(node):
-        if node == net.sink:
+    # One iterator over the out-edges of each node on the path, so the
+    # depth is bounded by memory, not by the recursion limit.
+    frames = [iter(net.out_edges[net.source])]
+    while frames:
+        e = next(frames[-1], None)
+        if e is None:
+            frames.pop()
+            visited.remove(on_path.pop())
+            continue
+        if e.capacity <= 0 or e.head in visited:
+            continue
+        if e.head == net.sink:
             if len(paths) >= budget:
                 raise PathBudgetExceeded(
                     f"more than {budget} simple source-sink paths; raise the budget"
                 )
-            paths.append(tuple(on_path))
-            return
-        for e in net.out_edges[node]:
-            if e.capacity <= 0 or e.head in visited:
-                continue
-            on_path.append(e.head)
-            visited.add(e.head)
-            walk(e.head)
-            on_path.pop()
-            visited.remove(e.head)
-
-    walk(net.source)
+            paths.append((*on_path, net.sink))
+            continue
+        on_path.append(e.head)
+        visited.add(e.head)
+        frames.append(iter(net.out_edges[e.head]))
     return tuple(paths)
 
 
@@ -428,52 +425,40 @@ def best_attacker_response(
 # Per-edge saturation test
 # ---------------------------------------------------------------------------
 
-def edge_always_saturated(
-    net: Network,
-    max_flow_value: Fraction,
-    min_transport_cost: Fraction,
-    edge_id: int,
-) -> bool:
+def edge_always_saturated(net: Network, amounts: dict, edge_id: int) -> bool:
     """Whether every min-cost max-flow fills the edge to capacity.
 
-    Decided by a secondary program: over all flows with the maximum value
-    and the minimum transport cost, minimize the amount on this edge; the
-    edge is saturated by every optimal routing iff that minimum equals
-    its capacity.
+    ``amounts`` is the edge flow of one min-cost max-flow (absent ids
+    carry nothing). Any other min-cost max-flow differs from it by a
+    circulation of zero cost in its residual graph, and that graph has no
+    negative cycle. So a saturated edge (u, v) of positive capacity can
+    lose flow in some optimal routing iff a residual cycle through the
+    backward arc (v, u) costs nothing, that is iff some positive-residual
+    path from u to v costs at most the edge's cost. One Bellman-Ford run
+    from u decides that exactly.
     """
-    n = len(net.edges)
-    eq_rows = []
-    for node in sorted(net.nodes):
-        if node in (net.source, net.sink):
-            continue
-        coeffs = [ZERO] * n
-        for e in net.in_edges[node]:
-            coeffs[e.id] += ONE
-        for e in net.out_edges[node]:
-            coeffs[e.id] -= ONE
-        eq_rows.append((coeffs, ZERO))
-    value_row = [ZERO] * n
-    for e in net.in_edges[net.sink]:
-        value_row[e.id] += ONE
-    for e in net.out_edges[net.sink]:
-        value_row[e.id] -= ONE
-    eq_rows.append((value_row, max_flow_value))
-    eq_rows.append(([e.cost for e in net.edges], min_transport_cost))
-    ub_rows = []
+    edge = net.edge(edge_id)
+    if amounts.get(edge_id, ZERO) < edge.capacity:
+        return False
+    if edge.capacity == 0:
+        return True
+    arcs = []
     for e in net.edges:
-        coeffs = [ZERO] * n
-        coeffs[e.id] = ONE
-        ub_rows.append((coeffs, e.capacity))
-
-    objective = [ZERO] * n
-    objective[edge_id] = ONE
-    result = solve_lp(objective, eq=eq_rows, ub=ub_rows)
-    if result.status != "optimal":
-        raise RuntimeError(
-            f"saturation program came back {result.status}; the optimal "
-            "routing itself should be feasible"
-        )
-    return result.objective == net.edge(edge_id).capacity
+        amount = amounts.get(e.id, ZERO)
+        if amount < e.capacity:
+            arcs.append((e.tail, e.head, e.cost))
+        if amount > 0:
+            arcs.append((e.head, e.tail, -e.cost))
+    dist = {edge.tail: ZERO}
+    for _ in range(len(net.nodes) - 1):
+        changed = False
+        for tail, head, cost in arcs:
+            if tail in dist and (head not in dist or dist[tail] + cost < dist[head]):
+                dist[head] = dist[tail] + cost
+                changed = True
+        if not changed:
+            break
+    return not (edge.head in dist and dist[edge.head] <= edge.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +539,6 @@ def verify_equilibrium(
     )
 
 
-def _relevant_min_cuts(net: Network, analysis: FlowAnalysis) -> tuple:
-    if len(net.nodes) <= ALL_CUTS_NODE_LIMIT:
-        return all_min_cuts(net)
-    return (analysis.min_cut,)
-
-
 def _is_cheapest_max_flow(net, flow, analysis) -> bool:
     """Does this flow qualify as a cheapest-path max flow?"""
     return (
@@ -624,10 +603,9 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis) -> tuple:
 
     # Every disrupted edge is filled to capacity by every optimal routing.
     disrupted = sorted({i for atk, _ in s2.support for i in atk.edge_ids})
+    optimal_amounts = analysis.optimal_flow.edge_amounts(net)
     unsaturated = [
-        i
-        for i in disrupted
-        if not edge_always_saturated(net, theta, analysis.min_transport_cost, i)
+        i for i in disrupted if not edge_always_saturated(net, optimal_amounts, i)
     ]
     checks.append(
         PropertyCheck(
@@ -643,7 +621,7 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis) -> tuple:
         )
     )
 
-    cuts = _relevant_min_cuts(net, analysis)
+    cuts = all_min_cuts(net)
     loads = expected_edge_loads(net, s1)
 
     # Expected load on each min-cut edge equals its capacity over p2.
@@ -772,46 +750,20 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis) -> tuple:
 # Maximin and minimax
 # ---------------------------------------------------------------------------
 
-def maximin(
-    net: Network,
-    params: GameParams,
-    player: int,
-    max_paths: int = 5000,
-    max_attack_edges: int = 20,
-) -> tuple:
+def maximin(net: Network, params: GameParams, player: int) -> tuple:
     """Pure maximin value and an action attaining it, for either player.
 
-    Against a flow, the attacker can disrupt every edge (her own cost does
-    not enter the router's payoff), leaving the router with minus the
+    Against a flow, the attacker can disrupt every edge (the attack cost
+    does not enter the router's payoff), leaving the router with minus the
     transport cost; against an attack, the router can ship nothing,
-    leaving the attacker with minus the attack cost. Since costs are
-    nonnegative, the guaranteed payoff of every candidate action is at
-    most zero and the costless action achieves exactly zero. The maximum
-    is computed over the enumerated candidates rather than assumed.
+    leaving the attacker with minus the attack cost. Costs are
+    nonnegative, so no action guarantees more than zero, and the costless
+    action (the zero flow, the empty attack) guarantees exactly zero.
     """
     if player == 1:
-        best = ZERO
-        action: Union[PathFlow, Attack] = path_flow(net)
-        for nodes in enumerate_simple_paths(net, max_paths):
-            unit_amount = min(
-                net.edge(i).capacity for i in net.edge_ids_on_path(nodes)
-            )
-            guaranteed = -unit_amount * path_cost(net, nodes)
-            if guaranteed > best:
-                best = guaranteed
-                action = path_flow(net, [(nodes, unit_amount)])
-        return best, action
+        return ZERO, path_flow(net)
     if player == 2:
-        best = ZERO
-        action = attack(net)
-        # Attack costs are additive over edges, so single-edge candidates
-        # already witness the maximum of the guaranteed payoff.
-        for e in net.edges:
-            guaranteed = -e.capacity
-            if guaranteed > best:
-                best = guaranteed
-                action = attack(net, [e.id])
-        return best, action
+        return ZERO, attack(net)
     raise ValueError(f"player must be 1 or 2, got {player!r}")
 
 

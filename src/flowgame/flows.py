@@ -5,7 +5,8 @@ networks, not asymptotics:
 
 * max-flow: shortest augmenting paths (breadth-first residual search),
   ties broken toward the lowest edge id, forward arcs before backward.
-* min-cut: source side of the residual graph of a maximum flow.
+* min-cut: source side of the residual graph of a maximum flow; every
+  min-cut is a source side closed under the residual arcs.
 * min-cost max-flow: successive shortest paths with node potentials.
   Costs are nonnegative, so plain Dijkstra works from the start and
   reduced costs stay nonnegative throughout.
@@ -23,7 +24,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import UndecomposableFlow, ZeroMaxFlow
 from .game import PathFlow, path_cost, path_flow
@@ -103,25 +104,34 @@ def _augmenting_bfs(net: Network, adj: dict, flow: dict) -> Optional[dict]:
     return None
 
 
-def residual_source_side(net: Network, flow: dict) -> frozenset:
-    """Nodes reachable from the source in the residual graph of ``flow``."""
-    adj = _arcs_by_node(net)
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        node = queue.popleft()
-        for edge_id, forward, dst in adj[node]:
-            if dst not in seen and _residual(net, flow, edge_id, forward) > 0:
+def _residual_arcs(net: Network, flow: dict) -> tuple:
+    """Successor and predecessor lists of the positive-residual arcs."""
+    succ = {node: [] for node in net.nodes}
+    pred = {node: [] for node in net.nodes}
+    for e in net.edges:
+        if flow[e.id] < e.capacity:
+            succ[e.tail].append(e.head)
+            pred[e.head].append(e.tail)
+        if flow[e.id] > 0:
+            succ[e.head].append(e.tail)
+            pred[e.tail].append(e.head)
+    return succ, pred
+
+
+def _closure(adj: dict, root, closed: frozenset = frozenset()) -> frozenset:
+    """``closed`` plus every node reachable from ``root`` along ``adj``."""
+    seen = set(closed)
+    seen.add(root)
+    stack = [root]
+    while stack:
+        for dst in adj[stack.pop()]:
+            if dst not in seen:
                 seen.add(dst)
-                queue.append(dst)
+                stack.append(dst)
     return frozenset(seen)
 
 
-def min_cut(net: Network) -> Cut:
-    """The canonical minimum cut: the source side is the set of nodes
-    reachable from the source in the residual graph of a maximum flow."""
-    _, flow = max_flow(net)
-    s_side = residual_source_side(net, flow)
+def _cut(net: Network, s_side: frozenset) -> Cut:
     cut_ids = tuple(
         e.id for e in net.edges if e.tail in s_side and e.head not in s_side
     )
@@ -129,32 +139,43 @@ def min_cut(net: Network) -> Cut:
     return Cut(s_side, cut_ids, capacity)
 
 
-def enumerate_partition_cuts(net: Network) -> Iterator:
-    """Every source-sink cut, by explicit enumeration of node partitions.
-
-    Exponential in the node count; intended as an exhaustive reference
-    for small networks and for finding all minimum cuts.
-    """
-    middle = sorted(net.nodes - {net.source, net.sink})
-    if len(middle) > 22:
-        raise ValueError("partition enumeration is limited to 24 nodes")
-    for mask in range(1 << len(middle)):
-        s_side = {net.source}
-        for i, node in enumerate(middle):
-            if mask >> i & 1:
-                s_side.add(node)
-        cut_ids = tuple(
-            e.id for e in net.edges if e.tail in s_side and e.head not in s_side
-        )
-        capacity = sum((net.edge(i).capacity for i in cut_ids), ZERO)
-        yield Cut(frozenset(s_side), cut_ids, capacity)
+def min_cut(net: Network) -> Cut:
+    """The canonical minimum cut: the source side is the set of nodes
+    reachable from the source in the residual graph of a maximum flow."""
+    _, flow = max_flow(net)
+    succ, _ = _residual_arcs(net, flow)
+    return _cut(net, _closure(succ, net.source))
 
 
 def all_min_cuts(net: Network) -> tuple:
-    """All minimum cuts, by partition enumeration (small networks only)."""
-    cuts = list(enumerate_partition_cuts(net))
-    best = min(cut.capacity for cut in cuts)
-    return tuple(cut for cut in cuts if cut.capacity == best)
+    """Every minimum cut, ordered by source side as a bitmask over the
+    sorted non-terminal nodes (bit i set when the i-th is on the source
+    side).
+
+    A cut is minimum iff its source side is closed under the
+    positive-residual arcs of a maximum flow (Picard and Queyranne, 1980).
+    The search decides the highest undecided node first, putting it with
+    everything that reaches it on the sink side before putting it with
+    everything it reaches on the source side. Both choices always extend
+    to a closed set, so every leaf is a minimum cut, the leaves come in
+    increasing bitmask order, and the work grows with the number of
+    minimum cuts, not with the number of node partitions.
+    """
+    _, flow = max_flow(net)
+    succ, pred = _residual_arcs(net, flow)
+    middle = sorted(net.nodes - {net.source, net.sink})
+    cuts = []
+    stack = [(_closure(succ, net.source), _closure(pred, net.sink))]
+    while stack:
+        s_side, t_side = stack.pop()
+        undecided = [node for node in middle if node not in s_side and node not in t_side]
+        if not undecided:
+            cuts.append(_cut(net, s_side))
+            continue
+        node = undecided[-1]
+        stack.append((_closure(succ, node, s_side), t_side))
+        stack.append((s_side, _closure(pred, node, t_side)))
+    return tuple(cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -206,13 +206,9 @@ def test_criterion_08_support_properties(triple_cut_net):
             assert attack_cost(triple_cut_net, atk) <= 3
 
         disrupted = {i for atk, _ in profile.s2.support for i in atk.edge_ids}
+        amounts = analysis.optimal_flow.edge_amounts(triple_cut_net)
         for edge_id in disrupted:
-            assert edge_always_saturated(
-                triple_cut_net,
-                analysis.max_flow_value,
-                analysis.min_transport_cost,
-                edge_id,
-            )
+            assert edge_always_saturated(triple_cut_net, amounts, edge_id)
 
 
 def test_criterion_09_maximin_and_minimax(triple_cut_net):

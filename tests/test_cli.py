@@ -168,7 +168,16 @@ def test_analyze_oversized_number_exits_2(tmp_path, capsys, capacity):
     assert_one_line_error(code, err)
 
 
-@pytest.mark.parametrize("p1,p2", [(HUGE, "2"), ("6", f"1/{HUGE}")], ids=["p1", "p2"])
+# Each under the limit, but the closed forms divide by p1 * p2, which has
+# about 6000 digits.
+DERIVED_HUGE = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "p1,p2",
+    [(HUGE, "2"), ("6", f"1/{HUGE}"), (DERIVED_HUGE, DERIVED_HUGE)],
+    ids=["p1", "p2", "derived"],
+)
 def test_solve_oversized_params_exit_2(capsys, p1, p2):
     code, _, err = run(capsys, "solve", TRIPLE_CUT, "--p1", p1, "--p2", p2)
     assert_one_line_error(code, err)
@@ -185,6 +194,44 @@ def test_analyze_non_utf8_file_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+def write_unit_chain(tmp_path, count):
+    """A path of ``count`` nodes from s to t, every edge of capacity 1 and
+    cost 1."""
+    nodes = ["s", *(f"v{i}" for i in range(count - 2)), "t"]
+    edges = [
+        {"from": a, "to": b, "capacity": "1", "cost": "1"}
+        for a, b in zip(nodes, nodes[1:])
+    ]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges, "source": "s", "sink": "t"}))
+    return str(path)
+
+
+def test_solve_checks_every_min_cut_of_a_20_node_chain(tmp_path, capsys):
+    # each of the 19 edges is a min-cut on its own
+    chain = write_unit_chain(tmp_path, 20)
+    code, report, _ = run_json(capsys, "solve", chain, "--p1", "40", "--p2", "2")
+    assert code == 0
+    checks = {c["name"]: c for c in report["verification"]["property_checks"]}
+    loads = checks["min-cut edge loads equal capacity over p2"]
+    assert loads == {
+        "name": "min-cut edge loads equal capacity over p2",
+        "status": "pass",
+        "detail": "checked 19 min-cut(s)",
+    }
+    assert {c["status"] for c in checks.values()} == {"pass"}
+
+
+def test_solve_long_chain_exits_5(tmp_path, capsys):
+    # path enumeration goes 1500 nodes deep; the 1499 loaded edges then
+    # exceed the attack budget
+    chain = write_unit_chain(tmp_path, 1500)
+    code, out, err = run(capsys, "solve", chain, "--p1", "2000", "--p2", "2")
+    assert code == 5
+    assert out == ""
+    assert err == "error: 1499 candidate edges exceed the attack budget of 20\n"
+
 
 def test_solve_contested_region(capsys):
     code, report, _ = run_json(
@@ -493,6 +540,17 @@ def test_maximin_region_one(capsys):
     assert code == 0
     assert report["router_maximin"]["value"] == "0"
     assert report["attacker_maximin"]["value"] == "0"
+
+
+def test_maximin_path_budget_exits_5(capsys):
+    # the router-side certificate is checked by enumerating paths
+    code, out, err = run(
+        capsys, "maximin", TRIPLE_CUT, "--p1", "6", "--p2", "2", "--max-paths", "2"
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: more than 2 simple source-sink paths")
+    assert err.count("\n") == 1
 
 
 def test_maximin_detour_without_certificates(capsys):

@@ -21,6 +21,8 @@ from flowgame import (
     edge_always_saturated,
     enumerate_simple_paths,
     expected_payoffs,
+    flow_value,
+    is_feasible,
     make_network,
     maximin,
     minimax_certificate,
@@ -30,9 +32,14 @@ from flowgame import (
     profile_expectations,
     verify_equilibrium,
 )
+from flowgame.flows import edge_flow_cost
 
 from conftest import random_network, random_path_flow, random_probabilities
-from oracles import brute_force_attacker_response
+from oracles import (
+    brute_force_attacker_response,
+    lp_edge_always_saturated,
+    recursive_simple_paths,
+)
 
 F = Fraction
 
@@ -279,6 +286,13 @@ def test_pruned_and_exhaustive_attacker_responses_agree():
         assert pruned.value == full.value
 
 
+def test_simple_paths_match_recursive_enumeration():
+    rng = random.Random(6)
+    for _ in range(200):
+        net = random_network(rng, max_internal=5)
+        assert enumerate_simple_paths(net, 5000) == recursive_simple_paths(net, 5000)
+
+
 def test_path_budget_exceeded(triple_cut_net):
     with pytest.raises(PathBudgetExceeded):
         enumerate_simple_paths(triple_cut_net, 2)
@@ -386,10 +400,9 @@ def test_attacker_tie_goes_to_lexicographically_smallest_set(shared_at):
 
 def test_min_cut_edges_always_saturated(contested):
     net, _, analysis = contested
+    amounts = analysis.optimal_flow.edge_amounts(net)
     for edge_id in analysis.min_cut.cut_set:
-        assert edge_always_saturated(
-            net, analysis.max_flow_value, analysis.min_transport_cost, edge_id
-        )
+        assert edge_always_saturated(net, amounts, edge_id)
 
 
 def test_slack_edge_not_always_saturated(contested):
@@ -397,8 +410,43 @@ def test_slack_edge_not_always_saturated(contested):
     # the source edge of capacity 2 carries 1 unit in the optimal routing
     slack = next(e.id for e in net.edges if (e.tail, e.head) == ("s", "1"))
     assert not edge_always_saturated(
-        net, analysis.max_flow_value, analysis.min_transport_cost, slack
+        net, analysis.optimal_flow.edge_amounts(net), slack
     )
+
+
+def test_saturation_matches_lp_oracle():
+    # the residual-graph test and the secondary program agree on every
+    # edge of networks of up to 8 nodes
+    rng = random.Random(5)
+    nets = [random_network(rng, max_internal=6) for _ in range(300)]
+    nets.append(make_network(
+        ["s", "a", "b", "t"], [("s", "a", 1, 1), ("a", "t", 1, 1)], "s", "t"
+    ))
+    verdicts = set()
+    for net in nets:
+        analysis = analyze(net)
+        amounts = analysis.optimal_flow.edge_amounts(net)
+        # the flow lies in the optimal face, so the program's minimum is
+        # at most its amount on each edge: an edge it leaves below
+        # capacity has the verdict False, and a zero-capacity edge True,
+        # without solving the program
+        assert is_feasible(net, amounts)
+        assert flow_value(net, amounts) == analysis.max_flow_value
+        assert edge_flow_cost(net, amounts) == analysis.min_transport_cost
+        for e in net.edges:
+            saturated = amounts.get(e.id, 0) == e.capacity
+            if e.capacity == 0 or not saturated:
+                expected = e.capacity == 0
+            else:
+                expected = lp_edge_always_saturated(
+                    net, analysis.max_flow_value, analysis.min_transport_cost, e.id
+                )
+            verdict = edge_always_saturated(net, amounts, e.id)
+            assert verdict == expected, (net, e)
+            verdicts.add((verdict, e.capacity > 0 and saturated))
+    # saturated edges of both verdicts occur, so the residual search is
+    # exercised and not just the capacity shortcut
+    assert {(True, True), (False, True), (False, False)} <= verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +574,6 @@ def test_single_cut_alternative_equilibrium_on_parallel_routes():
     assert report.is_ne
     statuses = {check.name: check.status for check in report.checks}
     assert set(statuses.values()) == {"pass"}
-
-
-def test_maximin_respects_path_budget(triple_cut_net):
-    with pytest.raises(PathBudgetExceeded):
-        maximin(triple_cut_net, GameParams(F(6), F(2)), 1, max_paths=2)
 
 
 def test_property_checks_with_several_min_cuts():
@@ -715,7 +758,7 @@ def test_tampered_probabilities_are_rejected(contested):
 
 
 def test_layered_network_end_to_end():
-    # a 17-node, 35-edge layered network: uniform costs make every route
+    # a 12-node, 35-edge layered network: uniform costs make every route
     # a cheapest path, so the mixed construction applies; the attacker
     # enumeration runs over the loaded edges of the optimal flow
     import time

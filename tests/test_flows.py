@@ -25,6 +25,7 @@ from flowgame import (
 from flowgame.lp import solve_lp
 
 from conftest import random_network
+from oracles import partition_min_cuts
 
 ZERO = Fraction(0)
 
@@ -323,6 +324,31 @@ def test_all_min_cuts_include_canonical(triple_cut_net, detour_net):
     # the detour network has several min-cuts, the triple-cut one exactly one
     assert len(all_min_cuts(detour_net)) == 3
     assert len(all_min_cuts(triple_cut_net)) == 1
+
+
+def test_min_cuts_match_partition_oracle():
+    # same cuts in the same order (increasing source-side bitmask) as the
+    # exhaustive partition loop, on networks of up to 8 nodes
+    rng = random.Random(4)
+    nets = [random_network(rng, max_internal=6) for _ in range(300)]
+    # an isolated node may sit on either side of every min-cut
+    nets.append(make_network(
+        ["s", "a", "b", "t"], [("s", "a", 1, 1), ("a", "t", 1, 1)], "s", "t"
+    ))
+    for net in nets:
+        assert all_min_cuts(net) == partition_min_cuts(net)
+    assert len(all_min_cuts(nets[-1])) == 4
+
+
+def test_all_min_cuts_beyond_partition_range():
+    # a 30-node unit chain: every one of its 29 edges is a min-cut on its
+    # own, with 2^28 node partitions behind them
+    nodes = ["s", *(f"v{i:02d}" for i in range(28)), "t"]
+    net = make_network(nodes, [(a, b, 1, 1) for a, b in zip(nodes, nodes[1:])], "s", "t")
+    cuts = all_min_cuts(net)
+    assert [net.edge(cut.cut_set[0]).head for cut in cuts] == nodes[1:]
+    assert all(len(cut.cut_set) == 1 and cut.capacity == 1 for cut in cuts)
+    assert cuts[0] == min_cut(net)
 
 
 def test_classify_no_route_error():
