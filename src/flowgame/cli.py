@@ -70,9 +70,7 @@ def _rat(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError as exc:  # past the interpreter's int-conversion digit limit
-        raise FlowGameError(
-            "a result has too many digits to print; use inputs with fewer digits"
-        ) from exc
+        raise FlowGameError("a result has too many digits to print") from exc
 
 
 def _flow_json(net: Network, flow: PathFlow) -> dict:
@@ -450,6 +448,12 @@ def cmd_maximin(args) -> int:
         cap2, cert2 = minimax_certificate(
             net, params, 2, analysis, args.max_paths, args.max_attack_edges
         )
+    except (PathBudgetExceeded, EdgeBudgetExceeded):
+        raise  # exit 5, as for every other exceeded budget
+    except FlowGameError as exc:
+        report["minimax_certificates"] = None
+        report["minimax_note"] = str(exc)
+    else:
         report["minimax_certificates"] = {
             "router_side": {
                 "best_response_value": _rat(cap1),
@@ -460,13 +464,6 @@ def cmd_maximin(args) -> int:
                 "router_mixture": _strategy1_json(net, cert2),
             },
         }
-    except PathBudgetExceeded:
-        # Running out of path budget stops the command; it does not just
-        # drop the certificates.
-        raise
-    except FlowGameError as exc:
-        report["minimax_certificates"] = None
-        report["minimax_note"] = str(exc)
     emit(report, args.format)
     return EXIT_OK
 

@@ -429,13 +429,10 @@ def edge_always_saturated(net: Network, amounts: dict, edge_id: int) -> bool:
     """Whether every min-cost max-flow fills the edge to capacity.
 
     ``amounts`` is the edge flow of one min-cost max-flow (absent ids
-    carry nothing). Any other min-cost max-flow differs from it by a
-    circulation of zero cost in its residual graph, and that graph has no
-    negative cycle. So a saturated edge (u, v) of positive capacity can
-    lose flow in some optimal routing iff a residual cycle through the
-    backward arc (v, u) costs nothing, that is iff some positive-residual
-    path from u to v costs at most the edge's cost. One Bellman-Ford run
-    from u decides that exactly.
+    carry nothing). The others differ from it by zero-cost circulations in
+    its residual graph, which has no negative cycle. So a saturated edge
+    (u, v) of positive capacity can lose flow iff some positive-residual
+    path from u to v costs at most the edge's cost: one Bellman-Ford run.
     """
     edge = net.edge(edge_id)
     if amounts.get(edge_id, ZERO) < edge.capacity:

@@ -5,8 +5,7 @@ networks, not asymptotics:
 
 * max-flow: shortest augmenting paths (breadth-first residual search),
   ties broken toward the lowest edge id, forward arcs before backward.
-* min-cut: source side of the residual graph of a maximum flow; every
-  min-cut is a source side closed under the residual arcs.
+* min-cut: source side of the residual graph of a maximum flow.
 * min-cost max-flow: successive shortest paths with node potentials.
   Costs are nonnegative, so plain Dijkstra works from the start and
   reduced costs stay nonnegative throughout.
@@ -105,30 +104,26 @@ def _augmenting_bfs(net: Network, adj: dict, flow: dict) -> Optional[dict]:
 
 
 def _residual_arcs(net: Network, flow: dict) -> tuple:
-    """Successor and predecessor lists of the positive-residual arcs."""
-    succ = {node: [] for node in net.nodes}
-    pred = {node: [] for node in net.nodes}
-    for e in net.edges:
-        if flow[e.id] < e.capacity:
-            succ[e.tail].append(e.head)
-            pred[e.head].append(e.tail)
-        if flow[e.id] > 0:
-            succ[e.head].append(e.tail)
-            pred[e.tail].append(e.head)
+    """Successor and predecessor sets of the positive-residual arcs."""
+    succ = {node: set() for node in net.nodes}
+    pred = {node: set() for node in net.nodes}
+    for node, arcs in _arcs_by_node(net).items():
+        for edge_id, forward, dst in arcs:
+            if _residual(net, flow, edge_id, forward) > 0:
+                succ[node].add(dst)
+                pred[dst].add(node)
     return succ, pred
 
 
-def _closure(adj: dict, root, closed: frozenset = frozenset()) -> frozenset:
-    """``closed`` plus every node reachable from ``root`` along ``adj``."""
-    seen = set(closed)
-    seen.add(root)
-    stack = [root]
-    while stack:
-        for dst in adj[stack.pop()]:
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
+def _grow(side: set, adj: dict, node, log: list) -> None:
+    """Add ``node`` and all it reaches along ``adj`` to ``side``; log each."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node not in side:
+            side.add(node)
+            log.append((side, node))
+            todo.extend(adj[node])
 
 
 def _cut(net: Network, s_side: frozenset) -> Cut:
@@ -143,39 +138,68 @@ def min_cut(net: Network) -> Cut:
     """The canonical minimum cut: the source side is the set of nodes
     reachable from the source in the residual graph of a maximum flow."""
     _, flow = max_flow(net)
-    succ, _ = _residual_arcs(net, flow)
-    return _cut(net, _closure(succ, net.source))
+    s_side = set()
+    _grow(s_side, _residual_arcs(net, flow)[0], net.source, [])
+    return _cut(net, frozenset(s_side))
 
 
 def all_min_cuts(net: Network) -> tuple:
-    """Every minimum cut, ordered by source side as a bitmask over the
-    sorted non-terminal nodes (bit i set when the i-th is on the source
-    side).
+    """Every minimum cut, one per set of positive-capacity edges it
+    crosses, with the smallest source side crossing just those, ordered
+    by that side as a bitmask over the sorted non-terminal nodes.
 
-    A cut is minimum iff its source side is closed under the
-    positive-residual arcs of a maximum flow (Picard and Queyranne, 1980).
-    The search decides the highest undecided node first, putting it with
-    everything that reaches it on the sink side before putting it with
-    everything it reaches on the source side. Both choices always extend
-    to a closed set, so every leaf is a minimum cut, the leaves come in
-    increasing bitmask order, and the work grows with the number of
-    minimum cuts, not with the number of node partitions.
+    Source sides of minimum cuts are the sets closed under the residual
+    arcs of a maximum flow (Picard and Queyranne, 1980), so only saturated
+    edges cross one. The search decides them in id order, cut before
+    uncut, grows the nodes each choice forces onto either side and skips
+    choices that cannot be completed: every leaf is a new cut.
     """
     _, flow = max_flow(net)
     succ, pred = _residual_arcs(net, flow)
-    middle = sorted(net.nodes - {net.source, net.sink})
-    cuts = []
-    stack = [(_closure(succ, net.source), _closure(pred, net.sink))]
-    while stack:
-        s_side, t_side = stack.pop()
-        undecided = [node for node in middle if node not in s_side and node not in t_side]
-        if not undecided:
-            cuts.append(_cut(net, s_side))
+    choices = [(e.tail, e.head) for e in net.edges if 0 < e.capacity == flow[e.id]]
+    s_side, t_side, log = set(), set(), []
+    _grow(s_side, succ, net.source, log)
+    _grow(t_side, pred, net.sink, log)
+
+    def undo(mark):
+        while len(log) > mark:
+            added_to, item = log.pop()
+            added_to.discard(item)
+
+    sides, branches, i = [], [], 0
+    while True:
+        if i < len(choices):
+            tail, head = choices[i]
+            i += 1
+            if head in s_side or tail in t_side or (tail in s_side and head in t_side):
+                continue  # decided already; the arc it would add is implied
+            mark = len(log)
+            _grow(s_side, succ, tail, log)
+            if head in s_side:  # the tail reaches the head: it cannot be cut
+                undo(mark)
+            else:
+                _grow(t_side, pred, head, log)
+                branches.append((mark, i - 1))
             continue
-        node = undecided[-1]
-        stack.append((_closure(succ, node, s_side), t_side))
-        stack.append((s_side, _closure(pred, node, t_side)))
-    return tuple(cuts)
+        sides.append(frozenset(s_side))
+        if not branches:
+            break
+        mark, i = branches.pop()
+        undo(mark)
+        tail, head = choices[i]
+        i += 1
+        # Left uncut, the edge ties its tail on the source side to its
+        # head. Cutting it was possible, so the tail did not reach the head.
+        for adj, a, b in ((succ, tail, head), (pred, head, tail)):
+            adj[a].add(b)
+            log.append((adj[a], b))
+        if tail in s_side:
+            _grow(s_side, succ, head, log)
+        if head in t_side:
+            _grow(t_side, pred, tail, log)
+    order = {node: i for i, node in enumerate(sorted(net.nodes - {net.source, net.sink}))}
+    sides.sort(key=lambda side: sum(1 << order[n] for n in side if n in order))
+    return tuple(_cut(net, side) for side in sides)
 
 
 # ---------------------------------------------------------------------------

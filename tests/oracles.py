@@ -42,6 +42,19 @@ def partition_min_cuts(net):
     return tuple(cut for cut in cuts if cut.capacity == best)
 
 
+def distinct_partition_min_cuts(net):
+    """The first minimum cut, by partition enumeration, for each set of
+    positive-capacity edges that minimum cuts cross."""
+    seen = set()
+    cuts = []
+    for cut in partition_min_cuts(net):
+        crossing = frozenset(i for i in cut.cut_set if net.edge(i).capacity > 0)
+        if crossing not in seen:
+            seen.add(crossing)
+            cuts.append(cut)
+    return tuple(cuts)
+
+
 def lp_edge_always_saturated(net, max_flow_value, min_transport_cost, edge_id):
     """Whether every min-cost max-flow fills the edge to capacity, by a
     secondary program: over all flows with the maximum value and the

@@ -184,6 +184,23 @@ def test_solve_oversized_params_exit_2(capsys, p1, p2):
     assert "too many digits" in err
 
 
+def test_maximin_oversized_derived_value_exits_2(tmp_path, capsys):
+    # the cheapest path costs 1/A + 1/B, whose denominator A * B has about
+    # 6000 digits; the attacker certificate's probabilities carry it
+    a, b = "9" * 3000, "1" + "0" * 2998 + "1"
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({
+        "nodes": ["s", "a", "t"], "source": "s", "sink": "t",
+        "edges": [
+            {"from": "s", "to": "a", "capacity": "1", "cost": f"1/{a}"},
+            {"from": "a", "to": "t", "capacity": "1", "cost": f"1/{b}"},
+        ],
+    }))
+    code, _, err = run(capsys, "maximin", str(path), "--p1", "6", "--p2", "2")
+    assert_one_line_error(code, err)
+    assert "too many digits" in err
+
+
 def test_analyze_non_utf8_file_exits_2(tmp_path, capsys):
     path = tmp_path / "net.json"
     path.write_bytes(b'{"nodes": ["s\xff"]}')
@@ -220,6 +237,20 @@ def test_solve_checks_every_min_cut_of_a_20_node_chain(tmp_path, capsys):
         "status": "pass",
         "detail": "checked 19 min-cut(s)",
     }
+    assert {c["status"] for c in checks.values()} == {"pass"}
+
+
+def test_solve_ignores_isolated_nodes(tmp_path, capsys):
+    # 30 isolated nodes give 2^30 node partitions for each min-cut, all
+    # crossing the same edges
+    net = json.loads(Path(TRIPLE_CUT).read_text())
+    net["nodes"] += [f"x{i}" for i in range(30)]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    code, report, _ = run_json(capsys, "solve", str(path), "--p1", "6", "--p2", "2")
+    assert code == 0
+    checks = {c["name"]: c for c in report["verification"]["property_checks"]}
+    assert checks["min-cut edge loads equal capacity over p2"]["detail"] == "checked 1 min-cut(s)"
     assert {c["status"] for c in checks.values()} == {"pass"}
 
 
@@ -551,6 +582,16 @@ def test_maximin_path_budget_exits_5(capsys):
     assert out == ""
     assert err.startswith("error: more than 2 simple source-sink paths")
     assert err.count("\n") == 1
+
+
+def test_maximin_attack_budget_exits_5(capsys):
+    # the attacker-side certificate is checked against 7 loaded edges
+    code, out, err = run(
+        capsys, "maximin", TRIPLE_CUT, "--p1", "6", "--p2", "2", "--max-attack-edges", "1"
+    )
+    assert code == 5
+    assert out == ""
+    assert err == "error: 7 candidate edges exceed the attack budget of 1\n"
 
 
 def test_maximin_detour_without_certificates(capsys):

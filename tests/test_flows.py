@@ -25,7 +25,7 @@ from flowgame import (
 from flowgame.lp import solve_lp
 
 from conftest import random_network
-from oracles import partition_min_cuts
+from oracles import distinct_partition_min_cuts
 
 ZERO = Fraction(0)
 
@@ -327,17 +327,67 @@ def test_all_min_cuts_include_canonical(triple_cut_net, detour_net):
 
 
 def test_min_cuts_match_partition_oracle():
-    # same cuts in the same order (increasing source-side bitmask) as the
-    # exhaustive partition loop, on networks of up to 8 nodes
+    # the same cuts in the same order (increasing source-side bitmask) as
+    # the first partition of the exhaustive loop to reach each set of
+    # positive-capacity crossing edges, on networks of up to 8 nodes
     rng = random.Random(4)
     nets = [random_network(rng, max_internal=6) for _ in range(300)]
+    # a saturated edge, decided first, whose tail reaches its head
+    # through an unused detour, so it can never be cut
+    nets.append(make_network(
+        ["s", "a", "b", "c", "t"],
+        [("a", "b", 1, 1), ("s", "a", 1, 1), ("a", "c", 5, 1), ("c", "b", 5, 1),
+         ("b", "t", 1, 1)],
+        "s", "t",
+    ))
     # an isolated node may sit on either side of every min-cut
     nets.append(make_network(
         ["s", "a", "b", "t"], [("s", "a", 1, 1), ("a", "t", 1, 1)], "s", "t"
     ))
     for net in nets:
-        assert all_min_cuts(net) == partition_min_cuts(net)
-    assert len(all_min_cuts(nets[-1])) == 4
+        assert all_min_cuts(net) == distinct_partition_min_cuts(net)
+    assert [cut.s_side for cut in all_min_cuts(nets[-1])] == [
+        frozenset({"s"}), frozenset({"s", "a"})
+    ]
+
+
+def test_nodes_off_the_saturated_edges_do_not_multiply_min_cuts():
+    # Each of these nodes can sit on either side of every min-cut of the
+    # triple-cut network (2^90 partitions), but no saturated edge touches
+    # them, so the cut is found once.
+    edges = [
+        ("2", "1", 1, 1), ("4", "3", 1, 1), ("s", "1", 2, 1), ("2", "3", 1, 1),
+        ("s", "2", 3, 1), ("1", "3", 1, 1), ("2", "4", 1, 1), ("3", "t", 3, 1),
+        ("4", "t", 2, 1),
+    ]
+    isolated = [f"x{i:02d}" for i in range(30)]
+    zero_cap = [f"y{i:02d}" for i in range(30)]
+    dangling = [f"z{i:02d}" for i in range(30)]
+    edges += [("s", y, 0, 1) for y in zero_cap] + [("1", z, 1, 1) for z in dangling]
+    net = make_network(
+        ["s", "1", "2", "3", "4", "t", *isolated, *zero_cap, *dangling], edges, "s", "t"
+    )
+    cuts = all_min_cuts(net)
+    assert cuts == (min_cut(net),)
+    assert cuts[0].s_side == {"s", "1", "2", *dangling}
+    # The cheap cross links u -> v_i -> w are never saturated: 3 cuts, not
+    # the 2^30 + 2 closed source sides.
+    middle = [f"v{i:02d}" for i in range(30)]
+    net = make_network(
+        ["s", "u", "w", "t", *middle],
+        [("s", "u", 1, 1), ("u", "t", 1, 1), ("s", "w", 1, 1), ("w", "t", 1, 1)]
+        + [("u", v, 1, 1) for v in middle] + [(v, "w", 1, 1) for v in middle],
+        "s", "t",
+    )
+    names = [
+        sorted((net.edge(i).tail, net.edge(i).head) for i in cut.cut_set)
+        for cut in all_min_cuts(net)
+    ]
+    assert names == [
+        [("s", "u"), ("s", "w")],
+        [("s", "u"), ("w", "t")],
+        [("u", "t"), ("w", "t")],
+    ]
 
 
 def test_all_min_cuts_beyond_partition_range():
