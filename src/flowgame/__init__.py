@@ -33,15 +33,12 @@ from .errors import (
     UndecomposableFlow,
     UnknownEndpoint,
     WrongRegion,
-    ZeroMaxFlow,
 )
 from .flows import (
     Decomposition,
     FlowAnalysis,
-    RoutingCheck,
     all_min_cuts,
     analyze,
-    check_cheapest_routing,
     cheapest_path_cost,
     decompose,
     flow_value,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .equilibrium import (
@@ -52,7 +51,7 @@ from .game import (
     transport_cost,
 )
 from .network import Cut, Network, network_from_json
-from .rational import parse_rational
+from .rational import format_rational as _rat, parse_rational
 
 EXIT_OK = 0
 EXIT_NOT_NE = 1
@@ -65,13 +64,6 @@ EXIT_BUDGET = 5
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def _rat(value: Fraction) -> str:
-    try:
-        return str(value)
-    except ValueError as exc:  # past the interpreter's int-conversion digit limit
-        raise FlowGameError("a result has too many digits to print") from exc
-
 
 def _flow_json(net: Network, flow: PathFlow) -> dict:
     return {

@@ -618,7 +618,7 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis) -> tuple:
         )
     )
 
-    cuts = all_min_cuts(net)
+    cuts = all_min_cuts(net, optimal_amounts)
     loads = expected_edge_loads(net, s1)
 
     # Expected load on each min-cut edge equals its capacity over p2.
@@ -677,14 +677,12 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis) -> tuple:
             )
         )
 
-    # Every min-cut edge is used by some supported flow.
+    # Every min-cut edge is used by some supported flow: support
+    # probabilities are positive, so exactly when its expected load is.
     uncovered = []
     for cut in cuts:
         for edge_id in cut.cut_set:
-            if not any(
-                flow.edge_amounts(net).get(edge_id, ZERO) > 0
-                for flow, _ in s1.support
-            ):
+            if loads[edge_id] == 0:
                 edge = net.edge(edge_id)
                 uncovered.append(f"({edge.tail}, {edge.head})")
     checks.append(

@@ -79,11 +79,6 @@ class InvalidParams(FlowGameError):
 # Flow analysis
 # ---------------------------------------------------------------------------
 
-class ZeroMaxFlow(FlowGameError):
-    """An operation needs a positive max-flow value but the network carries
-    no flow from source to sink."""
-
-
 class UndecomposableFlow(FlowGameError):
     """An edge flow cannot be written as source-sink paths plus cycles."""
 

@@ -3,12 +3,12 @@
 Algorithms are chosen for exactness and reproducibility on desk-scale
 networks, not asymptotics:
 
-* max-flow: shortest augmenting paths (breadth-first residual search),
-  ties broken toward the lowest edge id, forward arcs before backward.
-* min-cut: source side of the residual graph of a maximum flow.
 * min-cost max-flow: successive shortest paths with node potentials.
   Costs are nonnegative, so plain Dijkstra works from the start and
-  reduced costs stay nonnegative throughout.
+  reduced costs stay nonnegative throughout. It is also a maximum flow,
+  and the only flow computed per network.
+* min-cuts: read from the residual graph of that flow; the canonical one
+  has the nodes the source reaches as its source side.
 * decomposition: cycles are peeled off first (depth-first search on the
   support graph), after which the support is acyclic and source-to-sink
   paths are extracted by always following the lowest-id positive edge.
@@ -20,12 +20,11 @@ concurrent use.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import UndecomposableFlow, ZeroMaxFlow
+from .errors import UndecomposableFlow
 from .game import PathFlow, path_cost, path_flow
 from .network import Cut, Network, ZERO
 
@@ -61,46 +60,16 @@ def _residual(net: Network, flow: dict, edge_id: int, forward: bool) -> Fraction
 # Max-flow and min-cut
 # ---------------------------------------------------------------------------
 
-def max_flow(net: Network, *, _reverse_ties: bool = False) -> tuple:
+def max_flow(net: Network) -> tuple:
     """Maximum source-to-sink flow value and a flow attaining it.
 
     Returns ``(value, amounts)`` where ``amounts`` maps edge id to the
-    exact flow on that edge. A network with no source-sink path yields
-    value 0 and the zero flow.
+    exact flow on that edge: the min-cost max-flow, which is a maximum
+    flow. A network with no source-sink path yields value 0 and the zero
+    flow.
     """
-    flow = {e.id: ZERO for e in net.edges}
-    adj = _arcs_by_node(net, _reverse_ties)
-    value = ZERO
-    while True:
-        parent = _augmenting_bfs(net, adj, flow)
-        if parent is None:
-            break
-        arcs = []
-        node = net.sink
-        while node != net.source:
-            edge_id, forward, prev = parent[node]
-            arcs.append((edge_id, forward))
-            node = prev
-        bottleneck = min(_residual(net, flow, eid, fwd) for eid, fwd in arcs)
-        for edge_id, forward in arcs:
-            flow[edge_id] += bottleneck if forward else -bottleneck
-        value += bottleneck
-    return value, flow
-
-
-def _augmenting_bfs(net: Network, adj: dict, flow: dict) -> Optional[dict]:
-    parent = {net.source: None}
-    queue = deque([net.source])
-    while queue:
-        node = queue.popleft()
-        for edge_id, forward, dst in adj[node]:
-            if dst in parent or _residual(net, flow, edge_id, forward) <= 0:
-                continue
-            parent[dst] = (edge_id, forward, node)
-            if dst == net.sink:
-                return parent
-            queue.append(dst)
-    return None
+    amounts, _ = min_cost_max_flow(net)
+    return flow_value(net, amounts), amounts
 
 
 def _residual_arcs(net: Network, flow: dict) -> tuple:
@@ -137,13 +106,16 @@ def _cut(net: Network, s_side: frozenset) -> Cut:
 def min_cut(net: Network) -> Cut:
     """The canonical minimum cut: the source side is the set of nodes
     reachable from the source in the residual graph of a maximum flow."""
-    _, flow = max_flow(net)
+    return _canonical_cut(net, min_cost_max_flow(net)[0])
+
+
+def _canonical_cut(net: Network, flow: dict) -> Cut:
     s_side = set()
     _grow(s_side, _residual_arcs(net, flow)[0], net.source, [])
     return _cut(net, frozenset(s_side))
 
 
-def all_min_cuts(net: Network) -> tuple:
+def all_min_cuts(net: Network, flow: Mapping) -> tuple:
     """Every minimum cut, one per set of positive-capacity edges it
     crosses, with the smallest source side crossing just those, ordered
     by that side as a bitmask over the sorted non-terminal nodes.
@@ -153,8 +125,11 @@ def all_min_cuts(net: Network) -> tuple:
     edges cross one. The search decides them in id order, cut before
     uncut, grows the nodes each choice forces onto either side and skips
     choices that cannot be completed: every leaf is a new cut.
+
+    ``flow`` maps edge ids to the amounts of any maximum flow; absent ids
+    carry 0. The cuts do not depend on which one.
     """
-    _, flow = max_flow(net)
+    flow = {e.id: flow.get(e.id, ZERO) for e in net.edges}
     succ, pred = _residual_arcs(net, flow)
     choices = [(e.tail, e.head) for e in net.edges if 0 < e.capacity == flow[e.id]]
     s_side, t_side, log = set(), set(), []
@@ -447,7 +422,7 @@ def strip_loops(net: Network, amounts: Mapping) -> PathFlow:
 
 
 # ---------------------------------------------------------------------------
-# Cheapest path cost and the routing-optimality check
+# Cheapest path cost
 # ---------------------------------------------------------------------------
 
 def cheapest_path_cost(net: Network) -> Optional[Fraction]:
@@ -474,44 +449,6 @@ def cheapest_path_cost(net: Network) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True)
-class RoutingCheck:
-    """Whether some min-cost max-flow routes only along cheapest paths.
-
-    Because every path costs at least the cheapest path cost, this holds
-    exactly when the minimum transport cost equals cheapest-cost-per-unit
-    times the max-flow value. ``certified_flow`` is a decomposition whose
-    paths all cost exactly that much; ``costly_path`` is a (nodes, cost)
-    counterexample otherwise.
-    """
-
-    holds: bool
-    certified_flow: Optional[PathFlow]
-    costly_path: Optional[tuple]
-
-
-def check_cheapest_routing(net: Network) -> RoutingCheck:
-    """Decide whether min-cost routing uses only cheapest paths; requires a
-    positive max-flow value."""
-    amounts, cost = min_cost_max_flow(net)
-    value = flow_value(net, amounts)
-    if value == 0:
-        raise ZeroMaxFlow("the network carries no source-sink flow")
-    unit_cost = cheapest_path_cost(net)
-    return _routing_check(net, value, cost, unit_cost, decompose(net, amounts))
-
-
-def _routing_check(net, value, cost, unit_cost, decomposition) -> RoutingCheck:
-    holds = cost == unit_cost * value
-    if holds:
-        return RoutingCheck(True, path_flow(net, decomposition.paths), None)
-    for nodes, _ in decomposition.paths:
-        this_cost = path_cost(net, nodes)
-        if this_cost > unit_cost:
-            return RoutingCheck(False, None, (nodes, this_cost))
-    raise AssertionError("cost exceeds the cheapest bound but no path does")
-
-
 # ---------------------------------------------------------------------------
 # One-shot analysis bundle
 # ---------------------------------------------------------------------------
@@ -521,8 +458,14 @@ class FlowAnalysis:
     """Everything the equilibrium layer needs about a network:
     the max-flow value, the canonical min-cut, a canonical min-cost
     max-flow as a path flow, its transport cost, the cheapest path cost
-    (None when the sink is unreachable), and the routing check
-    (None when there is no flow to route)."""
+    (None when the sink is unreachable), and whether that flow routes only
+    along cheapest paths (None when there is no flow to route).
+
+    Every path costs at least the cheapest path cost, so the routing check
+    holds exactly when the transport cost equals that cost times the
+    max-flow value. Its witness is then ``optimal_flow`` itself, and
+    otherwise a (nodes, cost) pair for the first path of the decomposition
+    that costs more."""
 
     max_flow_value: Fraction
     min_cut: Cut
@@ -534,7 +477,6 @@ class FlowAnalysis:
 
 
 def analyze(net: Network) -> FlowAnalysis:
-    cut = min_cut(net)
     amounts, cost = min_cost_max_flow(net)
     value = flow_value(net, amounts)
     decomposition = decompose(net, amounts)
@@ -543,14 +485,15 @@ def analyze(net: Network) -> FlowAnalysis:
 
     if value == 0:
         routing, witness = None, None
+    elif cost == unit_cost * value:
+        routing, witness = True, optimal
     else:
-        check = _routing_check(net, value, cost, unit_cost, decomposition)
-        routing = check.holds
-        witness = check.certified_flow if check.holds else check.costly_path
+        costs = ((nodes, path_cost(net, nodes)) for nodes, _ in decomposition.paths)
+        routing, witness = False, next(pair for pair in costs if pair[1] > unit_cost)
 
     return FlowAnalysis(
         max_flow_value=value,
-        min_cut=cut,
+        min_cut=_canonical_cut(net, amounts),
         optimal_flow=optimal,
         min_transport_cost=cost,
         cheapest_path_cost=unit_cost,

@@ -25,7 +25,7 @@ from .errors import (
     LoopyFlowInSupport,
 )
 from .network import Network, ZERO
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 
 ONE = Fraction(1)
 
@@ -87,16 +87,6 @@ class MixedStrategy:
     def expect(self, fn: Callable) -> Fraction:
         return sum((prob * fn(action) for action, prob in self.support), ZERO)
 
-    def prob_of(self, action) -> Fraction:
-        for candidate, prob in self.support:
-            if candidate == action:
-                return prob
-        return ZERO
-
-    @property
-    def actions(self) -> tuple:
-        return tuple(action for action, _ in self.support)
-
 
 @dataclass(frozen=True)
 class GameParams:
@@ -154,7 +144,8 @@ def path_flow(net: Network, items: Iterable = ()) -> PathFlow:
         edge = net.edge(edge_id)
         if amount > edge.capacity:
             raise CapacityExceeded(
-                f"edge ({edge.tail}, {edge.head}) carries {amount} "
+                f"edge ({edge.tail}, {edge.head}) carries "
+                f"{format_rational(amount, 'the flow on an edge')} "
                 f"but has capacity {edge.capacity}"
             )
     return flow
@@ -188,7 +179,10 @@ def mixture(items: Iterable) -> MixedStrategy:
         support.append((action, prob))
     total = sum((prob for _, prob in support), ZERO)
     if total != 1:
-        raise InvalidStrategy(f"probabilities sum to {total}, expected 1")
+        raise InvalidStrategy(
+            f"probabilities sum to {format_rational(total, 'the probability sum')}, "
+            "expected 1"
+        )
     support.sort(key=lambda pair: pair[0].sort_key())
     for left, right in zip(support, support[1:]):
         if left[0] == right[0]:

@@ -98,9 +98,6 @@ class Network:
             ids.append(edge.id)
         return tuple(ids)
 
-    def total_capacity(self) -> Fraction:
-        return sum((e.capacity for e in self.edges), ZERO)
-
 
 def _coerce_edges(edges: Iterable) -> list:
     coerced = []

@@ -1,4 +1,4 @@
-"""Exact rational parsing for file and CLI surfaces.
+"""Exact rational parsing and formatting for file and CLI surfaces.
 
 Every numeric quantity in this package is a ``fractions.Fraction``.
 Equilibrium decisions are equality tests, so floats are rejected at the
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import FlowGameError, ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
 
@@ -49,3 +49,12 @@ def parse_rational(value, what: str = "value") -> Fraction:
             f"got {value!r}"
         )
     raise ParseError(f"{what} must be a rational number, got {type(value).__name__}")
+
+
+def format_rational(value: Fraction, what: str = "a result") -> str:
+    """``str(value)``, or a one-line FlowGameError when a derived value is
+    past the interpreter's int-conversion digit limit."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise FlowGameError(f"{what} has too many digits to print") from exc

@@ -459,6 +459,43 @@ def test_verify_bad_probabilities_exit_2(tmp_path, capsys):
     assert "sum" in err
 
 
+# Each under the input digit limit, but a sum of the two has a denominator
+# of about 4400 digits, which the error message cannot print.
+TINY_A, TINY_B = 10**2200 + 1, 10**2199 + 3
+
+
+def test_verify_oversized_probability_sum_exits_2(tmp_path, capsys):
+    profile = write_profile(
+        tmp_path,
+        "tiny.json",
+        [
+            {"prob": f"1/{TINY_A}", "flow": {"paths": []}},
+            {"prob": f"1/{TINY_B}", "flow": {"paths": x_star_paths()}},
+        ],
+        [{"prob": "1", "attack": []}],
+    )
+    code, _, err = run(capsys, "verify", TRIPLE_CUT, profile, "--p1", "6", "--p2", "2")
+    assert_one_line_error(code, err)
+    assert "probability sum has too many digits" in err
+
+
+def test_verify_oversized_edge_overload_exits_2(tmp_path, capsys):
+    # the two paths put 1 - 1/A + 1/B > 1 on the unit edge (s, 1)
+    paths = [
+        {"nodes": ["s", "1", "3", "t"], "amount": f"{TINY_A - 1}/{TINY_A}"},
+        {"nodes": ["s", "1", "t"], "amount": f"1/{TINY_B}"},
+    ]
+    profile = write_profile(
+        tmp_path,
+        "overload.json",
+        [{"prob": "1", "flow": {"paths": paths}}],
+        [{"prob": "1", "attack": []}],
+    )
+    code, _, err = run(capsys, "verify", CHEAP_ROUTING, profile, "--p1", "6", "--p2", "2")
+    assert_one_line_error(code, err)
+    assert "flow on an edge has too many digits" in err
+
+
 def test_verify_budget_exceeded_exits_5(tmp_path, capsys):
     profile = write_profile(
         tmp_path,
@@ -645,6 +682,31 @@ def test_json_output_is_byte_identical_across_processes(capsys):
     # the children ran the code under test, not some other installed copy
     _, in_process, _ = run(capsys, *argv)
     assert outputs[0] == in_process
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve", "verify"])
+def test_one_min_cost_max_flow_per_network(tmp_path, capsys, monkeypatch, command):
+    # the min-cost max-flow is also the maximum flow every cut is read from
+    import flowgame.flows
+
+    argv = [command, TRIPLE_CUT]
+    if command != "analyze":
+        argv += ["--p1", "6", "--p2", "2"]
+    if command == "verify":
+        _, report, _ = run_json(capsys, "solve", *argv[1:])
+        argv.insert(2, write_profile(
+            tmp_path, "profile.json",
+            report["equilibrium"]["p1_strategy"], report["equilibrium"]["p2_strategy"],
+        ))
+    calls = {"min_cost_max_flow": 0, "max_flow": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(flowgame.flows, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(flowgame.flows, name, counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == {"min_cost_max_flow": 1, "max_flow": 0}
 
 
 def test_solve_degenerate_network(tmp_path, capsys):

@@ -6,10 +6,8 @@ import pytest
 from flowgame import (
     NoRoute,
     UndecomposableFlow,
-    ZeroMaxFlow,
     all_min_cuts,
     analyze,
-    check_cheapest_routing,
     cheapest_path_cost,
     decompose,
     flow_value,
@@ -66,9 +64,10 @@ def test_triple_cut_net_min_cut(triple_cut_net):
 
 
 def test_triple_cut_routing_witness(triple_cut_net):
-    check = check_cheapest_routing(triple_cut_net)
-    assert check.holds
-    witness = check.certified_flow
+    a = analyze(triple_cut_net)
+    assert a.cheapest_routing is True
+    witness = a.routing_witness
+    assert witness == a.optimal_flow
     assert witness.value == 3
     assert all(path_cost(triple_cut_net, nodes) == 3 for nodes, _ in witness.paths)
 
@@ -96,10 +95,9 @@ def test_no_path_theta_zero():
     assert value == 0
     assert all(v == 0 for v in amounts.values())
     assert cheapest_path_cost(net) is None
-    with pytest.raises(ZeroMaxFlow):
-        check_cheapest_routing(net)
     a = analyze(net)
     assert a.cheapest_routing is None
+    assert a.routing_witness is None
 
 
 def test_zero_capacity_network():
@@ -284,12 +282,11 @@ def test_tie_breaking_order_does_not_change_results(
     nets = [triple_cut_net, cheap_routing_net, detour_net]
     nets += [random_network(rng) for _ in range(20)]
     for net in nets:
-        value_a, _ = max_flow(net)
-        value_b, _ = max_flow(net, _reverse_ties=True)
-        assert value_a == value_b
-        _, cost_a = min_cost_max_flow(net)
-        _, cost_b = min_cost_max_flow(net, _reverse_ties=True)
+        amounts_a, cost_a = min_cost_max_flow(net)
+        amounts_b, cost_b = min_cost_max_flow(net, _reverse_ties=True)
+        assert flow_value(net, amounts_a) == flow_value(net, amounts_b)
         assert cost_a == cost_b
+        assert all_min_cuts(net, amounts_a) == all_min_cuts(net, amounts_b)
 
 
 def test_routing_check_agrees_with_per_path_criterion():
@@ -303,33 +300,37 @@ def test_routing_check_agrees_with_per_path_criterion():
         if value == 0:
             continue
         unit = cheapest_path_cost(net)
-        check = check_cheapest_routing(net)
+        a = analyze(net)
         per_path = all(
             path_cost(net, nodes) == unit
             for nodes, _ in decompose(net, amounts).paths
         )
-        assert check.holds == (cost == unit * value)
-        assert check.holds == per_path
-        if not check.holds:
-            nodes, witness_cost = check.costly_path
-            assert witness_cost > unit
+        assert a.cheapest_routing == (cost == unit * value)
+        assert a.cheapest_routing == per_path
+        if a.cheapest_routing:
+            assert a.routing_witness == a.optimal_flow
+        else:
+            nodes, witness_cost = a.routing_witness
+            assert witness_cost == path_cost(net, nodes) > unit
 
 
 def test_all_min_cuts_include_canonical(triple_cut_net, detour_net):
     for net in (triple_cut_net, detour_net):
-        cuts = all_min_cuts(net)
+        cuts = all_min_cuts(net, max_flow(net)[1])
         canonical = min_cut(net)
         assert canonical.capacity == cuts[0].capacity
         assert any(set(c.cut_set) == set(canonical.cut_set) for c in cuts)
     # the detour network has several min-cuts, the triple-cut one exactly one
-    assert len(all_min_cuts(detour_net)) == 3
-    assert len(all_min_cuts(triple_cut_net)) == 1
+    assert len(all_min_cuts(detour_net, max_flow(detour_net)[1])) == 3
+    assert len(all_min_cuts(triple_cut_net, max_flow(triple_cut_net)[1])) == 1
 
 
 def test_min_cuts_match_partition_oracle():
     # the same cuts in the same order (increasing source-side bitmask) as
     # the first partition of the exhaustive loop to reach each set of
-    # positive-capacity crossing edges, on networks of up to 8 nodes
+    # positive-capacity crossing edges, on networks of up to 8 nodes, from
+    # a dense maximum flow and from the sparse edge amounts of the
+    # decomposed optimal flow
     rng = random.Random(4)
     nets = [random_network(rng, max_internal=6) for _ in range(300)]
     # a saturated edge, decided first, whose tail reaches its head
@@ -345,8 +346,10 @@ def test_min_cuts_match_partition_oracle():
         ["s", "a", "b", "t"], [("s", "a", 1, 1), ("a", "t", 1, 1)], "s", "t"
     ))
     for net in nets:
-        assert all_min_cuts(net) == distinct_partition_min_cuts(net)
-    assert [cut.s_side for cut in all_min_cuts(nets[-1])] == [
+        expected = distinct_partition_min_cuts(net)
+        assert all_min_cuts(net, max_flow(net)[1]) == expected
+        assert all_min_cuts(net, analyze(net).optimal_flow.edge_amounts(net)) == expected
+    assert [cut.s_side for cut in all_min_cuts(nets[-1], max_flow(nets[-1])[1])] == [
         frozenset({"s"}), frozenset({"s", "a"})
     ]
 
@@ -367,7 +370,7 @@ def test_nodes_off_the_saturated_edges_do_not_multiply_min_cuts():
     net = make_network(
         ["s", "1", "2", "3", "4", "t", *isolated, *zero_cap, *dangling], edges, "s", "t"
     )
-    cuts = all_min_cuts(net)
+    cuts = all_min_cuts(net, max_flow(net)[1])
     assert cuts == (min_cut(net),)
     assert cuts[0].s_side == {"s", "1", "2", *dangling}
     # The cheap cross links u -> v_i -> w are never saturated: 3 cuts, not
@@ -381,7 +384,7 @@ def test_nodes_off_the_saturated_edges_do_not_multiply_min_cuts():
     )
     names = [
         sorted((net.edge(i).tail, net.edge(i).head) for i in cut.cut_set)
-        for cut in all_min_cuts(net)
+        for cut in all_min_cuts(net, max_flow(net)[1])
     ]
     assert names == [
         [("s", "u"), ("s", "w")],
@@ -395,7 +398,7 @@ def test_all_min_cuts_beyond_partition_range():
     # own, with 2^28 node partitions behind them
     nodes = ["s", *(f"v{i:02d}" for i in range(28)), "t"]
     net = make_network(nodes, [(a, b, 1, 1) for a, b in zip(nodes, nodes[1:])], "s", "t")
-    cuts = all_min_cuts(net)
+    cuts = all_min_cuts(net, max_flow(net)[1])
     assert [net.edge(cut.cut_set[0]).head for cut in cuts] == nodes[1:]
     assert all(len(cut.cut_set) == 1 and cut.capacity == 1 for cut in cuts)
     assert cuts[0] == min_cut(net)
