@@ -13,7 +13,6 @@ and says why the output changed.
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 from flowgame.cli import main
@@ -55,4 +54,3 @@ def test_cli_output_matches_goldens():
 if __name__ == "__main__":
     records = {key: _record(argv, fmt) for key, argv, fmt in _runs()}
     GOLDENS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
