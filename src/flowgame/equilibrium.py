@@ -37,7 +37,7 @@ from .errors import (
     PathBudgetExceeded,
     WrongRegion,
 )
-from .flows import FlowAnalysis, all_min_cuts, analyze
+from .flows import FlowAnalysis, _residual_open, all_min_cuts, analyze
 from .game import (
     Attack,
     GameParams,
@@ -434,28 +434,32 @@ def edge_always_saturated(net: Network, amounts: dict, edge_id: int) -> bool:
     (u, v) of positive capacity can lose flow iff some positive-residual
     path from u to v costs at most the edge's cost: one Bellman-Ford run.
     """
-    edge = net.edge(edge_id)
-    if amounts.get(edge_id, ZERO) < edge.capacity:
+    form = net._integer_form
+    forward, backward = _residual_open(net, amounts)
+    if forward[edge_id]:
         return False
-    if edge.capacity == 0:
+    if form.capacity[edge_id] == 0:
         return True
     arcs = []
     for e in net.edges:
-        amount = amounts.get(e.id, ZERO)
-        if amount < e.capacity:
-            arcs.append((e.tail, e.head, e.cost))
-        if amount > 0:
-            arcs.append((e.head, e.tail, -e.cost))
-    dist = {edge.tail: ZERO}
+        tail, head, cost = form.index[e.tail], form.index[e.head], form.cost[e.id]
+        if forward[e.id]:
+            arcs.append((tail, head, cost))
+        if backward[e.id]:
+            arcs.append((head, tail, -cost))
+    edge = net.edge(edge_id)
+    dist = [None] * len(form.names)
+    dist[form.index[edge.tail]] = 0
     for _ in range(len(net.nodes) - 1):
         changed = False
         for tail, head, cost in arcs:
-            if tail in dist and (head not in dist or dist[tail] + cost < dist[head]):
+            if dist[tail] is not None and (dist[head] is None or dist[tail] + cost < dist[head]):
                 dist[head] = dist[tail] + cost
                 changed = True
         if not changed:
             break
-    return not (edge.head in dist and dist[edge.head] <= edge.cost)
+    reach = dist[form.index[edge.head]]
+    return not (reach is not None and reach <= form.cost[edge_id])
 
 
 # ---------------------------------------------------------------------------

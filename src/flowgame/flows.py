@@ -1,4 +1,14 @@
-"""Flow-theoretic primitives on exact rationals.
+"""Flow-theoretic primitives: exact, on integers inside the layer and on
+``Fraction`` at its boundary.
+
+The algorithms run on a network's integer form (``IntegerForm``): the
+capacities and the costs times the LCM of their denominators. A positive
+scale keeps every comparison and every heap order, so each result is the
+one the same algorithm gives on the rationals. Values leave the layer as
+``Fraction``: flow amounts over the capacity scale, path costs over the
+cost scale, a total transport cost over their product. Flows passed in
+need not lie on the capacity lattice: residual tests cross-multiply, and
+``decompose`` scales by the LCM of the given amounts' denominators.
 
 Algorithms are chosen for exactness and reproducibility on desk-scale
 networks, not asymptotics:
@@ -20,6 +30,7 @@ concurrent use.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -33,27 +44,19 @@ from .network import Cut, Network, ZERO
 # Residual-graph helpers
 # ---------------------------------------------------------------------------
 
-def _arcs_by_node(net: Network, reverse_ties: bool = False) -> dict:
-    """Residual adjacency: node -> tuple of (edge id, is_forward, other end),
-    sorted by edge id with the forward direction first. ``reverse_ties``
-    flips the scan order; results must not depend on it."""
-    adj = {node: [] for node in net.nodes}
-    for e in net.edges:
-        adj[e.tail].append((e.id, True, e.head))
-        adj[e.head].append((e.id, False, e.tail))
-    ordered = {}
-    for node, arcs in adj.items():
-        arcs.sort(key=lambda arc: (arc[0], not arc[1]))
-        if reverse_ties:
-            arcs.reverse()
-        ordered[node] = tuple(arcs)
-    return ordered
-
-
-def _residual(net: Network, flow: dict, edge_id: int, forward: bool) -> Fraction:
-    if forward:
-        return net.edge(edge_id).capacity - flow[edge_id]
-    return flow[edge_id]
+def _residual_open(net: Network, flow: Mapping) -> tuple:
+    """For each edge id, whether ``flow`` (absent ids carry 0) leaves
+    positive residual capacity on its forward arc and on its backward arc.
+    Amounts are compared with the scaled capacities by cross-multiplying,
+    so they need not lie on the capacity lattice."""
+    form = net._integer_form
+    scale = form.cap_scale
+    forward, backward = [], []
+    for edge_id, capacity in enumerate(form.capacity):
+        amount = flow.get(edge_id, 0)
+        forward.append(amount.numerator * scale < capacity * amount.denominator)
+        backward.append(amount.numerator > 0)
+    return forward, backward
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +75,20 @@ def max_flow(net: Network) -> tuple:
     return flow_value(net, amounts), amounts
 
 
-def _residual_arcs(net: Network, flow: dict) -> tuple:
-    """Successor and predecessor sets of the positive-residual arcs."""
+def _residual_arcs(net: Network, flow: Mapping) -> tuple:
+    """Successor and predecessor sets of the positive-residual arcs, and
+    for each edge id whether its forward arc is one of them."""
     succ = {node: set() for node in net.nodes}
     pred = {node: set() for node in net.nodes}
-    for node, arcs in _arcs_by_node(net).items():
-        for edge_id, forward, dst in arcs:
-            if _residual(net, flow, edge_id, forward) > 0:
-                succ[node].add(dst)
-                pred[dst].add(node)
-    return succ, pred
+    forward, backward = _residual_open(net, flow)
+    for e in net.edges:
+        if forward[e.id]:
+            succ[e.tail].add(e.head)
+            pred[e.head].add(e.tail)
+        if backward[e.id]:
+            succ[e.head].add(e.tail)
+            pred[e.tail].add(e.head)
+    return succ, pred, forward
 
 
 def _grow(side: set, adj: dict, node, log: list) -> None:
@@ -99,7 +106,8 @@ def _cut(net: Network, s_side: frozenset) -> Cut:
     cut_ids = tuple(
         e.id for e in net.edges if e.tail in s_side and e.head not in s_side
     )
-    capacity = sum((net.edge(i).capacity for i in cut_ids), ZERO)
+    form = net._integer_form
+    capacity = Fraction(sum(form.capacity[i] for i in cut_ids), form.cap_scale)
     return Cut(s_side, cut_ids, capacity)
 
 
@@ -109,7 +117,7 @@ def min_cut(net: Network) -> Cut:
     return _canonical_cut(net, min_cost_max_flow(net)[0])
 
 
-def _canonical_cut(net: Network, flow: dict) -> Cut:
+def _canonical_cut(net: Network, flow: Mapping) -> Cut:
     s_side = set()
     _grow(s_side, _residual_arcs(net, flow)[0], net.source, [])
     return _cut(net, frozenset(s_side))
@@ -129,9 +137,11 @@ def all_min_cuts(net: Network, flow: Mapping) -> tuple:
     ``flow`` maps edge ids to the amounts of any maximum flow; absent ids
     carry 0. The cuts do not depend on which one.
     """
-    flow = {e.id: flow.get(e.id, ZERO) for e in net.edges}
-    succ, pred = _residual_arcs(net, flow)
-    choices = [(e.tail, e.head) for e in net.edges if 0 < e.capacity == flow[e.id]]
+    succ, pred, forward = _residual_arcs(net, flow)
+    capacity = net._integer_form.capacity
+    choices = [
+        (e.tail, e.head) for e in net.edges if capacity[e.id] > 0 and not forward[e.id]
+    ]
     s_side, t_side, log = set(), set(), []
     _grow(s_side, succ, net.source, log)
     _grow(t_side, pred, net.sink, log)
@@ -189,60 +199,74 @@ def min_cost_max_flow(net: Network, *, _reverse_ties: bool = False) -> tuple:
     nonnegative so every iteration is a plain Dijkstra run. Returns
     ``(amounts, cost)``.
     """
-    flow = {e.id: ZERO for e in net.edges}
-    adj = _arcs_by_node(net, _reverse_ties)
-    index = {node: i for i, node in enumerate(sorted(net.nodes))}
-    potential = {node: ZERO for node in net.nodes}
-    total_cost = ZERO
+    form = net._integer_form
+    capacity, cost = form.capacity, form.cost
+    adj = form.arcs_reversed if _reverse_ties else form.arcs
+    source, sink = form.index[net.source], form.index[net.sink]
+    flow = [0] * len(capacity)
+    potential = [0] * len(adj)
+    total_cost = 0
 
     while True:
-        dist, parent = _cheapest_residual_paths(net, adj, flow, potential, index)
-        if net.sink not in dist:
+        dist, parent = _cheapest_residual_paths(adj, capacity, cost, flow, potential, source)
+        if dist[sink] is None:
             break
-        for node, d in dist.items():
-            potential[node] += d
+        for node, d in enumerate(dist):
+            if d is not None:
+                potential[node] += d
 
         arcs = []
-        node = net.sink
-        while node != net.source:
+        node = sink
+        while node != source:
             edge_id, forward, prev = parent[node]
             arcs.append((edge_id, forward))
             node = prev
-        bottleneck = min(_residual(net, flow, eid, fwd) for eid, fwd in arcs)
-        step_cost = ZERO
+        bottleneck = min(capacity[i] - flow[i] if fwd else flow[i] for i, fwd in arcs)
+        step_cost = 0
         for edge_id, forward in arcs:
             if forward:
                 flow[edge_id] += bottleneck
-                step_cost += net.edge(edge_id).cost
+                step_cost += cost[edge_id]
             else:
                 flow[edge_id] -= bottleneck
-                step_cost -= net.edge(edge_id).cost
+                step_cost -= cost[edge_id]
         total_cost += bottleneck * step_cost
-    return flow, total_cost
+    amounts = {edge_id: Fraction(amount, form.cap_scale) for edge_id, amount in enumerate(flow)}
+    return amounts, Fraction(total_cost, form.cap_scale * form.cost_scale)
 
 
-def _cheapest_residual_paths(net, adj, flow, potential, index) -> tuple:
-    """Dijkstra over the residual graph with reduced arc costs."""
-    dist = {net.source: ZERO}
-    parent = {}
-    final = set()
-    heap = [(ZERO, index[net.source], net.source)]
+def _cheapest_residual_paths(adj, capacity, cost, flow, potential, source) -> tuple:
+    """Dijkstra over the residual graph with reduced arc costs, the heap
+    keyed (distance, node index). Returns each node's distance (None when
+    unreached) and the arc (edge id, is_forward, previous node) it was
+    reached by."""
+    dist = [None] * len(adj)
+    parent = [None] * len(adj)
+    final = [False] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in final:
+        d, node = heapq.heappop(heap)
+        if final[node]:
             continue
-        final.add(node)
+        final[node] = True
+        base = d + potential[node]
         for edge_id, forward, dst in adj[node]:
-            if dst in final or _residual(net, flow, edge_id, forward) <= 0:
+            if final[dst]:
                 continue
-            cost = net.edge(edge_id).cost
-            reduced = (cost if forward else -cost) + potential[node] - potential[dst]
-            candidate = d + reduced
-            if dst not in dist or candidate < dist[dst]:
+            if forward:
+                if flow[edge_id] >= capacity[edge_id]:
+                    continue
+                candidate = base + cost[edge_id] - potential[dst]
+            else:
+                if flow[edge_id] <= 0:
+                    continue
+                candidate = base - cost[edge_id] - potential[dst]
+            if dist[dst] is None or candidate < dist[dst]:
                 dist[dst] = candidate
                 parent[dst] = (edge_id, forward, node)
-                heapq.heappush(heap, (candidate, index[dst], dst))
-    return {node: d for node, d in dist.items() if node in final}, parent
+                heapq.heappush(heap, (candidate, dst))
+    return dist, parent
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +323,19 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
     cannot be written this way (net flow running from sink to source)
     raise UndecomposableFlow.
     """
-    work = {}
+    positive = {}
     for edge_id, amount in amounts.items():
-        if amount < 0:
+        if amount.numerator < 0:
             edge = net.edge(edge_id)
             raise UndecomposableFlow(
                 f"negative amount {amount} on edge ({edge.tail}, {edge.head})"
             )
-        if amount > 0:
-            work[edge_id] = amount
+        if amount.numerator > 0:
+            positive[edge_id] = amount
+    # Peeling takes minima and differences only, so it runs on the amounts
+    # times the LCM of their denominators.
+    scale = math.lcm(*(amount.denominator for amount in positive.values()))
+    work = {i: amount.numerator * (scale // amount.denominator) for i, amount in positive.items()}
 
     cycles = []
     while True:
@@ -317,7 +345,7 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
         cycle_nodes, cycle_edges = found
         bottleneck = min(work[i] for i in cycle_edges)
         _subtract(work, cycle_edges, bottleneck)
-        cycles.append((tuple(cycle_nodes), bottleneck))
+        cycles.append((tuple(cycle_nodes), Fraction(bottleneck, scale)))
 
     out_ids = {
         node: tuple(sorted(e.id for e in net.out_edges[node])) for node in net.nodes
@@ -327,7 +355,8 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
         extracted = _extract_path(net, work, out_ids)
         if extracted is None:
             break
-        paths.append(extracted)
+        nodes, bottleneck = extracted
+        paths.append((nodes, Fraction(bottleneck, scale)))
 
     if work:
         leftover = sorted(work)
@@ -338,7 +367,7 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
     return Decomposition(tuple(paths), tuple(cycles))
 
 
-def _subtract(work: dict, edge_ids, amount: Fraction) -> None:
+def _subtract(work: dict, edge_ids, amount: int) -> None:
     for edge_id in edge_ids:
         remaining = work[edge_id] - amount
         if remaining:
@@ -395,7 +424,7 @@ def _extract_path(net: Network, work: dict, out_ids: dict):
     while node != net.sink:
         step = None
         for edge_id in out_ids.get(node, ()):
-            if work.get(edge_id, ZERO) > 0:
+            if edge_id in work:
                 step = edge_id
                 break
         if step is None:
@@ -428,24 +457,27 @@ def strip_loops(net: Network, amounts: Mapping) -> PathFlow:
 def cheapest_path_cost(net: Network) -> Optional[Fraction]:
     """Minimum per-unit transport cost over all source-sink paths that use
     only positive-capacity edges. ``None`` when the sink is unreachable."""
-    index = {node: i for i, node in enumerate(sorted(net.nodes))}
-    dist = {net.source: ZERO}
-    final = set()
-    heap = [(ZERO, index[net.source], net.source)]
+    form = net._integer_form
+    capacity, cost = form.capacity, form.cost
+    source, sink = form.index[net.source], form.index[net.sink]
+    dist = [None] * len(form.arcs)
+    final = [False] * len(form.arcs)
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in final:
+        d, node = heapq.heappop(heap)
+        if final[node]:
             continue
-        final.add(node)
-        if node == net.sink:
-            return d
-        for e in net.out_edges[node]:
-            if e.capacity <= 0 or e.head in final:
+        final[node] = True
+        if node == sink:
+            return Fraction(d, form.cost_scale)
+        for edge_id, forward, dst in form.arcs[node]:
+            if not forward or capacity[edge_id] <= 0 or final[dst]:
                 continue
-            candidate = d + e.cost
-            if e.head not in dist or candidate < dist[e.head]:
-                dist[e.head] = candidate
-                heapq.heappush(heap, (candidate, index[e.head], e.head))
+            candidate = d + cost[edge_id]
+            if dist[dst] is None or candidate < dist[dst]:
+                dist[dst] = candidate
+                heapq.heappush(heap, (candidate, dst))
     return None
 
 

@@ -14,6 +14,7 @@ treats them as read-only values, so sharing across threads is safe.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -60,11 +61,55 @@ class Cut:
 
 
 @dataclass(frozen=True)
+class IntegerForm:
+    """A network's data on plain integers, for the flow algorithms.
+
+    ``capacity`` and ``cost`` hold, by edge id, the capacities times
+    ``cap_scale`` and the costs times ``cost_scale``, each scale being the
+    LCM of the denominators it clears. Nodes are numbered in sorted-name
+    order (``names``, ``index``). ``arcs[i]`` lists the residual arcs at
+    node ``i`` as (edge id, is_forward, other end) in edge-id order, and
+    ``arcs_reversed[i]`` the same in reverse. A positive scale keeps
+    every comparison, so results computed here equal those on the
+    rationals once divided by the scales again."""
+
+    cap_scale: int
+    cost_scale: int
+    capacity: tuple
+    cost: tuple
+    names: tuple
+    index: Mapping
+    arcs: tuple
+    arcs_reversed: tuple
+
+
+def _scaled(values: list) -> tuple:
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
+@dataclass(frozen=True)
 class Network:
     nodes: frozenset
     edges: tuple
     source: NodeId
     sink: NodeId
+
+    @cached_property
+    def _integer_form(self) -> IntegerForm:
+        cap_scale, capacity = _scaled([e.capacity for e in self.edges])
+        cost_scale, cost = _scaled([e.cost for e in self.edges])
+        names = tuple(sorted(self.nodes))
+        index = {name: i for i, name in enumerate(names)}
+        arcs = [[] for _ in names]
+        for e in self.edges:
+            tail, head = index[e.tail], index[e.head]
+            arcs[tail].append((e.id, True, head))
+            arcs[head].append((e.id, False, tail))
+        return IntegerForm(
+            cap_scale, cost_scale, capacity, cost, names, index,
+            tuple(map(tuple, arcs)), tuple(tuple(a[::-1]) for a in arcs),
+        )
 
     @cached_property
     def edge_by_pair(self) -> Mapping:

@@ -1,8 +1,10 @@
 """Exact rational parsing and formatting for file and CLI surfaces.
 
-Every numeric quantity in this package is a ``fractions.Fraction``.
-Equilibrium decisions are equality tests, so floats are rejected at the
-boundary instead of being silently converted.
+Every numeric quantity that enters or leaves this package's functions is
+a ``fractions.Fraction``; inside, the flow layer computes on integers
+scaled from them (see ``flows``), which is exact as well. Equilibrium
+decisions are equality tests, so floats are rejected at the boundary
+instead of being silently converted.
 """
 
 from __future__ import annotations

@@ -75,6 +75,29 @@ def random_network(rng: random.Random, max_internal: int = 4) -> Network:
     return make_network(nodes, edges, "s", "t")
 
 
+def _non_integer(rng: random.Random, denominators, top: int) -> Fraction:
+    """A rational between 0 and ``top`` that is not an integer, over one of
+    the given denominators."""
+    d = rng.choice(denominators)
+    return Fraction(rng.choice([n for n in range(1, top * d) if n % d]), d)
+
+
+def random_rational_network(rng: random.Random, max_internal: int = 4) -> Network:
+    """Like ``random_network``, but every capacity and cost is a
+    non-integer rational, over mixed denominators: capacities over 2, 3,
+    4, 5 or 7 up to 3, costs over 2, 3 or 6 up to 2 (so that path costs
+    still tie often)."""
+    internal = [f"v{i}" for i in range(rng.randint(0, max_internal))]
+    nodes = ["s", "t"] + internal
+    edges = []
+    for tail in nodes:
+        for head in nodes:
+            if tail != head and rng.random() < 0.4:
+                capacity = _non_integer(rng, (2, 3, 4, 5, 7), 3)
+                edges.append((tail, head, capacity, _non_integer(rng, (2, 3, 6), 2)))
+    return make_network(nodes, edges, "s", "t")
+
+
 def random_path_flow(rng: random.Random, net: Network, paths) -> "path_flow":
     """A feasible flow over up to two of the given simple paths."""
     if not paths:

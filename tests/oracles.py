@@ -1,6 +1,7 @@
 """Slow reference implementations that the fast algorithms in ``src/`` are
 checked against."""
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from flowgame import (
     PathBudgetExceeded,
     expected_edge_loads,
 )
+from flowgame.flows import Decomposition, _extract_path, _find_cycle, _subtract
 from flowgame.lp import solve_lp
 from flowgame.network import ZERO
 
@@ -161,3 +163,156 @@ def recursive_simple_paths(net, budget):
 
     walk(net.source)
     return tuple(paths)
+
+
+# ---------------------------------------------------------------------------
+# The flow layer on Fraction, as it ran before its integer core
+# ---------------------------------------------------------------------------
+
+def _arcs_by_node(net, reverse_ties=False):
+    """Residual adjacency: node -> tuple of (edge id, is_forward, other end),
+    sorted by edge id with the forward direction first. ``reverse_ties``
+    flips the scan order."""
+    adj = {node: [] for node in net.nodes}
+    for e in net.edges:
+        adj[e.tail].append((e.id, True, e.head))
+        adj[e.head].append((e.id, False, e.tail))
+    ordered = {}
+    for node, arcs in adj.items():
+        arcs.sort(key=lambda arc: (arc[0], not arc[1]))
+        if reverse_ties:
+            arcs.reverse()
+        ordered[node] = tuple(arcs)
+    return ordered
+
+
+def _residual(net, flow, edge_id, forward):
+    if forward:
+        return net.edge(edge_id).capacity - flow.get(edge_id, ZERO)
+    return flow.get(edge_id, ZERO)
+
+
+def fraction_min_cost_max_flow(net, reverse_ties=False):
+    """Successive shortest paths with node potentials on Fraction, with
+    the scan and heap order of ``min_cost_max_flow``."""
+    flow = {e.id: ZERO for e in net.edges}
+    adj = _arcs_by_node(net, reverse_ties)
+    index = {node: i for i, node in enumerate(sorted(net.nodes))}
+    potential = {node: ZERO for node in net.nodes}
+    total_cost = ZERO
+
+    while True:
+        dist, parent = _fraction_cheapest_residual_paths(net, adj, flow, potential, index)
+        if net.sink not in dist:
+            break
+        for node, d in dist.items():
+            potential[node] += d
+
+        arcs = []
+        node = net.sink
+        while node != net.source:
+            edge_id, forward, prev = parent[node]
+            arcs.append((edge_id, forward))
+            node = prev
+        bottleneck = min(_residual(net, flow, eid, fwd) for eid, fwd in arcs)
+        step_cost = ZERO
+        for edge_id, forward in arcs:
+            if forward:
+                flow[edge_id] += bottleneck
+                step_cost += net.edge(edge_id).cost
+            else:
+                flow[edge_id] -= bottleneck
+                step_cost -= net.edge(edge_id).cost
+        total_cost += bottleneck * step_cost
+    return flow, total_cost
+
+
+def _fraction_cheapest_residual_paths(net, adj, flow, potential, index):
+    """Dijkstra over the residual graph with reduced arc costs."""
+    dist = {net.source: ZERO}
+    parent = {}
+    final = set()
+    heap = [(ZERO, index[net.source], net.source)]
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node in final:
+            continue
+        final.add(node)
+        for edge_id, forward, dst in adj[node]:
+            if dst in final or _residual(net, flow, edge_id, forward) <= 0:
+                continue
+            cost = net.edge(edge_id).cost
+            reduced = (cost if forward else -cost) + potential[node] - potential[dst]
+            candidate = d + reduced
+            if dst not in dist or candidate < dist[dst]:
+                dist[dst] = candidate
+                parent[dst] = (edge_id, forward, node)
+                heapq.heappush(heap, (candidate, index[dst], dst))
+    return {node: d for node, d in dist.items() if node in final}, parent
+
+
+def fraction_cheapest_path_cost(net):
+    """Dijkstra on Fraction over the positive-capacity edges."""
+    index = {node: i for i, node in enumerate(sorted(net.nodes))}
+    dist = {net.source: ZERO}
+    final = set()
+    heap = [(ZERO, index[net.source], net.source)]
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node in final:
+            continue
+        final.add(node)
+        if node == net.sink:
+            return d
+        for e in net.out_edges[node]:
+            if e.capacity <= 0 or e.head in final:
+                continue
+            candidate = d + e.cost
+            if e.head not in dist or candidate < dist[e.head]:
+                dist[e.head] = candidate
+                heapq.heappush(heap, (candidate, index[e.head], e.head))
+    return None
+
+
+def fraction_decompose(net, amounts):
+    """``decompose`` peeling the Fraction amounts themselves. The cycle
+    search and the path walk look only at which edges carry flow, so they
+    are the layer's own."""
+    work = {i: amount for i, amount in amounts.items() if amount > 0}
+    cycles = []
+    while True:
+        found = _find_cycle(net, work)
+        if found is None:
+            break
+        cycle_nodes, cycle_edges = found
+        bottleneck = min(work[i] for i in cycle_edges)
+        _subtract(work, cycle_edges, bottleneck)
+        cycles.append((tuple(cycle_nodes), bottleneck))
+    out_ids = {
+        node: tuple(sorted(e.id for e in net.out_edges[node])) for node in net.nodes
+    }
+    paths = []
+    while True:
+        extracted = _extract_path(net, work, out_ids)
+        if extracted is None:
+            break
+        paths.append(extracted)
+    assert not work, sorted(work)
+    return Decomposition(tuple(paths), tuple(cycles))
+
+
+def fraction_canonical_cut(net, flow):
+    """The nodes the source reaches over positive Fraction residuals, and
+    the edges leaving them."""
+    adj = _arcs_by_node(net)
+    side = {net.source}
+    todo = [net.source]
+    while todo:
+        node = todo.pop()
+        for edge_id, forward, dst in adj[node]:
+            if dst not in side and _residual(net, flow, edge_id, forward) > 0:
+                side.add(dst)
+                todo.append(dst)
+    cut_ids = tuple(e.id for e in net.edges if e.tail in side and e.head not in side)
+    capacity = sum((net.edge(i).capacity for i in cut_ids), ZERO)
+    return Cut(frozenset(side), cut_ids, capacity)

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from flowgame import flows
 from flowgame import (
     NoRoute,
     UndecomposableFlow,
@@ -10,20 +15,31 @@ from flowgame import (
     analyze,
     cheapest_path_cost,
     decompose,
+    edge_always_saturated,
     flow_value,
     is_feasible,
     make_network,
     max_flow,
     min_cost_max_flow,
     min_cut,
+    network_to_json,
     path_cost,
     strip_loops,
     transport_cost,
 )
+from flowgame.cli import main
+from flowgame.flows import _canonical_cut
 from flowgame.lp import solve_lp
 
-from conftest import random_network
-from oracles import distinct_partition_min_cuts
+from conftest import random_network, random_rational_network
+from oracles import (
+    distinct_partition_min_cuts,
+    fraction_canonical_cut,
+    fraction_cheapest_path_cost,
+    fraction_decompose,
+    fraction_min_cost_max_flow,
+    lp_edge_always_saturated,
+)
 
 ZERO = Fraction(0)
 
@@ -402,6 +418,159 @@ def test_all_min_cuts_beyond_partition_range():
     assert [net.edge(cut.cut_set[0]).head for cut in cuts] == nodes[1:]
     assert all(len(cut.cut_set) == 1 and cut.capacity == 1 for cut in cuts)
     assert cuts[0] == min_cut(net)
+
+
+# ---------------------------------------------------------------------------
+# The integer core against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def off_lattice(net, flow) -> bool:
+    """Whether some amount is not a multiple of 1 / (capacity scale)."""
+    scale = math.lcm(*(e.capacity.denominator for e in net.edges))
+    return any((amount * scale).denominator != 1 for amount in flow.values())
+
+
+def relabelled(net, cost):
+    """The network with its non-terminal nodes renamed in reverse order,
+    so that ties break differently, and the costs ``cost(edge)``; edge ids
+    are kept, so flows carry over."""
+    middle = sorted(net.nodes - {net.source, net.sink})
+    name = dict(zip(middle, reversed(middle))) | {net.source: net.source, net.sink: net.sink}
+    edges = [(name[e.tail], name[e.head], e.capacity, cost(e)) for e in net.edges]
+    return make_network(net.nodes, edges, net.source, net.sink)
+
+
+def mix(first, second):
+    """The flow 1008/1009 first + 1/1009 second: no capacity denominator
+    here divides 1009, so it leaves the capacity lattice wherever the two
+    differ."""
+    return {i: first[i] + (second[i] - first[i]) / 1009 for i in first}
+
+
+def always_saturated(net, amounts, edge_id) -> bool:
+    """``lp_edge_always_saturated``, skipping the program where ``amounts``
+    is itself a min-cost max-flow below capacity on the edge."""
+    edge = net.edge(edge_id)
+    if amounts.get(edge_id, 0) < edge.capacity:
+        return False
+    value, cost = flow_value(net, amounts), flows.edge_flow_cost(net, amounts)
+    return lp_edge_always_saturated(net, value, cost, edge_id)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_core_matches_fraction_oracle(seed):
+    # 100 rational networks per seed, in both tie orders. Cuts and the
+    # decomposition also get the decomposed optimal flow that
+    # verify_equilibrium passes, and a mix of the min-cost max-flow with
+    # another maximum flow (cheapest under inverted costs). The saturation
+    # test also gets a mix of two min-cost max-flows of the network with
+    # every cost 1/2, which has many.
+    rng = random.Random(seed)
+    off = 0
+    for _ in range(100):
+        net = random_rational_network(rng, max_internal=5)
+        first, cost = min_cost_max_flow(net)
+        assert (first, cost) == fraction_min_cost_max_flow(net)
+        second = min_cost_max_flow(net, _reverse_ties=True)
+        assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
+        assert cheapest_path_cost(net) == fraction_cheapest_path_cost(net)
+
+        optimal = analyze(net).optimal_flow.edge_amounts(net)
+        mixed = mix(first, min_cost_max_flow(relabelled(net, lambda e: 2 - e.cost))[0])
+        min_cuts = distinct_partition_min_cuts(net)
+        for flow in (first, second[0], optimal, mixed):
+            assert decompose(net, flow) == fraction_decompose(net, flow)
+            assert _canonical_cut(net, flow) == fraction_canonical_cut(net, flow)
+            assert all_min_cuts(net, flow) == min_cuts
+
+        tied = relabelled(net, lambda e: Fraction(1, 2))
+        tied_mixed = mix(
+            min_cost_max_flow(tied)[0],
+            min_cost_max_flow(relabelled(tied, lambda e: e.cost))[0],
+        )
+        # which edges every min-cost max-flow fills is one answer per network
+        for network, same in ((net, (first, optimal)), (tied, (tied_mixed,))):
+            ids = range(len(network.edges))
+            expected = [always_saturated(network, same[0], i) for i in ids]
+            for flow in same:
+                assert [edge_always_saturated(network, flow, i) for i in ids] == expected
+        off += off_lattice(net, mixed) + off_lattice(tied, tied_mixed)
+    assert off >= 5
+
+
+def test_flows_off_the_capacity_lattice():
+    # Two unit routes s-a-t and s-b-t joined by free links a-b and b-a:
+    # the min-cost max-flows add any circulation a-b-a up to 1 to the two
+    # routes, so 1/1009 of it leaves the lattice of the integer capacities.
+    net = make_network(
+        ["s", "a", "b", "t"],
+        [("s", "a", 1, 1), ("s", "b", 1, 1), ("a", "t", 1, 1), ("b", "t", 1, 1),
+         ("a", "b", 1, 0), ("b", "a", 1, 0)],
+        "s", "t",
+    )
+    first, cost = min_cost_max_flow(net)
+    flow = dict(first) | {4: Fraction(1, 1009), 5: Fraction(1, 1009)}
+    assert off_lattice(net, flow)
+    assert decompose(net, flow) == fraction_decompose(net, flow)
+    assert decompose(net, flow).cycles == ((("a", "b", "a"), Fraction(1, 1009)),)
+    assert _canonical_cut(net, flow) == fraction_canonical_cut(net, flow)
+    assert all_min_cuts(net, flow) == distinct_partition_min_cuts(net)
+    saturated = [edge_always_saturated(net, flow, e.id) for e in net.edges]
+    assert saturated == [True, True, True, True, False, False]
+    assert saturated == [always_saturated(net, first, e.id) for e in net.edges]
+    # filled to within 1/1009 of capacity, every forward arc stays open
+    nearly = {e.id: e.capacity - Fraction(1, 1009) for e in net.edges}
+    assert _canonical_cut(net, nearly).s_side == net.nodes
+    assert not any(edge_always_saturated(net, nearly, e.id) for e in net.edges)
+
+
+def first_primes(count: int) -> list:
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_huge_scales_match_the_oracle(tmp_path, monkeypatch):
+    # 40 edges whose capacity and cost denominators are the first 40
+    # primes: both scales are their product, over 10^60.
+    primes = first_primes(40)
+    rng = random.Random(40)
+    middle = [f"v{i}" for i in range(8)]
+    pairs = [(a, b) for a in ["s", *middle] for b in [*middle, "t"] if a != b]
+    chosen = rng.sample(pairs, 40)
+    edges = [
+        (tail, head, Fraction(rng.randint(1, 3 * p), p),
+         Fraction(rng.randint(1, 3 * q), q))
+        for (tail, head), p, q in zip(chosen, primes, primes[7:] + primes[:7])
+    ]
+    net = make_network(["s", "t", *middle], edges, "s", "t")
+    form = net._integer_form
+    assert min(form.cap_scale, form.cost_scale) > 10**60
+    for reverse in (False, True):
+        amounts, cost = min_cost_max_flow(net, _reverse_ties=reverse)
+        assert flow_value(net, amounts) > 0
+        assert (amounts, cost) == fraction_min_cost_max_flow(net, reverse)
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(network_to_json(net)))
+
+    def analyze_stdout():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", str(path), "--format", "json"])
+        return code, out.getvalue()
+
+    code, stdout = analyze_stdout()
+    monkeypatch.setattr(flows, "min_cost_max_flow", fraction_min_cost_max_flow)
+    monkeypatch.setattr(flows, "decompose", fraction_decompose)
+    monkeypatch.setattr(flows, "cheapest_path_cost", fraction_cheapest_path_cost)
+    monkeypatch.setattr(flows, "_canonical_cut", fraction_canonical_cut)
+    assert code == 0
+    assert analyze_stdout() == (code, stdout)
 
 
 def test_classify_no_route_error():
