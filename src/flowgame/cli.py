@@ -200,8 +200,12 @@ def load_network(path: str) -> Network:
     return network_from_json(_load_json_file(path))
 
 
+def _is_name_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(name, str) for name in value)
+
+
 def parse_path_flow(net: Network, data) -> PathFlow:
-    if not isinstance(data, dict) or "paths" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("paths"), list):
         raise ParseError("a flow must be an object with a 'paths' list")
     paths = []
     for entry in data["paths"]:
@@ -210,6 +214,8 @@ def parse_path_flow(net: Network, data) -> PathFlow:
             amount = entry["amount"]
         except (TypeError, KeyError) as exc:
             raise ParseError("each path needs 'nodes' and 'amount'") from exc
+        if not _is_name_list(nodes):
+            raise ParseError("a path's 'nodes' must be a list of node names")
         paths.append((tuple(nodes), parse_rational(amount, what="path amount")))
     return path_flow(net, paths)
 
@@ -238,8 +244,10 @@ def parse_attacker_strategy(net: Network, entries) -> MixedStrategy:
             edges = entry["attack"]
         except (TypeError, KeyError) as exc:
             raise ParseError("each p2_strategy entry needs 'prob' and 'attack'") from exc
-        if not isinstance(edges, list):
-            raise ParseError("'attack' must be a list of [from, to] pairs")
+        if not isinstance(edges, list) or not all(
+            _is_name_list(pair) and len(pair) == 2 for pair in edges
+        ):
+            raise ParseError("'attack' must be a list of [from, to] pairs of node names")
         atk = attack(net, [tuple(pair) for pair in edges])
         support.append((atk, parse_rational(prob, what="prob")))
     return mixture(support)

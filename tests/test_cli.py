@@ -410,6 +410,35 @@ def test_verify_malformed_profile_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+# Malformed router paths, then malformed attacks. The bare string was read
+# as the path s, 1, 3, t.
+MALFORMED_PATHS = {
+    "paths not a list": 5,
+    "nodes not a list": [{"nodes": 5, "amount": "1"}],
+    "nodes a bare string": [{"nodes": "s13t", "amount": "1"}],
+}
+MALFORMED_ATTACKS = {
+    "attack entry not a pair": [5],
+    "attack pair of one": [["s"]],
+    "attack pair with a list": [[["s"], "1"]],
+}
+
+
+@pytest.mark.parametrize("shape", [*MALFORMED_PATHS, *MALFORMED_ATTACKS])
+def test_malformed_profile_shape_exits_2(tmp_path, capsys, shape):
+    p1 = [{"prob": "1", "flow": {"paths": MALFORMED_PATHS.get(shape, x_star_paths())}}]
+    p2 = [{"prob": "1", "attack": MALFORMED_ATTACKS.get(shape, [])}]
+    profile = write_profile(tmp_path, "profile.json", p1, p2)
+    # best-response reads only the opponent's side: the router's for player 2
+    player = "2" if shape in MALFORMED_PATHS else "1"
+    for argv in (["verify", TRIPLE_CUT, profile],
+                 ["best-response", TRIPLE_CUT, profile, "--player", player]):
+        code, out, err = run(capsys, *argv, "--p1", "6", "--p2", "2")
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_loopy_profile_exits_2(tmp_path, capsys):
     network = tmp_path / "cyclic.json"
     network.write_text(
