@@ -448,7 +448,7 @@ def edge_always_saturated(net: Network, amounts: dict, edge_id: int) -> bool:
         if backward[e.id]:
             arcs.append((head, tail, -cost))
     edge = net.edge(edge_id)
-    dist = [None] * len(form.names)
+    dist = [None] * len(form.index)
     dist[form.index[edge.tail]] = 0
     for _ in range(len(net.nodes) - 1):
         changed = False

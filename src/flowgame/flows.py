@@ -1,8 +1,9 @@
 """Flow-theoretic primitives: exact, on integers inside the layer and on
 ``Fraction`` at its boundary.
 
-The algorithms run on a network's integer form (``IntegerForm``): the
-capacities and the costs times the LCM of their denominators. A positive
+The algorithms run on a network's integer form (``Network._integer_form``,
+built once per network): the capacities and the costs times the LCM of
+their denominators. A positive
 scale keeps every comparison and every heap order, so each result is the
 one the same algorithm gives on the rationals. Values leave the layer as
 ``Fraction``: flow amounts over the capacity scale, path costs over the

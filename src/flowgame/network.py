@@ -66,9 +66,9 @@ class IntegerForm:
 
     ``capacity`` and ``cost`` hold, by edge id, the capacities times
     ``cap_scale`` and the costs times ``cost_scale``, each scale being the
-    LCM of the denominators it clears. Nodes are numbered in sorted-name
-    order (``names``, ``index``). ``arcs[i]`` lists the residual arcs at
-    node ``i`` as (edge id, is_forward, other end) in edge-id order, and
+    LCM of the denominators it clears. ``index`` numbers the nodes in
+    sorted-name order. ``arcs[i]`` lists the residual arcs at node ``i``
+    as (edge id, is_forward, other end's number) in edge-id order, and
     ``arcs_reversed[i]`` the same in reverse. A positive scale keeps
     every comparison, so results computed here equal those on the
     rationals once divided by the scales again."""
@@ -77,7 +77,6 @@ class IntegerForm:
     cost_scale: int
     capacity: tuple
     cost: tuple
-    names: tuple
     index: Mapping
     arcs: tuple
     arcs_reversed: tuple
@@ -99,15 +98,14 @@ class Network:
     def _integer_form(self) -> IntegerForm:
         cap_scale, capacity = _scaled([e.capacity for e in self.edges])
         cost_scale, cost = _scaled([e.cost for e in self.edges])
-        names = tuple(sorted(self.nodes))
-        index = {name: i for i, name in enumerate(names)}
-        arcs = [[] for _ in names]
+        index = {name: i for i, name in enumerate(sorted(self.nodes))}
+        arcs = [[] for _ in index]
         for e in self.edges:
             tail, head = index[e.tail], index[e.head]
             arcs[tail].append((e.id, True, head))
             arcs[head].append((e.id, False, tail))
         return IntegerForm(
-            cap_scale, cost_scale, capacity, cost, names, index,
+            cap_scale, cost_scale, capacity, cost, index,
             tuple(map(tuple, arcs)), tuple(tuple(a[::-1]) for a in arcs),
         )
 
