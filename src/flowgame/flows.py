@@ -346,7 +346,7 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
         cycle_nodes, cycle_edges = found
         bottleneck = min(work[i] for i in cycle_edges)
         _subtract(work, cycle_edges, bottleneck)
-        cycles.append((tuple(cycle_nodes), Fraction(bottleneck, scale)))
+        cycles.append((tuple(cycle_nodes), bottleneck))
 
     out_ids = {
         node: tuple(sorted(e.id for e in net.out_edges[node])) for node in net.nodes
@@ -356,8 +356,7 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
         extracted = _extract_path(net, work, out_ids)
         if extracted is None:
             break
-        nodes, bottleneck = extracted
-        paths.append((nodes, Fraction(bottleneck, scale)))
+        paths.append(extracted)
 
     if work:
         leftover = sorted(work)
@@ -365,7 +364,10 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
             f"flow is not a sum of source-sink paths and cycles; "
             f"edges {leftover} carry unassignable amounts"
         )
-    return Decomposition(tuple(paths), tuple(cycles))
+    return Decomposition(
+        tuple((nodes, Fraction(amount, scale)) for nodes, amount in paths),
+        tuple((nodes, Fraction(amount, scale)) for nodes, amount in cycles),
+    )
 
 
 def _subtract(work: dict, edge_ids, amount: int) -> None:
