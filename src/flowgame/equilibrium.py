@@ -24,7 +24,6 @@ best-response gaps are exactly zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -57,6 +56,7 @@ from .game import (
 )
 from .lp import solve_lp
 from .network import Network, ZERO
+from .rational import to_integers
 
 ONE = Fraction(1)
 
@@ -375,9 +375,8 @@ def best_attacker_response(
                 hits[edge_id] |= 1 << len(weights)
             weights.append(params.p2 * prob * amount)
     costs = [net.edge(i).capacity for i in candidates]
-    scale = math.lcm(*(x.denominator for x in weights + costs))
-    weights = [x.numerator * (scale // x.denominator) for x in weights]
-    costs = [x.numerator * (scale // x.denominator) for x in costs]
+    scale, scaled = to_integers(weights + costs)
+    weights, costs = scaled[:len(weights)], scaled[len(weights):]
     masks = [hits[i] for i in candidates]
     k = len(candidates)
 

@@ -31,7 +31,6 @@ concurrent use.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -39,6 +38,7 @@ from typing import Mapping, Optional, Union
 from .errors import UndecomposableFlow
 from .game import PathFlow, path_cost, path_flow
 from .network import Cut, Network, ZERO
+from .rational import to_integers
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +335,8 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
             positive[edge_id] = amount
     # Peeling takes minima and differences only, so it runs on the amounts
     # times the LCM of their denominators.
-    scale = math.lcm(*(amount.denominator for amount in positive.values()))
-    work = {i: amount.numerator * (scale // amount.denominator) for i, amount in positive.items()}
+    scale, scaled = to_integers(list(positive.values()))
+    work = dict(zip(positive, scaled))
 
     cycles = []
     while True:

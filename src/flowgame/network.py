@@ -14,7 +14,6 @@ treats them as read-only values, so sharing across threads is safe.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +30,7 @@ from .errors import (
     SourceEqualsSink,
     UnknownEndpoint,
 )
-from .rational import parse_rational
+from .rational import parse_rational, to_integers
 
 NodeId = str
 
@@ -82,11 +81,6 @@ class IntegerForm:
     arcs_reversed: tuple
 
 
-def _scaled(values: list) -> tuple:
-    scale = math.lcm(*(x.denominator for x in values))
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
-
-
 @dataclass(frozen=True)
 class Network:
     nodes: frozenset
@@ -96,8 +90,8 @@ class Network:
 
     @cached_property
     def _integer_form(self) -> IntegerForm:
-        cap_scale, capacity = _scaled([e.capacity for e in self.edges])
-        cost_scale, cost = _scaled([e.cost for e in self.edges])
+        cap_scale, capacity = to_integers([e.capacity for e in self.edges])
+        cost_scale, cost = to_integers([e.cost for e in self.edges])
         index = {name: i for i, name in enumerate(sorted(self.nodes))}
         arcs = [[] for _ in index]
         for e in self.edges:

@@ -9,6 +9,7 @@ instead of being silently converted.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -60,3 +61,11 @@ def format_rational(value: Fraction, what: str = "a result") -> str:
         return str(value)
     except ValueError as exc:
         raise FlowGameError(f"{what} has too many digits to print") from exc
+
+
+def to_integers(values: list) -> tuple:
+    """``(scale, scaled)``: the LCM of the values' denominators, and the
+    tuple of the values times it, so that sums and comparisons of them
+    can run on ``int``."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
