@@ -452,7 +452,9 @@ def edge_always_saturated(net: Network, amounts: dict, edge_id: int) -> bool:
     for _ in range(len(net.nodes) - 1):
         changed = False
         for tail, head, cost in arcs:
-            if dist[tail] is not None and (dist[head] is None or dist[tail] + cost < dist[head]):
+            if dist[tail] is None:
+                continue
+            if dist[head] is None or dist[tail] + cost < dist[head]:
                 dist[head] = dist[tail] + cost
                 changed = True
         if not changed:

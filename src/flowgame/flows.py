@@ -232,7 +232,7 @@ def min_cost_max_flow(net: Network, *, _reverse_ties: bool = False) -> tuple:
                 flow[edge_id] -= bottleneck
                 step_cost -= cost[edge_id]
         total_cost += bottleneck * step_cost
-    amounts = {edge_id: Fraction(amount, form.cap_scale) for edge_id, amount in enumerate(flow)}
+    amounts = {i: Fraction(amount, form.cap_scale) for i, amount in enumerate(flow)}
     return amounts, Fraction(total_cost, form.cap_scale * form.cost_scale)
 
 

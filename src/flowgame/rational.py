@@ -1,4 +1,5 @@
-"""Exact rational parsing and formatting for file and CLI surfaces.
+"""Exact rational parsing and formatting for file and CLI surfaces, and
+scaling of rationals to integers.
 
 Every numeric quantity that enters or leaves this package's functions is
 a ``fractions.Fraction``; inside, the flow layer computes on integers
