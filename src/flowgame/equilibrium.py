@@ -36,7 +36,7 @@ from .errors import (
     PathBudgetExceeded,
     WrongRegion,
 )
-from .flows import FlowAnalysis, _residual_open, all_min_cuts, analyze
+from .flows import FlowAnalysis, all_min_cuts, analyze, edge_always_saturated
 from .game import (
     Attack,
     GameParams,
@@ -52,7 +52,6 @@ from .game import (
     path_flow,
     point_mass,
     profile_expectations,
-    transport_cost,
 )
 from .lp import solve_lp
 from .network import Network, ZERO
@@ -421,49 +420,6 @@ def best_attacker_response(
 
 
 # ---------------------------------------------------------------------------
-# Per-edge saturation test
-# ---------------------------------------------------------------------------
-
-def edge_always_saturated(net: Network, amounts: dict, edge_id: int) -> bool:
-    """Whether every min-cost max-flow fills the edge to capacity.
-
-    ``amounts`` is the edge flow of one min-cost max-flow (absent ids
-    carry nothing). The others differ from it by zero-cost circulations in
-    its residual graph, which has no negative cycle. So a saturated edge
-    (u, v) of positive capacity can lose flow iff some positive-residual
-    path from u to v costs at most the edge's cost: one Bellman-Ford run.
-    """
-    form = net._integer_form
-    forward, backward = _residual_open(net, amounts)
-    if forward[edge_id]:
-        return False
-    if form.capacity[edge_id] == 0:
-        return True
-    arcs = []
-    for e in net.edges:
-        tail, head, cost = form.index[e.tail], form.index[e.head], form.cost[e.id]
-        if forward[e.id]:
-            arcs.append((tail, head, cost))
-        if backward[e.id]:
-            arcs.append((head, tail, -cost))
-    edge = net.edge(edge_id)
-    dist = [None] * len(form.index)
-    dist[form.index[edge.tail]] = 0
-    for _ in range(len(net.nodes) - 1):
-        changed = False
-        for tail, head, cost in arcs:
-            if dist[tail] is None:
-                continue
-            if dist[head] is None or dist[tail] + cost < dist[head]:
-                dist[head] = dist[tail] + cost
-                changed = True
-        if not changed:
-            break
-    reach = dist[form.index[edge.head]]
-    return not (reach is not None and reach <= form.cost[edge_id])
-
-
-# ---------------------------------------------------------------------------
 # Profile verification
 # ---------------------------------------------------------------------------
 
@@ -526,7 +482,7 @@ def verify_equilibrium(
 
     checks = ()
     if is_ne and region is not None and region.tag == "III" and analysis.cheapest_routing:
-        checks = _equilibrium_property_checks(net, s1, s2, params, analysis)
+        checks = _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2)
 
     return VerificationReport(
         is_ne=is_ne,
@@ -542,18 +498,14 @@ def verify_equilibrium(
 
 
 def _is_cheapest_max_flow(net, flow, analysis) -> bool:
-    """Does this flow qualify as a cheapest-path max flow?"""
-    return (
-        flow.value == analysis.max_flow_value
-        and transport_cost(net, flow) == analysis.cheapest_path_cost * analysis.max_flow_value
-        and all(
-            path_cost(net, nodes) == analysis.cheapest_path_cost
-            for nodes, _ in flow.paths
-        )
+    """Does this flow qualify as a cheapest-path max flow? Its transport
+    cost is then the cheapest path cost times the max-flow value."""
+    return flow.value == analysis.max_flow_value and all(
+        path_cost(net, nodes) == analysis.cheapest_path_cost for nodes, _ in flow.paths
     )
 
 
-def _equilibrium_property_checks(net, s1, s2, params, analysis) -> tuple:
+def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple:
     theta = analysis.max_flow_value
     unit_cost = analysis.cheapest_path_cost
     p1, p2 = params.p1, params.p2
@@ -562,7 +514,6 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis) -> tuple:
     # Closed forms against direct expectation over the support.
     report = closed_form_quantities(params, unit_cost, theta)
     exps = profile_expectations(net, s1, s2)
-    u1, u2 = expected_payoffs(net, s1, s2, params)
     comparisons = [
         ("router payoff", u1, report.u1),
         ("attacker payoff", u2, report.u2),

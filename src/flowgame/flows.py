@@ -60,6 +60,44 @@ def _residual_open(net: Network, flow: Mapping) -> tuple:
     return forward, backward
 
 
+def edge_always_saturated(net: Network, amounts: Mapping, edge_id: int) -> bool:
+    """Whether every min-cost max-flow fills the edge to capacity.
+
+    ``amounts`` is the edge flow of one min-cost max-flow (absent ids
+    carry nothing). The others differ from it by zero-cost circulations in
+    its residual graph, which has no negative cycle. So a saturated edge
+    (u, v) of positive capacity can lose flow iff some positive-residual
+    path from u to v costs at most the edge's cost: one Bellman-Ford run.
+    """
+    form = net._integer_form
+    forward, backward = _residual_open(net, amounts)
+    if forward[edge_id]:
+        return False
+    if form.capacity[edge_id] == 0:
+        return True
+    arcs = [
+        (node, dst, form.cost[i] if fwd else -form.cost[i])
+        for node, node_arcs in enumerate(form.arcs)
+        for i, fwd, dst in node_arcs
+        if (forward if fwd else backward)[i]
+    ]
+    edge = net.edge(edge_id)
+    dist = [None] * len(form.arcs)
+    dist[form.index[edge.tail]] = 0
+    for _ in range(len(form.arcs) - 1):
+        changed = False
+        for tail, head, cost in arcs:
+            if dist[tail] is None:
+                continue
+            if dist[head] is None or dist[tail] + cost < dist[head]:
+                dist[head] = dist[tail] + cost
+                changed = True
+        if not changed:
+            break
+    reach = dist[form.index[edge.head]]
+    return not (reach is not None and reach <= form.cost[edge_id])
+
+
 # ---------------------------------------------------------------------------
 # Max-flow and min-cut
 # ---------------------------------------------------------------------------
@@ -192,7 +230,7 @@ def all_min_cuts(net: Network, flow: Mapping) -> tuple:
 # Min-cost max-flow
 # ---------------------------------------------------------------------------
 
-def min_cost_max_flow(net: Network, *, _reverse_ties: bool = False) -> tuple:
+def min_cost_max_flow(net: Network) -> tuple:
     """A maximum flow of minimum total transport cost.
 
     Successive shortest paths: augment along a cheapest residual path
@@ -202,14 +240,13 @@ def min_cost_max_flow(net: Network, *, _reverse_ties: bool = False) -> tuple:
     """
     form = net._integer_form
     capacity, cost = form.capacity, form.cost
-    adj = form.arcs_reversed if _reverse_ties else form.arcs
     source, sink = form.index[net.source], form.index[net.sink]
     flow = [0] * len(capacity)
-    potential = [0] * len(adj)
+    potential = [0] * len(form.arcs)
     total_cost = 0
 
     while True:
-        dist, parent = _cheapest_residual_paths(adj, capacity, cost, flow, potential, source)
+        dist, parent = _cheapest_residual_paths(form, flow, potential, source)
         if dist[sink] is None:
             break
         for node, d in enumerate(dist):
@@ -236,11 +273,12 @@ def min_cost_max_flow(net: Network, *, _reverse_ties: bool = False) -> tuple:
     return amounts, Fraction(total_cost, form.cap_scale * form.cost_scale)
 
 
-def _cheapest_residual_paths(adj, capacity, cost, flow, potential, source) -> tuple:
-    """Dijkstra over the residual graph with reduced arc costs, the heap
-    keyed (distance, node index). Returns each node's distance (None when
-    unreached) and the arc (edge id, is_forward, previous node) it was
-    reached by."""
+def _cheapest_residual_paths(form, flow, potential, source) -> tuple:
+    """Dijkstra over the residual graph of ``flow`` (scaled amounts by edge
+    id) with reduced arc costs, the heap keyed (distance, node index).
+    Returns each node's distance (None when unreached) and the arc (edge
+    id, is_forward, previous node) it was reached by."""
+    adj, capacity, cost = form.arcs, form.capacity, form.cost
     dist = [None] * len(adj)
     parent = [None] * len(adj)
     final = [False] * len(adj)
@@ -459,29 +497,17 @@ def strip_loops(net: Network, amounts: Mapping) -> PathFlow:
 
 def cheapest_path_cost(net: Network) -> Optional[Fraction]:
     """Minimum per-unit transport cost over all source-sink paths that use
-    only positive-capacity edges. ``None`` when the sink is unreachable."""
+    only positive-capacity edges. ``None`` when the sink is unreachable.
+
+    This is the first Dijkstra round of ``min_cost_max_flow``: on the zero
+    flow with zero potentials the residual arcs are the positive-capacity
+    edges at their own costs."""
     form = net._integer_form
-    capacity, cost = form.capacity, form.cost
-    source, sink = form.index[net.source], form.index[net.sink]
-    dist = [None] * len(form.arcs)
-    final = [False] * len(form.arcs)
-    dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if final[node]:
-            continue
-        final[node] = True
-        if node == sink:
-            return Fraction(d, form.cost_scale)
-        for edge_id, forward, dst in form.arcs[node]:
-            if not forward or capacity[edge_id] <= 0 or final[dst]:
-                continue
-            candidate = d + cost[edge_id]
-            if dist[dst] is None or candidate < dist[dst]:
-                dist[dst] = candidate
-                heapq.heappush(heap, (candidate, dst))
-    return None
+    dist, _ = _cheapest_residual_paths(
+        form, [0] * len(form.capacity), [0] * len(form.arcs), form.index[net.source]
+    )
+    d = dist[form.index[net.sink]]
+    return None if d is None else Fraction(d, form.cost_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +541,7 @@ def analyze(net: Network) -> FlowAnalysis:
     amounts, cost = min_cost_max_flow(net)
     value = flow_value(net, amounts)
     decomposition = decompose(net, amounts)
-    optimal = path_flow(net, decomposition.paths)
+    optimal = PathFlow(tuple(sorted(decomposition.paths)))
     unit_cost = cheapest_path_cost(net)
 
     if value == 0:

@@ -243,23 +243,6 @@ def attacker_payoff(net: Network, flow: PathFlow, atk: Attack, params: GameParam
 # Expected payoffs over mixed strategies
 # ---------------------------------------------------------------------------
 
-def expected_payoffs(
-    net: Network,
-    s1: MixedStrategy,
-    s2: MixedStrategy,
-    params: GameParams,
-) -> tuple:
-    """Support-weighted sums of the pure payoffs, exactly."""
-    u1 = ZERO
-    u2 = ZERO
-    for flow, p in s1.support:
-        for atk, q in s2.support:
-            weight = p * q
-            u1 += weight * router_payoff(net, flow, atk, params)
-            u2 += weight * attacker_payoff(net, flow, atk, params)
-    return u1, u2
-
-
 @dataclass(frozen=True)
 class ProfileExpectations:
     """Expected quantities of a strategy profile, independent of payoffs:
@@ -287,6 +270,23 @@ def profile_expectations(net: Network, s1: MixedStrategy, s2: MixedStrategy) -> 
         attack_cost=cost_of_attack,
         effective_flow=effective,
         lost_flow=initial - effective,
+    )
+
+
+def expected_payoffs(
+    net: Network,
+    s1: MixedStrategy,
+    s2: MixedStrategy,
+    params: GameParams,
+) -> tuple:
+    """Expected payoffs, exactly. Both payoffs are linear in the profile's
+    expectations, and both strategies' probabilities sum to one, so
+    u1 = p1 * E[delivered] - E[transport cost] and
+    u2 = p2 * E[lost] - E[attack cost]."""
+    exps = profile_expectations(net, s1, s2)
+    return (
+        params.p1 * exps.effective_flow - exps.transport_cost,
+        params.p2 * exps.lost_flow - exps.attack_cost,
     )
 
 

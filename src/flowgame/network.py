@@ -67,8 +67,8 @@ class IntegerForm:
     ``cap_scale`` and the costs times ``cost_scale``, each scale being the
     LCM of the denominators it clears. ``index`` numbers the nodes in
     sorted-name order. ``arcs[i]`` lists the residual arcs at node ``i``
-    as (edge id, is_forward, other end's number) in edge-id order, and
-    ``arcs_reversed[i]`` the same in reverse. A positive scale keeps
+    as (edge id, is_forward, other end's number) in edge-id order, the
+    order every flow algorithm scans them in. A positive scale keeps
     every comparison, so results computed here equal those on the
     rationals once divided by the scales again."""
 
@@ -78,7 +78,6 @@ class IntegerForm:
     cost: tuple
     index: Mapping
     arcs: tuple
-    arcs_reversed: tuple
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,7 @@ class Network:
             arcs[tail].append((e.id, True, head))
             arcs[head].append((e.id, False, tail))
         return IntegerForm(
-            cap_scale, cost_scale, capacity, cost, index,
-            tuple(map(tuple, arcs)), tuple(tuple(a[::-1]) for a in arcs),
+            cap_scale, cost_scale, capacity, cost, index, tuple(map(tuple, arcs))
         )
 
     @cached_property

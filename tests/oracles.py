@@ -11,7 +11,9 @@ from flowgame import (
     Cut,
     EdgeBudgetExceeded,
     PathBudgetExceeded,
+    attacker_payoff,
     expected_edge_loads,
+    router_payoff,
 )
 from flowgame.flows import Decomposition, _extract_path, _find_cycle, _subtract
 from flowgame.lp import solve_lp
@@ -139,6 +141,17 @@ def brute_force_attacker_response(
                 best_value = value
                 best_ids = ids
     return BestResponse(best_value, Attack(best_ids))
+
+
+def pairwise_expected_payoffs(net, s1, s2, params):
+    """Both expected payoffs as the probability-weighted sum of the pure
+    payoffs over every (flow, attack) pair of the two supports."""
+    u1 = u2 = ZERO
+    for flow, p in s1.support:
+        for atk, q in s2.support:
+            u1 += p * q * router_payoff(net, flow, atk, params)
+            u2 += p * q * attacker_payoff(net, flow, atk, params)
+    return u1, u2
 
 
 def recursive_simple_paths(net, budget):

@@ -24,6 +24,7 @@ from flowgame import (
     min_cut,
     network_to_json,
     path_cost,
+    path_flow,
     strip_loops,
     transport_cost,
 )
@@ -46,6 +47,21 @@ ZERO = Fraction(0)
 
 def edge_pairs(net, ids):
     return sorted((net.edge(i).tail, net.edge(i).head) for i in ids)
+
+
+def min_cost_max_flow_reversed(net):
+    """``min_cost_max_flow`` in the other tie order: run on the network
+    with its edge list reversed, which scans every node's arcs in reverse,
+    and map the amounts back to this network's edge ids."""
+    flipped = make_network(
+        net.nodes,
+        [(e.tail, e.head, e.capacity, e.cost) for e in reversed(net.edges)],
+        net.source,
+        net.sink,
+    )
+    amounts, cost = min_cost_max_flow(flipped)
+    last = len(net.edges) - 1
+    return {i: amounts[last - i] for i in range(len(net.edges))}, cost
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +315,32 @@ def test_tie_breaking_order_does_not_change_results(
     nets += [random_network(rng) for _ in range(20)]
     for net in nets:
         amounts_a, cost_a = min_cost_max_flow(net)
-        amounts_b, cost_b = min_cost_max_flow(net, _reverse_ties=True)
+        amounts_b, cost_b = min_cost_max_flow_reversed(net)
         assert flow_value(net, amounts_a) == flow_value(net, amounts_b)
         assert cost_a == cost_b
         assert all_min_cuts(net, amounts_a) == all_min_cuts(net, amounts_b)
+
+
+def test_reversed_edge_list_takes_the_other_tie_order():
+    # v0 and v1 are joined both ways at cost 0, so a shortest path may
+    # reach v1 from v0 over the forward arc of (v0, v1) or the backward
+    # arc of (v1, v0); reversing the edge list swaps which is scanned
+    # first, and the two flows differ by the circulation v0-v1-v0.
+    net = make_network(
+        ["s", "t", "v0", "v1"],
+        [("s", "v0", 1, 0), ("s", "v1", 2, 1), ("t", "s", 2, 0), ("t", "v0", 2, 1),
+         ("v0", "s", 2, 0), ("v0", "t", 1, 1), ("v0", "v1", 1, 0), ("v1", "t", 2, 0),
+         ("v1", "v0", 1, 0)],
+        "s", "t",
+    )
+    first, cost = min_cost_max_flow(net)
+    second = min_cost_max_flow_reversed(net)
+    assert first != second[0]
+    assert (first, cost) == fraction_min_cost_max_flow(net)
+    assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
+    assert second[1] == cost
+    assert flow_value(net, first) == flow_value(net, second[0]) == 3
+    assert all_min_cuts(net, first) == all_min_cuts(net, second[0])
 
 
 def test_routing_check_agrees_with_per_path_criterion():
@@ -471,11 +509,14 @@ def test_integer_core_matches_fraction_oracle(seed):
         net = random_rational_network(rng, max_internal=5)
         first, cost = min_cost_max_flow(net)
         assert (first, cost) == fraction_min_cost_max_flow(net)
-        second = min_cost_max_flow(net, _reverse_ties=True)
+        second = min_cost_max_flow_reversed(net)
         assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
         assert cheapest_path_cost(net) == fraction_cheapest_path_cost(net)
+        # analyze takes the decomposed paths as they are; path_flow checks them
+        optimal_flow = analyze(net).optimal_flow
+        assert optimal_flow == path_flow(net, decompose(net, first).paths)
 
-        optimal = analyze(net).optimal_flow.edge_amounts(net)
+        optimal = optimal_flow.edge_amounts(net)
         mixed = mix(first, min_cost_max_flow(relabelled(net, lambda e: 2 - e.cost))[0])
         min_cuts = distinct_partition_min_cuts(net)
         for flow in (first, second[0], optimal, mixed):
@@ -550,8 +591,8 @@ def test_huge_scales_match_the_oracle(tmp_path, monkeypatch):
     net = make_network(["s", "t", *middle], edges, "s", "t")
     form = net._integer_form
     assert min(form.cap_scale, form.cost_scale) > 10**60
-    for reverse in (False, True):
-        amounts, cost = min_cost_max_flow(net, _reverse_ties=reverse)
+    for solve, reverse in ((min_cost_max_flow, False), (min_cost_max_flow_reversed, True)):
+        amounts, cost = solve(net)
         assert flow_value(net, amounts) > 0
         assert (amounts, cost) == fraction_min_cost_max_flow(net, reverse)
 

@@ -16,6 +16,7 @@ from flowgame import (
     attacker_payoff,
     decompose,
     effective_flow,
+    enumerate_simple_paths,
     expected_edge_loads,
     expected_payoffs,
     make_network,
@@ -27,7 +28,13 @@ from flowgame import (
     router_payoff,
     transport_cost,
 )
-from conftest import random_network, random_path_flow, random_probabilities
+from conftest import (
+    random_network,
+    random_path_flow,
+    random_probabilities,
+    random_rational_network,
+)
+from oracles import pairwise_expected_payoffs
 
 F = Fraction
 
@@ -394,3 +401,31 @@ def test_strip_loops_identity_on_acyclic(cheap_routing_net):
     amounts, _ = min_cost_max_flow(cheap_routing_net)
     a = analyze(cheap_routing_net)
     assert strip_loops(cheap_routing_net, amounts) == a.optimal_flow
+
+
+def test_expected_payoffs_match_the_pairwise_sum():
+    # 200 seeded profiles with 1-3 flows and 1-3 attacks, on integer and
+    # rational networks: the payoffs read off the profile's expectations
+    # equal the weighted sum over every (flow, attack) pair.
+    rng = random.Random(2015)
+    checked = 0
+    while checked < 200:
+        make = random_network if checked % 2 else random_rational_network
+        net = make(rng)
+        paths = enumerate_simple_paths(net, 5000)
+        flows = list(dict.fromkeys(
+            random_path_flow(rng, net, paths) for _ in range(rng.randint(1, 3))
+        ))
+        attacks = list(dict.fromkeys(
+            attack(net, [e.id for e in net.edges if rng.random() < 0.3])
+            for _ in range(rng.randint(1, 3))
+        ))
+        s1 = mixture(zip(flows, random_probabilities(rng, len(flows))))
+        s2 = mixture(zip(attacks, random_probabilities(rng, len(attacks))))
+        params = GameParams(
+            F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(1, 9), rng.randint(1, 4))
+        )
+        assert expected_payoffs(net, s1, s2, params) == pairwise_expected_payoffs(
+            net, s1, s2, params
+        )
+        checked += 1
