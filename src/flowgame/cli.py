@@ -36,6 +36,7 @@ from .errors import (
     CheapestRoutingRequired,
     EdgeBudgetExceeded,
     FlowGameError,
+    InvalidParams,
     PathBudgetExceeded,
     ParseError,
 )
@@ -331,9 +332,16 @@ def cmd_analyze(args) -> int:
 
 
 def _game_params(args) -> GameParams:
-    return GameParams(
+    params = GameParams(
         parse_rational(args.p1, what="--p1"), parse_rational(args.p2, what="--p2")
     )
+    for flag, budget in (
+        ("--max-paths", args.max_paths),
+        ("--max-attack-edges", args.max_attack_edges),
+    ):
+        if budget < 0:
+            raise InvalidParams(f"{flag} must be nonnegative, got {budget}")
+    return params
 
 
 def cmd_solve(args) -> int:
@@ -519,23 +527,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit codes of the errors that are not parse or validation failures.
+_ERROR_EXITS = (
+    ((PathBudgetExceeded, EdgeBudgetExceeded), EXIT_BUDGET),
+    (CheapestRoutingRequired, EXIT_ROUTING),
+    (BoundaryParams, EXIT_BOUNDARY),
+)
+
+# Every character str.splitlines() breaks at, escaped, so that an error
+# naming a node like "a\nb" still prints as one line.
+_LINE_BREAKS = {
+    ord(ch): ch.encode("unicode_escape").decode("ascii")
+    for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+}
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (PathBudgetExceeded, EdgeBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CheapestRoutingRequired as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ROUTING
-    except BoundaryParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDARY
     except FlowGameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+        return next(
+            (code for kinds, code in _ERROR_EXITS if isinstance(exc, kinds)), EXIT_PARSE
+        )
 
 
 def run() -> None:

@@ -208,6 +208,67 @@ def test_analyze_non_utf8_file_exits_2(tmp_path, capsys):
     assert_one_line_error(code, err)
 
 
+# A node name with a line feed, and one with every other kind of line break.
+BROKEN = "a\nb"
+BREAKS = "c\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029d"
+
+
+def assert_one_error_line(code, err, escaped):
+    assert code == 2
+    assert err.startswith("error: ") and err.endswith("\n")
+    assert len(err.splitlines()) == 1
+    assert escaped in err
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ({"from": BROKEN, "to": BROKEN, "capacity": "1", "cost": "1"}, "is a self-loop"),
+        ({"from": BROKEN, "to": "t", "capacity": "-1", "cost": "1"}, "has capacity -1"),
+        ({"from": BROKEN, "to": "t", "capacity": "1", "cost": "-1"}, "has cost -1"),
+        ({"from": BROKEN, "to": "t", "capacity": "1/0", "cost": "1"}, "zero denominator"),
+        ({"from": BROKEN, "to": "t", "capacity": "x", "cost": "1"}, "capacity of edge"),
+    ],
+    ids=["self-loop", "negative capacity", "negative cost", "capacity", "capacity shape"],
+)
+def test_line_breaks_in_node_names_stay_on_the_error_line(tmp_path, capsys, edge, message):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({
+        "nodes": ["s", "t", BROKEN],
+        "source": "s",
+        "sink": "t",
+        "edges": [{"from": "s", "to": BROKEN, "capacity": "1", "cost": "1"}, edge],
+    }))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert out == ""
+    assert_one_error_line(code, err, "a\\nb")
+    assert message in err
+
+
+@pytest.mark.parametrize("name", [BROKEN, BREAKS])
+def test_line_breaks_in_capacity_exceeded_stay_on_the_error_line(tmp_path, capsys, name):
+    network = tmp_path / "net.json"
+    network.write_text(json.dumps({
+        "nodes": ["s", "t", name],
+        "source": "s",
+        "sink": "t",
+        "edges": [
+            {"from": "s", "to": name, "capacity": "1", "cost": "1"},
+            {"from": name, "to": "t", "capacity": "1", "cost": "1"},
+        ],
+    }))
+    profile = write_profile(
+        tmp_path,
+        "profile.json",
+        [{"prob": "1", "flow": {"paths": [{"nodes": ["s", name, "t"], "amount": "2"}]}}],
+        [{"prob": "1", "attack": []}],
+    )
+    code, out, err = run(capsys, "verify", str(network), profile, "--p1", "6", "--p2", "2")
+    assert out == ""
+    escaped = name.encode("unicode_escape").decode("ascii")
+    assert_one_error_line(code, err, f"edge (s, {escaped}) carries 2 but has capacity 1")
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -546,6 +607,27 @@ def test_verify_budget_exceeded_exits_5(tmp_path, capsys):
     )
     assert code == 5
     assert "budget" in err or "paths" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-paths", "--max-attack-edges"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_negative_budgets_exit_2(tmp_path, capsys, command, flag):
+    # Region I: the zero flow against the empty attack. A zero budget is
+    # valid; the path budget then stops the router's best response.
+    argv = [command, TRIPLE_CUT, "--p1", "1", "--p2", "2"]
+    if command == "verify":
+        argv.append(write_profile(
+            tmp_path,
+            "zero.json",
+            [{"prob": "1", "flow": {"paths": []}}],
+            [{"prob": "1", "attack": []}],
+        ))
+    code, out, err = run(capsys, *argv, flag, "-1")
+    assert out == ""
+    assert_one_line_error(code, err)
+    assert err == f"error: {flag} must be nonnegative, got -1\n"
+    code, _, err = run(capsys, *argv, flag, "0")
+    assert code == (5 if flag == "--max-paths" else 0)
 
 
 # ---------------------------------------------------------------------------
