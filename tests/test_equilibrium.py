@@ -700,6 +700,55 @@ def test_delivery_identity_needs_cheapest_routing(detour_net):
 # Oracle soundness sweeps
 # ---------------------------------------------------------------------------
 
+def _contested_outcome(net, analysis, p1, p2):
+    """Direct expectations and both payoffs of the constructed Region III
+    profile at (p1, p2)."""
+    params = GameParams(p1, p2)
+    profile = construct_equilibrium(net, params, analysis)
+    assert profile.provenance == "contested-mixed"
+    return (
+        profile_expectations(net, profile.s1, profile.s2),
+        expected_payoffs(net, profile.s1, profile.s2, params),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_region_three_comparative_statics(seed):
+    # Along the constructed equilibrium, raising p2 lowers the expected
+    # transport cost, raising p1 raises the expected attack cost, raising
+    # either lowers the expected delivered flow, and the payoffs stay
+    # equal. Each change is strict when cheapest path cost x max-flow
+    # value is positive, and zero when it is not.
+    rng = random.Random(seed)
+    strict = flat = 0
+    while strict + flat < 60:
+        net = random_network(rng, max_internal=4)
+        analysis = analyze(net)
+        if not analysis.cheapest_routing:
+            continue
+        unit_cost = analysis.cheapest_path_cost
+        p1 = unit_cost + F(rng.randint(1, 6), rng.randint(1, 3))
+        p2 = 1 + F(rng.randint(1, 6), rng.randint(1, 3))
+        more_p1 = p1 + F(rng.randint(1, 4), rng.randint(1, 3))
+        more_p2 = p2 + F(rng.randint(1, 4), rng.randint(1, 3))
+        base, (u1, u2) = _contested_outcome(net, analysis, p1, p2)
+        up1, (v1, v2) = _contested_outcome(net, analysis, more_p1, p2)
+        up2, (w1, w2) = _contested_outcome(net, analysis, p1, more_p2)
+        assert u1 == u2 and v1 == v2 and w1 == w2
+        if unit_cost * analysis.max_flow_value > 0:
+            strict += 1
+            assert up2.transport_cost < base.transport_cost
+            assert up1.attack_cost > base.attack_cost
+            assert up1.effective_flow < base.effective_flow
+            assert up2.effective_flow < base.effective_flow
+        else:
+            flat += 1
+            assert up2.transport_cost == base.transport_cost
+            assert up1.attack_cost == base.attack_cost
+            assert up1.effective_flow == base.effective_flow == up2.effective_flow
+    assert strict and flat
+
+
 def test_router_best_response_dominates_random_flows():
     # no sampled feasible flow may beat the packing-program optimum
     from flowgame import router_payoff
