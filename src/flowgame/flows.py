@@ -17,9 +17,12 @@ networks, not asymptotics:
 * min-cost max-flow: successive shortest paths with node potentials.
   Costs are nonnegative, so plain Dijkstra works from the start and
   reduced costs stay nonnegative throughout. It is also a maximum flow,
-  and the only flow computed per network.
+  and the only flow computed per network. Its first Dijkstra round, on
+  the zero flow, is the cheapest path cost.
 * min-cuts: read from the residual graph of that flow; the canonical one
   has the nodes the source reaches as its source side.
+* edge saturation under every min-cost max-flow: one Bellman-Ford run
+  on the same residual graph.
 * decomposition: cycles are peeled off first (depth-first search on the
   support graph), after which the support is acyclic and source-to-sink
   paths are extracted by always following the lowest-id positive edge.
