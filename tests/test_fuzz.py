@@ -57,8 +57,8 @@ def runs(draw):
     clean = draw(st.booleans())
     number = RATIONAL if clean else NUMBER
 
-    def shaped(good):
-        return draw(good) if clean or draw(st.integers(0, 4)) else draw(JUNK)
+    def shaped(value):
+        return value if clean or draw(st.integers(0, 4)) else draw(JUNK)
 
     def dropped(data):
         if not clean:
@@ -71,30 +71,27 @@ def runs(draw):
     pairs = st.tuples(name, name)
     if clean:  # no self-loops or parallel edges
         pairs = pairs.filter(lambda pair: pair[0] != pair[1])
+    links = draw(st.lists(pairs, max_size=8, unique=clean))
     edges = [
-        shaped(st.just(dropped({
-            "from": shaped(st.just(tail)), "to": shaped(st.just(head)),
+        shaped(dropped({
+            "from": shaped(tail), "to": shaped(head),
             "capacity": draw(number), "cost": draw(number),
-        })))
-        for tail, head in draw(st.lists(pairs, max_size=8, unique=clean))
+        }))
+        for tail, head in links
     ]
-    network = {"nodes": shaped(st.just(names)), "edges": shaped(st.just(edges))}
-    ends = names[:2] if clean else [shaped(name), shaped(name)]
+    network = {"nodes": shaped(names), "edges": shaped(edges)}
+    ends = names[:2] if clean else [shaped(draw(name)), shaped(draw(name))]
     if draw(st.booleans()):
         network |= {"source": ends[0], "sink": ends[1]}
     elif clean:
         network |= {"sources": [ends[0]], "sinks": [ends[1]]}
     else:
-        ends = [shaped(st.lists(name, max_size=2)) for _ in ends]
+        ends = [shaped(draw(st.lists(name, max_size=2))) for _ in ends]
         network |= {"sources": ends[0], "sinks": ends[1]}
-    network = shaped(st.just(dropped(network)))
+    network = shaped(dropped(network))
 
     # Well-formed profiles walk and cut the network's own edges.
-    links = [[e["from"], e["to"]] for e in edges if isinstance(e, dict) and len(e) == 4]
-    if clean and links:
-        link = st.sampled_from(links)
-    else:
-        link = st.lists(name, min_size=2, max_size=2)
+    link = st.sampled_from(links) if clean and links else st.tuples(name, name)
 
     def path():
         nodes = [ends[0]]
@@ -105,32 +102,24 @@ def runs(draw):
             nodes.append(draw(st.sampled_from(steps)))
         if not clean:
             nodes += draw(st.lists(name, max_size=3)) + [ends[1]]
-        return {"nodes": shaped(st.just(nodes)), "amount": draw(number)}
+        return dropped({"nodes": shaped(nodes), "amount": draw(number)})
 
-    def pair():
-        return shaped(link)
+    def flow():
+        paths = [shaped(path()) for _ in range(draw(st.integers(0, 2)))]
+        return shaped({"paths": shaped(paths)})
+
+    def attack():
+        return shaped([shaped(list(draw(link))) for _ in range(draw(st.integers(0, 2)))])
 
     def entries(key, action):
         count = draw(st.integers(1, 2))
         prob = ("1" if count == 1 else "1/2") if clean else draw(NUMBER)
-        return [
-            shaped(st.just(dropped({"prob": prob, key: action()})))
-            for _ in range(count)
-        ]
+        return shaped([shaped(dropped({"prob": prob, key: action()})) for _ in range(count)])
 
-    def flow():
-        paths = [shaped(st.just(dropped(path()))) for _ in range(draw(st.integers(0, 2)))]
-        return shaped(st.just({"paths": shaped(st.just(paths))}))
-
-    def attack():
-        return shaped(st.just([pair() for _ in range(draw(st.integers(0, 2)))]))
-
-    router = entries("flow", flow)
-    attacker = entries("attack", attack)
-    profile = shaped(st.just(dropped({
-        "p1_strategy": shaped(st.just(router)), "p2_strategy": shaped(st.just(attacker)),
-    })))
-    param = st.sampled_from(PARAMS[:5]) if clean else st.sampled_from(PARAMS)
+    profile = shaped(dropped({
+        "p1_strategy": entries("flow", flow), "p2_strategy": entries("attack", attack),
+    }))
+    param = st.sampled_from(PARAMS[:5] if clean else PARAMS)
     return network, profile, draw(COMMAND), draw(param), draw(param)
 
 
