@@ -19,6 +19,8 @@ import sys
 from typing import Optional
 
 from .equilibrium import (
+    MAX_ATTACK_EDGES,
+    MAX_PATHS,
     ClosedFormReport,
     EquilibriumProfile,
     VerificationReport,
@@ -493,13 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, game_params=True):
         p.add_argument("network", help="network JSON file")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--max-paths", type=int, default=5000, dest="max_paths")
-        p.add_argument(
-            "--max-attack-edges", type=int, default=20, dest="max_attack_edges"
-        )
         if game_params:
             p.add_argument("--p1", required=True, help="router value per delivered unit")
             p.add_argument("--p2", required=True, help="attacker value per lost unit")
+            p.add_argument("--max-paths", type=int, default=MAX_PATHS)
+            p.add_argument("--max-attack-edges", type=int, default=MAX_ATTACK_EDGES)
 
     p = sub.add_parser("analyze", help="flow primitives and the routing check")
     common(p, game_params=False)

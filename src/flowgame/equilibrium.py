@@ -59,6 +59,11 @@ from .rational import to_integers
 
 ONE = Fraction(1)
 
+# Default budgets: simple source-sink paths for the router's best
+# response, candidate edges for the attacker's.
+MAX_PATHS = 5000
+MAX_ATTACK_EDGES = 20
+
 
 # ---------------------------------------------------------------------------
 # Regions
@@ -285,7 +290,7 @@ def best_router_response(
     net: Network,
     s2: MixedStrategy,
     params: GameParams,
-    max_paths: int = 5000,
+    max_paths: int = MAX_PATHS,
 ) -> BestResponse:
     """Exact best response of the router to an attacker mixture.
 
@@ -307,7 +312,7 @@ def best_router_response(
         if weight > 0:
             weighted.append((nodes, ids, weight))
     if not weighted:
-        return BestResponse(ZERO, path_flow(net))
+        return BestResponse(ZERO, PathFlow(()))
 
     edge_ids = sorted(set().union(*(ids for _, ids, _ in weighted)))
     rows = []
@@ -322,23 +327,21 @@ def best_router_response(
         for (nodes, _, _), x in zip(weighted, result.solution)
         if x > 0
     ]
-    return BestResponse(-result.objective, path_flow(net, amounts))
+    return BestResponse(-result.objective, PathFlow(tuple(sorted(amounts))))
 
 
 def best_attacker_response(
     net: Network,
     s1: MixedStrategy,
     params: GameParams,
-    max_attack_edges: int = 20,
-    exhaustive: bool = False,
+    max_attack_edges: int = MAX_ATTACK_EDGES,
 ) -> BestResponse:
     """Exact best response of the attacker to a router mixture, by
     depth-first branch-and-bound over candidate edge sets.
 
-    By default only edges carrying positive expected flow are candidates:
-    disrupting an unloaded edge loses nothing for the router and costs
-    its capacity, so it never appears in a best response. ``exhaustive``
-    makes every edge a candidate instead; ``max_attack_edges`` caps the
+    Only edges carrying positive expected flow are candidates: disrupting
+    an unloaded edge loses nothing for the router and costs its capacity,
+    so it never appears in a best response. ``max_attack_edges`` caps the
     number of candidates. Ties break toward the lexicographically
     smallest edge set, so the empty attack wins all zero-value ties.
 
@@ -354,10 +357,7 @@ def best_attacker_response(
     denominators, which keeps the search exact without Fractions.
     """
     loads = expected_edge_loads(net, s1)
-    if exhaustive:
-        candidates = sorted(loads)
-    else:
-        candidates = [edge_id for edge_id in sorted(loads) if loads[edge_id] > 0]
+    candidates = [edge_id for edge_id in sorted(loads) if loads[edge_id] > 0]
     if len(candidates) > max_attack_edges:
         raise EdgeBudgetExceeded(
             f"{len(candidates)} candidate edges exceed the attack budget "
@@ -365,7 +365,7 @@ def best_attacker_response(
         )
 
     # Every edge on a support path carries positive load, so it is a
-    # candidate in both modes.
+    # candidate.
     hits = dict.fromkeys(candidates, 0)
     weights = []
     for flow, prob in s1.support:
@@ -452,9 +452,8 @@ def verify_equilibrium(
     s1: MixedStrategy,
     s2: MixedStrategy,
     params: GameParams,
-    max_paths: int = 5000,
-    max_attack_edges: int = 20,
-    exhaustive_attacks: bool = False,
+    max_paths: int = MAX_PATHS,
+    max_attack_edges: int = MAX_ATTACK_EDGES,
     analysis: Optional[FlowAnalysis] = None,
 ) -> VerificationReport:
     """Decide exactly whether (s1, s2) is an equilibrium.
@@ -469,9 +468,7 @@ def verify_equilibrium(
         analysis = analyze(net)
     u1, u2 = expected_payoffs(net, s1, s2, params)
     router_best = best_router_response(net, s2, params, max_paths)
-    attacker_best = best_attacker_response(
-        net, s1, params, max_attack_edges, exhaustive=exhaustive_attacks
-    )
+    attacker_best = best_attacker_response(net, s1, params, max_attack_edges)
     router_gap = router_best.value - u1
     attacker_gap = attacker_best.value - u2
     is_ne = router_gap == 0 and attacker_gap == 0
@@ -505,6 +502,18 @@ def _is_cheapest_max_flow(net, flow, analysis) -> bool:
     )
 
 
+def _verdict(name: str, misses: list, passed: str, failed: str = "") -> PropertyCheck:
+    """A check fails iff it has misses. Its detail is ``passed`` when it
+    passes, and otherwise ``failed`` or, without one, the misses."""
+    if not misses:
+        return PropertyCheck(name, "pass", passed)
+    return PropertyCheck(name, "fail", failed or "; ".join(misses))
+
+
+def _label(edge) -> str:
+    return f"({edge.tail}, {edge.head})"
+
+
 def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple:
     theta = analysis.max_flow_value
     unit_cost = analysis.cheapest_path_cost
@@ -532,124 +541,83 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple
         for name, actual, expected in comparisons
         if actual != expected
     ]
-    checks.append(
-        PropertyCheck(
-            "closed-form quantities",
-            "fail" if mismatches else "pass",
-            "; ".join(mismatches) or "direct expectations match the closed forms",
-        )
-    )
+    checks.append(_verdict(
+        "closed-form quantities", mismatches, "direct expectations match the closed forms"
+    ))
 
     # No supported attack costs more than disrupting a min-cut.
-    over_budget = [
-        atk for atk, _ in s2.support if attack_cost(net, atk) > theta
-    ]
-    checks.append(
-        PropertyCheck(
-            "attack cost within min-cut budget",
-            "fail" if over_budget else "pass",
-            f"{len(over_budget)} supported attacks cost more than {theta}"
-            if over_budget
-            else f"every supported attack costs at most {theta}",
-        )
-    )
+    over_budget = [atk for atk, _ in s2.support if attack_cost(net, atk) > theta]
+    checks.append(_verdict(
+        "attack cost within min-cut budget", over_budget,
+        f"every supported attack costs at most {theta}",
+        f"{len(over_budget)} supported attacks cost more than {theta}",
+    ))
 
     # Every disrupted edge is filled to capacity by every optimal routing.
     disrupted = sorted({i for atk, _ in s2.support for i in atk.edge_ids})
     optimal_amounts = analysis.optimal_flow.edge_amounts(net)
     unsaturated = [
-        i for i in disrupted if not edge_always_saturated(net, optimal_amounts, i)
+        _label(net.edge(i))
+        for i in disrupted
+        if not edge_always_saturated(net, optimal_amounts, i)
     ]
-    checks.append(
-        PropertyCheck(
-            "disrupted edges saturated by every optimal routing",
-            "fail" if unsaturated else "pass",
-            "edges "
-            + ", ".join(
-                f"({net.edge(i).tail}, {net.edge(i).head})" for i in unsaturated
-            )
-            + " admit an optimal routing below capacity"
-            if unsaturated
-            else "all disrupted edges are saturated in every optimal routing",
-        )
-    )
+    checks.append(_verdict(
+        "disrupted edges saturated by every optimal routing", unsaturated,
+        "all disrupted edges are saturated in every optimal routing",
+        f"edges {', '.join(unsaturated)} admit an optimal routing below capacity",
+    ))
 
     cuts = all_min_cuts(net, optimal_amounts)
     loads = expected_edge_loads(net, s1)
 
-    # Expected load on each min-cut edge equals its capacity over p2.
-    load_misses = []
-    for cut in cuts:
-        for edge_id in cut.cut_set:
-            expected = net.edge(edge_id).capacity / p2
-            if loads[edge_id] != expected:
-                edge = net.edge(edge_id)
-                load_misses.append(
-                    f"({edge.tail}, {edge.head}): {loads[edge_id]} != {expected}"
-                )
-    checks.append(
-        PropertyCheck(
-            "min-cut edge loads equal capacity over p2",
-            "fail" if load_misses else "pass",
-            "; ".join(load_misses)
-            or f"checked {len(cuts)} min-cut(s)",
-        )
-    )
+    def cut_edges(chosen):
+        return [net.edge(i) for cut in chosen for i in cut.cut_set]
+
+    # Expected load on each min-cut edge equals its capacity over p2, and
+    # some supported flow uses the edge: support probabilities are
+    # positive, so exactly when its expected load is.
+    load_misses, uncovered = [], []
+    for edge in cut_edges(cuts):
+        load = loads[edge.id]
+        if load != edge.capacity / p2:
+            load_misses.append(f"{_label(edge)}: {load} != {edge.capacity / p2}")
+        if load == 0:
+            uncovered.append(_label(edge))
+    checks.append(_verdict(
+        "min-cut edge loads equal capacity over p2", load_misses,
+        f"checked {len(cuts)} min-cut(s)",
+    ))
 
     # Uniform disruption probability when the attacks live inside one cut.
+    name = "uniform disruption probability across the min-cut"
     applicable = [
         cut
         for cut in cuts
         if all(set(atk.edge_ids) <= set(cut.cut_set) for atk, _ in s2.support)
     ]
-    if not applicable:
-        checks.append(
-            PropertyCheck(
-                "uniform disruption probability across the min-cut",
-                "not applicable",
-                "supported attacks are not contained in a single min-cut",
-            )
-        )
-    else:
-        expected_prob = 1 - unit_cost / p1
-        prob_misses = []
-        for cut in applicable:
-            for edge_id in cut.cut_set:
-                prob = sum(
-                    (q for atk, q in s2.support if edge_id in atk.edge_ids), ZERO
-                )
-                if prob != expected_prob:
-                    edge = net.edge(edge_id)
-                    prob_misses.append(
-                        f"({edge.tail}, {edge.head}): {prob} != {expected_prob}"
-                    )
-        checks.append(
-            PropertyCheck(
-                "uniform disruption probability across the min-cut",
-                "fail" if prob_misses else "pass",
-                "; ".join(prob_misses)
-                or f"each edge of {len(applicable)} containing min-cut(s) is "
-                f"disrupted with probability {expected_prob}",
-            )
-        )
-
-    # Every min-cut edge is used by some supported flow: support
-    # probabilities are positive, so exactly when its expected load is.
-    uncovered = []
-    for cut in cuts:
-        for edge_id in cut.cut_set:
-            if loads[edge_id] == 0:
-                edge = net.edge(edge_id)
-                uncovered.append(f"({edge.tail}, {edge.head})")
+    expected_prob = 1 - unit_cost / p1
+    prob_misses = []
+    for edge in cut_edges(applicable):
+        prob = sum((q for atk, q in s2.support if edge.id in atk.edge_ids), ZERO)
+        if prob != expected_prob:
+            prob_misses.append(f"{_label(edge)}: {prob} != {expected_prob}")
     checks.append(
-        PropertyCheck(
-            "min-cut edges covered by supported flows",
-            "fail" if uncovered else "pass",
-            "no supported flow crosses " + ", ".join(uncovered)
-            if uncovered
-            else "every min-cut edge carries flow under some supported action",
+        _verdict(
+            name, prob_misses,
+            f"each edge of {len(applicable)} containing min-cut(s) is "
+            f"disrupted with probability {expected_prob}",
+        )
+        if applicable
+        else PropertyCheck(
+            name, "not applicable", "supported attacks are not contained in a single min-cut"
         )
     )
+
+    checks.append(_verdict(
+        "min-cut edges covered by supported flows", uncovered,
+        "every min-cut edge carries flow under some supported action",
+        "no supported flow crosses " + ", ".join(uncovered),
+    ))
 
     # Probability bounds on the four named actions when supported.
     bound_misses = []
@@ -670,13 +638,10 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple
             bound_misses.append(
                 f"a full min-cut attack has probability {prob} > {1 - unit_cost / p1}"
             )
-    checks.append(
-        PropertyCheck(
-            "support probability bounds",
-            "fail" if bound_misses else "pass",
-            "; ".join(bound_misses) or "all supported named actions respect their bounds",
-        )
-    )
+    checks.append(_verdict(
+        "support probability bounds", bound_misses,
+        "all supported named actions respect their bounds",
+    ))
 
     # Delivery identity: what the optimal routing would deliver under the
     # attacker's mixture equals the max-flow value minus the expected
@@ -685,14 +650,14 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple
         lambda atk: effective_flow(net, analysis.optimal_flow, atk).value
     )
     expected_delivery = theta - exps.attack_cost
-    checks.append(
-        PropertyCheck(
-            "optimal-routing delivery identity",
-            "pass" if delivered == expected_delivery else "fail",
-            f"expected delivery of the optimal routing is {delivered}, "
-            f"max-flow value minus expected attack cost is {expected_delivery}",
-        )
+    detail = (
+        f"expected delivery of the optimal routing is {delivered}, "
+        f"max-flow value minus expected attack cost is {expected_delivery}"
     )
+    checks.append(_verdict(
+        "optimal-routing delivery identity",
+        [detail] if delivered != expected_delivery else [], detail,
+    ))
 
     return tuple(checks)
 
@@ -723,8 +688,8 @@ def minimax_certificate(
     params: GameParams,
     player: int,
     analysis: Optional[FlowAnalysis] = None,
-    max_paths: int = 5000,
-    max_attack_edges: int = 20,
+    max_paths: int = MAX_PATHS,
+    max_attack_edges: int = MAX_ATTACK_EDGES,
 ) -> tuple:
     """An opponent mixture capping the player's best response at zero.
 

@@ -41,6 +41,7 @@ from flowgame import (
 from flowgame.game import ZERO
 
 from conftest import random_network, random_path_flow, random_probabilities
+from oracles import brute_force_attacker_response
 
 F = Fraction
 
@@ -89,14 +90,12 @@ def test_criterion_03_mixed_equilibrium_verifies(triple_cut_net):
         profile = construct_equilibrium(triple_cut_net, params)
         assert [p for _, p in profile.s1.support] == [F(1, 2), F(1, 2)]
         assert [p for _, p in profile.s2.support] == [F(1, 2), F(1, 2)]
-        report = verify_equilibrium(
-            triple_cut_net,
-            profile.s1,
-            profile.s2,
-            params,
-            exhaustive_attacks=True,  # all 2**9 attacks
-        )
+        report = verify_equilibrium(triple_cut_net, profile.s1, profile.s2, params)
         assert report.is_ne
+        # none of all 2**9 attacks does better
+        assert report.attacker_best.value == brute_force_attacker_response(
+            triple_cut_net, profile.s1, params, exhaustive=True
+        ).value
         assert report.router_gap == 0
         assert report.attacker_gap == 0
         assert time.monotonic() - started < 5.0
@@ -167,8 +166,11 @@ def test_criterion_07_detour_network(detour_net):
         s1 = mixture([(zero, 1 - F(1, 2)), (detour, F(1, 2))])
         s2 = mixture([(attack(detour_net), F(3) / F(7, 2)),
                       (middle, 1 - F(3) / F(7, 2))])
-        report = verify_equilibrium(detour_net, s1, s2, params, exhaustive_attacks=True)
+        report = verify_equilibrium(detour_net, s1, s2, params)
         assert report.is_ne
+        assert report.attacker_best.value == brute_force_attacker_response(
+            detour_net, s1, params, exhaustive=True
+        ).value
         assert report.router_gap == 0 and report.attacker_gap == 0
 
         # the mixture built from the optimal flow and min-cut must fail here
@@ -179,9 +181,11 @@ def test_criterion_07_detour_network(detour_net):
                 (attack(detour_net, analysis.min_cut.cut_set), F(1, 7)),
             ]
         )
-        bad = verify_equilibrium(detour_net, bad_s1, bad_s2, params,
-                                 exhaustive_attacks=True)
+        bad = verify_equilibrium(detour_net, bad_s1, bad_s2, params)
         assert not bad.is_ne
+        assert bad.attacker_best.value == brute_force_attacker_response(
+            detour_net, bad_s1, params, exhaustive=True
+        ).value
         assert max(bad.router_gap, bad.attacker_gap) > 0
 
 

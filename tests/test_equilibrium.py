@@ -161,9 +161,10 @@ def test_zero_cost_path_puts_every_p1_above_the_cost():
     assert profile.provenance == "contested-mixed"
     assert len(profile.s2.support) == 1  # only the full min-cut attack
     assert not profile.s2.support[0][0].is_empty
-    report = verify_equilibrium(net, profile.s1, profile.s2, params,
-                                exhaustive_attacks=True)
+    report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
+    # no attack on any set of edges, loaded or not, does better
+    assert report.attacker_best.value == brute_force_attacker_response(net, profile.s1, params, exhaustive=True).value
     statuses = {check.name: check.status for check in report.checks}
     assert set(statuses.values()) == {"pass"}
 
@@ -282,7 +283,7 @@ def test_pruned_and_exhaustive_attacker_responses_agree():
         flows = list(dict.fromkeys(random_path_flow(rng, net, paths) for _ in range(2)))
         s1 = mixture(zip(flows, random_probabilities(rng, len(flows))))
         pruned = best_attacker_response(net, s1, params)
-        full = best_attacker_response(net, s1, params, exhaustive=True)
+        full = brute_force_attacker_response(net, s1, params, exhaustive=True)
         assert pruned.value == full.value
 
 
@@ -325,11 +326,15 @@ def test_attacker_search_matches_brute_force_on_random_networks():
             )
         )
         s1 = mixture(zip(flows, random_probabilities(rng, len(flows))))
-        for exhaustive in (False, True):
-            fast = best_attacker_response(net, s1, params, exhaustive=exhaustive)
-            slow = brute_force_attacker_response(net, s1, params, exhaustive=exhaustive)
-            assert fast.value == slow.value
-            assert fast.action.edge_ids == slow.action.edge_ids
+        fast = best_attacker_response(net, s1, params)
+        slow = brute_force_attacker_response(net, s1, params)
+        assert fast.value == slow.value
+        assert fast.action.edge_ids == slow.action.edge_ids
+        # unloaded edges add nothing: every subset of every edge gives the
+        # same value (an all-edge tie may pick another set, through
+        # zero-capacity unloaded edges)
+        full = brute_force_attacker_response(net, s1, params, exhaustive=True)
+        assert fast.value == full.value
 
 
 def complete_layered_network(rng, width):
@@ -384,10 +389,11 @@ def test_attacker_tie_goes_to_lexicographically_smallest_set(shared_at):
     assert all(attacker_payoff(net, flow, atk, params) == 2 for atk in optima)
     expected = min(atk.edge_ids for atk in optima)
 
+    best = best_attacker_response(net, point_mass(flow), params)
+    assert best.value == 2
+    assert best.action.edge_ids == expected
+    # every edge carries flow, so scoring every edge set picks the same one
     for exhaustive in (False, True):
-        best = best_attacker_response(net, point_mass(flow), params, exhaustive=exhaustive)
-        assert best.value == 2
-        assert best.action.edge_ids == expected
         slow = brute_force_attacker_response(
             net, point_mass(flow), params, exhaustive=exhaustive
         )
@@ -456,10 +462,10 @@ def test_saturation_matches_lp_oracle():
 def test_constructed_equilibrium_verifies_with_property_checks(contested):
     net, params, analysis = contested
     profile = construct_equilibrium(net, params, analysis)
-    report = verify_equilibrium(
-        net, profile.s1, profile.s2, params, exhaustive_attacks=True
-    )
+    report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
+    # no attack on any set of edges, loaded or not, does better
+    assert report.attacker_best.value == brute_force_attacker_response(net, profile.s1, params, exhaustive=True).value
     assert report.router_gap == 0 and report.attacker_gap == 0
     assert report.u1 == 0 and report.u2 == 0
     statuses = {check.name: check.status for check in report.checks}
@@ -497,8 +503,10 @@ def test_detour_net_special_equilibrium(detour_net):
     middle = attack(detour_net, [("1", "2")])
     s1 = mixture([(zero, F(1, 2)), (detour, F(1, 2))])
     s2 = mixture([(attack(detour_net), F(6, 7)), (middle, F(1, 7))])
-    report = verify_equilibrium(detour_net, s1, s2, params, exhaustive_attacks=True)
+    report = verify_equilibrium(detour_net, s1, s2, params)
     assert report.is_ne
+    # no attack on any set of edges, loaded or not, does better
+    assert report.attacker_best.value == brute_force_attacker_response(detour_net, s1, params, exhaustive=True).value
     assert report.router_gap == 0 and report.attacker_gap == 0
     # outside the cheapest-routing world the structural checks do not apply
     assert report.checks == ()
@@ -514,8 +522,10 @@ def test_detour_net_mixture_from_optimal_flow_fails(detour_net):
             (attack(detour_net, analysis.min_cut.cut_set), F(1, 7)),
         ]
     )
-    report = verify_equilibrium(detour_net, s1, s2, params, exhaustive_attacks=True)
+    report = verify_equilibrium(detour_net, s1, s2, params)
     assert not report.is_ne
+    # no attack on any set of edges, loaded or not, does better
+    assert report.attacker_best.value == brute_force_attacker_response(detour_net, s1, params, exhaustive=True).value
     assert report.router_gap > 0
 
 
@@ -546,8 +556,10 @@ def test_larger_support_equilibrium_on_parallel_routes():
     cut_a = attack(net, [("s", "a"), ("s", "b")])
     cut_b = attack(net, [("a", "t"), ("s", "b")])
     s2 = mixture([(attack(net), F(1, 2)), (cut_a, F(1, 4)), (cut_b, F(1, 4))])
-    report = verify_equilibrium(net, s1, s2, params, exhaustive_attacks=True)
+    report = verify_equilibrium(net, s1, s2, params)
     assert report.is_ne
+    # no attack on any set of edges, loaded or not, does better
+    assert report.attacker_best.value == brute_force_attacker_response(net, s1, params, exhaustive=True).value
     statuses = {check.name: check.status for check in report.checks}
     # the supported attacks span two different min-cuts, so the uniform
     # disruption claim does not apply; everything else must hold
@@ -570,8 +582,10 @@ def test_single_cut_alternative_equilibrium_on_parallel_routes():
     s1 = mixture([(path_flow(net), F(1, 2)), (analysis.optimal_flow, F(1, 2))])
     cut_b = attack(net, [("a", "t"), ("s", "b")])
     s2 = mixture([(attack(net), F(1, 2)), (cut_b, F(1, 2))])
-    report = verify_equilibrium(net, s1, s2, params, exhaustive_attacks=True)
+    report = verify_equilibrium(net, s1, s2, params)
     assert report.is_ne
+    # no attack on any set of edges, loaded or not, does better
+    assert report.attacker_best.value == brute_force_attacker_response(net, s1, params, exhaustive=True).value
     statuses = {check.name: check.status for check in report.checks}
     assert set(statuses.values()) == {"pass"}
 
@@ -583,9 +597,10 @@ def test_property_checks_with_several_min_cuts():
     net = make_network(["s", "a", "t"], [("s", "a", 2, 1), ("a", "t", 2, 1)], "s", "t")
     params = GameParams(F(4), F(2))
     profile = construct_equilibrium(net, params)
-    report = verify_equilibrium(net, profile.s1, profile.s2, params,
-                                exhaustive_attacks=True)
+    report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
+    # no attack on any set of edges, loaded or not, does better
+    assert report.attacker_best.value == brute_force_attacker_response(net, profile.s1, params, exhaustive=True).value
     statuses = {check.name: check.status for check in report.checks}
     assert statuses["min-cut edge loads equal capacity over p2"] == "pass"
     assert statuses["min-cut edges covered by supported flows"] == "pass"

@@ -141,12 +141,12 @@ def test_cli_fuzz_exits_cleanly_with_one_line_errors(tmp_path_factory, run):
 
     argv = [command[0], str(network_path)]
     if command[0] != "analyze":
-        argv += ["--p1", p1, "--p2", p2]
+        argv += ["--p1", p1, "--p2", p2, "--max-paths", "50", "--max-attack-edges", "8"]
     if command[0] in ("verify", "best-response"):
         argv += [str(profile_path), *command[1:]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--max-paths", "50", "--max-attack-edges", "8"])
+        code = main(argv)
     assert code in range(6), (argv, code)
     message = err.getvalue()
     if message:
