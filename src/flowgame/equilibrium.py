@@ -571,7 +571,12 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple
     loads = expected_edge_loads(net, s1)
 
     def cut_edges(chosen):
-        return [net.edge(i) for cut in chosen for i in cut.cut_set]
+        """The positive-capacity edges the chosen cuts cross. A cut's edge
+        set also holds its zero-capacity edges, but those carry no flow,
+        and disrupting one costs and changes nothing, so their loads and
+        disruption probabilities are free."""
+        edges = (net.edge(i) for cut in chosen for i in cut.cut_set)
+        return [edge for edge in edges if edge.capacity > 0]
 
     # Expected load on each min-cut edge equals its capacity over p2, and
     # some supported flow uses the edge: support probabilities are

@@ -608,6 +608,57 @@ def test_property_checks_with_several_min_cuts():
     assert statuses["closed-form quantities"] == "pass"
 
 
+def test_zero_capacity_min_cut_edges_are_skipped():
+    # The min-cut {s} crosses (s, a) and the zero-capacity (s, t), which
+    # no flow can use: the coverage check must not ask for flow on it,
+    # nor the uniform-disruption check for an attack on it.
+    net = make_network(
+        ["s", "a", "t"], [("s", "a", 1, 1), ("a", "t", 2, 1), ("s", "t", 0, 1)], "s", "t"
+    )
+    params = GameParams(F(6), F(2))
+    analysis = analyze(net)
+    assert analysis.min_cut.cut_set == attack(net, [("s", "a"), ("s", "t")]).edge_ids
+    profile = construct_equilibrium(net, params, analysis)
+    # the constructed attack, and the same attack without (s, t)
+    positive = mixture([(attack(net), F(1, 3)), (attack(net, [("s", "a")]), F(2, 3))])
+    for s2 in (profile.s2, positive):
+        report = verify_equilibrium(net, profile.s1, s2, params)
+        assert report.is_ne
+        details = {check.name: (check.status, check.detail) for check in report.checks}
+        assert {status for status, _ in details.values()} == {"pass"}
+        assert details["min-cut edges covered by supported flows"][1] == (
+            "every min-cut edge carries flow under some supported action"
+        )
+        assert details["uniform disruption probability across the min-cut"][1] == (
+            "each edge of 1 containing min-cut(s) is disrupted with probability 2/3"
+        )
+
+
+def test_constructed_region_three_equilibria_pass_every_check():
+    # Random networks with capacities 0-3, where min-cuts often cross
+    # zero-capacity edges: every check of a constructed Region III
+    # equilibrium passes or does not apply.
+    rng = random.Random(5)
+    verified = crossing_zero = 0
+    for _ in range(280):
+        net = random_network(rng)
+        analysis = analyze(net)
+        if analysis.cheapest_path_cost is None or not analysis.cheapest_routing:
+            continue
+        params = GameParams(analysis.cheapest_path_cost + 1, F(2))
+        profile = construct_equilibrium(net, params, analysis)
+        report = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+        assert report.is_ne
+        assert len(report.checks) == 8
+        statuses = {check.status for check in report.checks}
+        assert statuses <= {"pass", "not applicable"}, (net, report.checks)
+        verified += 1
+        cut = analysis.min_cut.cut_set
+        crossing_zero += any(net.edge(i).capacity == 0 for i in cut)
+    assert verified >= 100
+    assert crossing_zero >= 30
+
+
 # ---------------------------------------------------------------------------
 # Maximin and minimax
 # ---------------------------------------------------------------------------
