@@ -14,6 +14,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -482,8 +483,16 @@ def cmd_maximin(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing the usage block and
+    exiting, so that ``main`` reports them as one ``error:`` line."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowgame",
         description=(
             "Exact solver and verifier for a two-player network routing "
@@ -542,10 +551,15 @@ _LINE_BREAKS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except FlowGameError as exc:
         print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)

@@ -14,7 +14,7 @@ class FlowGameError(Exception):
 # ---------------------------------------------------------------------------
 
 class ParseError(FlowGameError):
-    """Malformed file content or a non-exact numeric literal."""
+    """A malformed command line or file, or a non-exact numeric literal."""
 
 
 class NetworkValidationError(FlowGameError):

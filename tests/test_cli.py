@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from flowgame import cli
 from flowgame.cli import main
 
 from conftest import FIXTURES
@@ -623,6 +624,56 @@ def test_negative_budgets_exit_2(tmp_path, capsys, command, flag):
     assert err == f"error: {flag} must be nonnegative, got -1\n"
     code, _, err = run(capsys, *argv, flag, "0")
     assert code == (5 if flag == "--max-paths" else 0)
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["solve", TRIPLE_CUT, "--p1", "6"], "required: --p2"),
+        (["solve", TRIPLE_CUT, "--p1", "6", "--p2", "2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["analyze", TRIPLE_CUT, "--max-paths", "5"], "unrecognized arguments: --max-paths 5"),
+        (["analyze", TRIPLE_CUT, "--max-attack-edges", "-4"], "unrecognized arguments"),
+        (
+            ["best-response", TRIPLE_CUT, "x.json", "--player", "3", "--p1", "6", "--p2", "2"],
+            "argument --player: invalid choice",
+        ),
+        (["maximin", TRIPLE_CUT, "--p1", "6", "--p2", "2", "--max-paths", "x"], "--max-paths"),
+        ([], "required: command"),
+    ],
+)
+def test_usage_errors_print_one_line(capsys, argv, fragment):
+    # argparse's message, without its usage block, on the one error line
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    assert_one_line_error(code, err)
+    assert fragment in err
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: flowgame solve")
+    assert "--max-paths" in out and "--max-attack-edges" in out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["analyze", TRIPLE_CUT]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
