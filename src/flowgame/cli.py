@@ -150,15 +150,14 @@ def _verification_json(net: Network, report: VerificationReport) -> dict:
 
 
 def _analysis_json(net: Network, analysis: FlowAnalysis) -> dict:
+    optimal = _flow_json(net, analysis.optimal_flow)
     if analysis.cheapest_routing is None:
         routing = "not applicable"
         witness = None
     elif analysis.cheapest_routing:
         routing = True
-        witness = {
-            "kind": "cheapest-path flow",
-            "flow": _flow_json(net, analysis.routing_witness),
-        }
+        # The witness is the optimal flow itself.
+        witness = {"kind": "cheapest-path flow", "flow": optimal}
     else:
         routing = False
         nodes, cost = analysis.routing_witness
@@ -177,7 +176,7 @@ def _analysis_json(net: Network, analysis: FlowAnalysis) -> dict:
             else _rat(analysis.cheapest_path_cost)
         ),
         "min_cut": _cut_json(net, analysis.min_cut),
-        "optimal_flow": _flow_json(net, analysis.optimal_flow),
+        "optimal_flow": optimal,
         "min_transport_cost": _rat(analysis.min_transport_cost),
         "cheapest_routing": routing,
         "routing_witness": witness,
