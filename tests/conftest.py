@@ -75,6 +75,21 @@ def random_network(rng: random.Random, max_internal: int = 4) -> Network:
     return make_network(nodes, edges, "s", "t")
 
 
+def random_tie_network(rng: random.Random) -> Network:
+    """A complete directed network on 3-5 nodes, capacities 1-2 and costs
+    mostly 0, so that a shortest path often reaches a node by a forward
+    and a backward arc at equal reduced cost: the tie order then decides
+    which one the min-cost max-flow takes."""
+    nodes = ["s", "t"] + [f"v{i}" for i in range(rng.randint(1, 3))]
+    edges = [
+        (tail, head, rng.randint(1, 2), 0 if rng.random() < 0.7 else 1)
+        for tail in nodes
+        for head in nodes
+        if tail != head
+    ]
+    return make_network(nodes, edges, "s", "t")
+
+
 def _non_integer(rng: random.Random, denominators, top: int) -> Fraction:
     """A rational between 0 and ``top`` that is not an integer, over one of
     the given denominators."""

@@ -32,7 +32,7 @@ from flowgame.cli import main
 from flowgame.flows import _canonical_cut
 from flowgame.lp import solve_lp
 
-from conftest import random_network, random_rational_network
+from conftest import random_network, random_rational_network, random_tie_network
 from oracles import (
     distinct_partition_min_cuts,
     fraction_canonical_cut,
@@ -341,6 +341,27 @@ def test_reversed_edge_list_takes_the_other_tie_order():
     assert second[1] == cost
     assert flow_value(net, first) == flow_value(net, second[0]) == 3
     assert all_min_cuts(net, first) == all_min_cuts(net, second[0])
+
+
+def test_tie_orders_differ_on_dense_zero_cost_networks():
+    # The random families above almost never tie; this one does. Where
+    # the two orders build different flows, each must be the oracle's in
+    # the same order, with one value, one cost and one set of min-cuts.
+    rng = random.Random(1)
+    differing = 0
+    for _ in range(1000):
+        net = random_tie_network(rng)
+        first, cost = min_cost_max_flow(net)
+        second, second_cost = min_cost_max_flow_reversed(net)
+        if first == second:
+            continue
+        differing += 1
+        assert (first, cost) == fraction_min_cost_max_flow(net)
+        assert (second, second_cost) == fraction_min_cost_max_flow(net, reverse_ties=True)
+        assert flow_value(net, first) == flow_value(net, second)
+        assert cost == second_cost
+        assert all_min_cuts(net, first) == all_min_cuts(net, second)
+    assert differing >= 20
 
 
 def test_routing_check_agrees_with_per_path_criterion():
