@@ -31,12 +31,11 @@ from flowgame import (
     attack,
     edge_always_saturated,
     expected_payoffs,
-    mixture,
     path_flow,
     point_mass,
 )
 from flowgame.cli import load_network
-from flowgame.equilibrium import _equilibrium_property_checks
+from flowgame.equilibrium import _equilibrium_property_checks, _mixture_drop_zero
 
 HERE = Path(__file__).resolve().parent
 GOLDENS = HERE / "check_goldens.json"
@@ -46,20 +45,16 @@ BUILT_AT = GameParams(Fraction(6), Fraction(2))
 DOUBLED = GameParams(Fraction(12), Fraction(4))
 
 
-def _mix(pairs):
-    return mixture([(action, prob) for action, prob in pairs if prob != 0])
-
-
 def _profiles(net, analysis):
     """(label, s1, s2, params) for each crafted profile. The Region III
     mixture is built by hand, so the detour fixtures, where
     ``construct_equilibrium`` refuses, get one too."""
     p1, p2, cost = BUILT_AT.p1, BUILT_AT.p2, analysis.cheapest_path_cost
     zero, no_attack = path_flow(net), attack(net)
-    s1 = _mix([(zero, 1 - 1 / p2), (analysis.optimal_flow, 1 / p2)])
+    s1 = _mixture_drop_zero([(zero, 1 - 1 / p2), (analysis.optimal_flow, 1 / p2)])
 
     def attacker(atk):
-        return _mix([(no_attack, cost / p1), (atk, 1 - cost / p1)])
+        return _mixture_drop_zero([(no_attack, cost / p1), (atk, 1 - cost / p1)])
 
     s2 = attacker(attack(net, analysis.min_cut.cut_set))
     yield "region III profile", s1, s2, BUILT_AT

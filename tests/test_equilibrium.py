@@ -52,6 +52,13 @@ def contested(triple_cut_net):
     return triple_cut_net, params, analysis
 
 
+def assert_no_edge_set_does_better(report, net, s1, params):
+    """The attacker's best response in ``report`` is worth as much as the
+    best attack on any set of edges, loaded or not."""
+    full = brute_force_attacker_response(net, s1, params, exhaustive=True)
+    assert report.attacker_best.value == full.value
+
+
 # ---------------------------------------------------------------------------
 # Region classification
 # ---------------------------------------------------------------------------
@@ -163,8 +170,7 @@ def test_zero_cost_path_puts_every_p1_above_the_cost():
     assert not profile.s2.support[0][0].is_empty
     report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
-    # no attack on any set of edges, loaded or not, does better
-    assert report.attacker_best.value == brute_force_attacker_response(net, profile.s1, params, exhaustive=True).value
+    assert_no_edge_set_does_better(report, net, profile.s1, params)
     statuses = {check.name: check.status for check in report.checks}
     assert set(statuses.values()) == {"pass"}
 
@@ -464,8 +470,7 @@ def test_constructed_equilibrium_verifies_with_property_checks(contested):
     profile = construct_equilibrium(net, params, analysis)
     report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
-    # no attack on any set of edges, loaded or not, does better
-    assert report.attacker_best.value == brute_force_attacker_response(net, profile.s1, params, exhaustive=True).value
+    assert_no_edge_set_does_better(report, net, profile.s1, params)
     assert report.router_gap == 0 and report.attacker_gap == 0
     assert report.u1 == 0 and report.u2 == 0
     statuses = {check.name: check.status for check in report.checks}
@@ -505,8 +510,7 @@ def test_detour_net_special_equilibrium(detour_net):
     s2 = mixture([(attack(detour_net), F(6, 7)), (middle, F(1, 7))])
     report = verify_equilibrium(detour_net, s1, s2, params)
     assert report.is_ne
-    # no attack on any set of edges, loaded or not, does better
-    assert report.attacker_best.value == brute_force_attacker_response(detour_net, s1, params, exhaustive=True).value
+    assert_no_edge_set_does_better(report, detour_net, s1, params)
     assert report.router_gap == 0 and report.attacker_gap == 0
     # outside the cheapest-routing world the structural checks do not apply
     assert report.checks == ()
@@ -524,8 +528,7 @@ def test_detour_net_mixture_from_optimal_flow_fails(detour_net):
     )
     report = verify_equilibrium(detour_net, s1, s2, params)
     assert not report.is_ne
-    # no attack on any set of edges, loaded or not, does better
-    assert report.attacker_best.value == brute_force_attacker_response(detour_net, s1, params, exhaustive=True).value
+    assert_no_edge_set_does_better(report, detour_net, s1, params)
     assert report.router_gap > 0
 
 
@@ -558,8 +561,7 @@ def test_larger_support_equilibrium_on_parallel_routes():
     s2 = mixture([(attack(net), F(1, 2)), (cut_a, F(1, 4)), (cut_b, F(1, 4))])
     report = verify_equilibrium(net, s1, s2, params)
     assert report.is_ne
-    # no attack on any set of edges, loaded or not, does better
-    assert report.attacker_best.value == brute_force_attacker_response(net, s1, params, exhaustive=True).value
+    assert_no_edge_set_does_better(report, net, s1, params)
     statuses = {check.name: check.status for check in report.checks}
     # the supported attacks span two different min-cuts, so the uniform
     # disruption claim does not apply; everything else must hold
@@ -584,8 +586,7 @@ def test_single_cut_alternative_equilibrium_on_parallel_routes():
     s2 = mixture([(attack(net), F(1, 2)), (cut_b, F(1, 2))])
     report = verify_equilibrium(net, s1, s2, params)
     assert report.is_ne
-    # no attack on any set of edges, loaded or not, does better
-    assert report.attacker_best.value == brute_force_attacker_response(net, s1, params, exhaustive=True).value
+    assert_no_edge_set_does_better(report, net, s1, params)
     statuses = {check.name: check.status for check in report.checks}
     assert set(statuses.values()) == {"pass"}
 
@@ -599,8 +600,7 @@ def test_property_checks_with_several_min_cuts():
     profile = construct_equilibrium(net, params)
     report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
-    # no attack on any set of edges, loaded or not, does better
-    assert report.attacker_best.value == brute_force_attacker_response(net, profile.s1, params, exhaustive=True).value
+    assert_no_edge_set_does_better(report, net, profile.s1, params)
     statuses = {check.name: check.status for check in report.checks}
     assert statuses["min-cut edge loads equal capacity over p2"] == "pass"
     assert statuses["min-cut edges covered by supported flows"] == "pass"
