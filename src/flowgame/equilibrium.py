@@ -57,8 +57,6 @@ from .lp import solve_lp
 from .network import Network, ZERO
 from .rational import to_integers
 
-ONE = Fraction(1)
-
 # Default budgets: simple source-sink paths for the router's best
 # response, candidate edges for the attacker's.
 MAX_PATHS = 5000
@@ -259,6 +257,7 @@ def enumerate_simple_paths(net: Network, budget: int) -> tuple:
     """All simple source-sink paths over positive-capacity edges, in
     lowest-edge-id depth-first order. Raises PathBudgetExceeded as soon as
     the count would pass ``budget``."""
+    capacity = net._integer_form.capacity
     paths = []
     on_path = [net.source]
     visited = {net.source}
@@ -271,7 +270,7 @@ def enumerate_simple_paths(net: Network, budget: int) -> tuple:
             frames.pop()
             visited.remove(on_path.pop())
             continue
-        if e.capacity <= 0 or e.head in visited:
+        if capacity[e.id] <= 0 or e.head in visited:
             continue
         if e.head == net.sink:
             if len(paths) >= budget:
@@ -302,23 +301,37 @@ def best_router_response(
     path flows suffice because the router payoff is linear in path
     amounts and loops only add cost.
     """
+    form = net._integer_form
+    attacks = [(frozenset(atk.edge_ids), q) for atk, q in s2.support]
+    # A path's worth depends only on which attacks it avoids (bit k of the
+    # mask for attack k) and on its scaled cost, so it is computed once per
+    # such key: the positive worth, or None.
+    worths = {}
     weighted = []
     for nodes in enumerate_simple_paths(net, max_paths):
-        ids = frozenset(net.edge_ids_on_path(nodes))
-        survival = sum(
-            (q for atk, q in s2.support if ids.isdisjoint(atk.edge_ids)), ZERO
-        )
-        weight = params.p1 * survival - path_cost(net, nodes)
-        if weight > 0:
-            weighted.append((nodes, ids, weight))
+        ids = net.edge_ids_on_path(nodes)
+        mask = 0
+        for k, (attacked, _) in enumerate(attacks):
+            if attacked.isdisjoint(ids):
+                mask |= 1 << k
+        key = (mask, sum(form.cost[i] for i in ids))
+        if key not in worths:
+            survival = sum((q for k, (_, q) in enumerate(attacks) if mask >> k & 1), ZERO)
+            worth = params.p1 * survival - Fraction(key[1], form.cost_scale)
+            worths[key] = worth if worth > 0 else None
+        if worths[key] is not None:
+            weighted.append((nodes, ids, worths[key]))
     if not weighted:
         return BestResponse(ZERO, PathFlow(()))
 
-    edge_ids = sorted(set().union(*(ids for _, ids, _ in weighted)))
-    rows = []
-    for edge_id in edge_ids:
-        coeffs = [ONE if edge_id in ids else ZERO for _, ids, _ in weighted]
-        rows.append((coeffs, net.edge(edge_id).capacity))
+    # One capacity row per edge some profitable path uses, 0/1 by path.
+    edge_ids = sorted({i for _, ids, _ in weighted for i in ids})
+    row_of = {edge_id: r for r, edge_id in enumerate(edge_ids)}
+    coeffs = [[0] * len(weighted) for _ in edge_ids]
+    for j, (_, ids, _) in enumerate(weighted):
+        for i in ids:
+            coeffs[row_of[i]][j] = 1
+    rows = [(row, net.edge(i).capacity) for row, i in zip(coeffs, edge_ids)]
     result = solve_lp([-w for _, _, w in weighted], ub=rows)
     if result.status != "optimal":
         raise RuntimeError(f"path packing program came back {result.status}")

@@ -1,11 +1,10 @@
 """A small exact linear-program solver over rationals.
 
-Two-phase primal simplex on a dense Fraction tableau with Bland's rule,
-so it terminates on degenerate problems and produces identical output on
-identical input. Floating-point LP libraries cannot serve here: best
-responses and equilibrium gaps are decided by exact equality, and the
-problems are desk-scale (tens of rows), so a textbook tableau is the
-right tool.
+Two-phase primal simplex with Bland's rule, so it terminates on degenerate
+problems and produces identical output on identical input. Floating-point
+LP libraries cannot serve here: best responses and equilibrium gaps are
+decided by exact equality, and the problems are desk-scale (tens of rows
+and up to a few hundred columns), so a textbook tableau is the right tool.
 
 Problems are stated as::
 
@@ -13,16 +12,38 @@ Problems are stated as::
     subject to  A_eq x  = b_eq
                 A_ub x <= b_ub
                 x >= 0
+
+with every number an ``int`` or a ``Fraction``.
+
+The tableau is fraction-free (integer-preserving pivots; Edmonds 1967,
+Bareiss 1968). Each row is a list of ints that stands for itself divided
+by the coefficient of the row's basic variable, which is kept positive.
+Each input row is scaled to ints once, by the LCM of its denominators;
+slack and artificial coefficients stay 1, which only rescales those
+variables, and the phase-1 costs of the artificials are weighted so the
+phase-1 objective is a positive multiple of the plain sum of artificials.
+A pivot on (r, c), with p = row_r[c] > 0, replaces every other row i
+that has a nonzero in column c by p*row_i - row_i[c]*row_r and divides it
+by the gcd of its entries, so no Fraction is built per entry and the
+entries stay as small as the data allow. The reduced-cost row is kept
+only up to a positive factor; the objective is read off the solution.
+
+Scaling a row or a column by a positive factor changes no sign of a
+reduced cost and no order among the ratios rhs/coefficient of one column,
+and those signs and that order are all Bland's rule reads. So the
+entering and leaving choices, the pivot count, the final basis and the
+result are those of the same simplex run on a Fraction tableau (kept in
+the tests as an oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rational import to_integers
 
 
 @dataclass(frozen=True)
@@ -30,93 +51,110 @@ class LpResult:
     status: str  # "optimal", "infeasible", or "unbounded"
     objective: Optional[Fraction]
     solution: Optional[tuple]
+    pivots: int  # of phase 1, the drive-out step and phase 2
+
+
+_EXACT_TYPES = {int, Fraction}
+
+
+def _exact(values) -> list:
+    """The values, each checked to be an ``int`` or a ``Fraction`` (not a
+    ``bool``): a float would carry its binary rounding error into an exact
+    result."""
+    values = list(values)
+    if not set(map(type, values)) <= _EXACT_TYPES:
+        bad = next(v for v in values if type(v) not in _EXACT_TYPES)
+        raise TypeError(f"LP data must be int or Fraction, got {bad!r}")
+    return values
 
 
 def solve_lp(minimize: Sequence, eq: Sequence = (), ub: Sequence = ()) -> LpResult:
     """Solve the LP exactly. ``eq`` and ``ub`` are sequences of
     ``(coefficients, rhs)`` pairs over the same variables as ``minimize``."""
-    costs = [Fraction(c) for c in minimize]
+    costs = _exact(minimize)
     n = len(costs)
 
-    # Assemble equality rows: slacks turn inequalities into equations.
-    rows = []        # each: (coeffs over n originals, rhs, slack_sign or None)
-    for coeffs, rhs in eq:
-        rows.append(([Fraction(a) for a in coeffs], Fraction(rhs), None))
-    for coeffs, rhs in ub:
-        rows.append(([Fraction(a) for a in coeffs], Fraction(rhs), ONE))
-    m = len(rows)
+    # Rows on ints: (coeffs and rhs scaled by the row's LCM, that LCM,
+    # whether the row gets a slack).
+    rows = []
+    for constraints, has_slack in ((eq, False), (ub, True)):
+        for coeffs, rhs in constraints:
+            scale, scaled = to_integers(_exact((*coeffs, rhs)))
+            rows.append((list(scaled), scale, has_slack))
 
-    n_slack = sum(1 for _, _, s in rows if s is not None)
-    slack_start = n
+    n_slack = sum(1 for *_, has_slack in rows if has_slack)
     art_start = n + n_slack
 
     tableau = []
     basis = []
-    artificial_rows = []
-    slack_index = 0
-    for coeffs, rhs, slack_sign in rows:
-        row = coeffs + [ZERO] * n_slack
-        if slack_sign is not None:
-            row[slack_start + slack_index] = slack_sign
-            this_slack = slack_start + slack_index
-            slack_index += 1
-        else:
-            this_slack = None
-        if rhs < 0:
+    artificial = []  # (row index, row scale)
+    slack = n
+    for scaled, scale, has_slack in rows:
+        row = scaled[:-1] + [0] * n_slack + scaled[-1:]
+        this_slack = None
+        if has_slack:
+            row[slack] = 1
+            this_slack = slack
+            slack += 1
+        if row[-1] < 0:
             row = [-v for v in row]
-            rhs = -rhs
-            if this_slack is not None:
-                this_slack = None  # slack coefficient is now -1, unusable as basis
-        if this_slack is not None:
-            basis.append(this_slack)
-        else:
-            artificial_rows.append(len(tableau))
-            basis.append(None)  # patched below once artificial columns exist
-        tableau.append(row + [rhs])
+            this_slack = None  # slack coefficient is now -1, unusable as basis
+        if this_slack is None:
+            artificial.append((len(tableau), scale))
+        basis.append(this_slack)  # artificial rows are patched below
+        tableau.append(row)
 
-    n_art = len(artificial_rows)
+    n_art = len(artificial)
     width = art_start + n_art  # columns excluding rhs
     for row in tableau:
-        row[-1:-1] = [ZERO] * n_art
-    for k, i in enumerate(artificial_rows):
-        tableau[i][art_start + k] = ONE
+        row[-1:-1] = [0] * n_art
+    for k, (i, _) in enumerate(artificial):
+        tableau[i][art_start + k] = 1
         basis[i] = art_start + k
 
-    # Phase 1: minimize the artificial total to find a feasible basis.
+    pivots = 0
+    # Phase 1: minimize the artificial total to find a feasible basis. The
+    # artificial of row i stands for the true one times the row's scale
+    # k_i, so it costs lcm/k_i.
     if n_art:
-        reduced = [ZERO] * (width + 1)
-        for k in range(n_art):
-            reduced[art_start + k] = ONE
-        for i in artificial_rows:
-            for j in range(width + 1):
-                reduced[j] -= tableau[i][j]
-        status = _pivot_until_optimal(tableau, reduced, basis, width)
-        if status != "optimal" or -reduced[-1] > 0:
-            return LpResult("infeasible", None, None)
-        _drive_out_artificials(tableau, basis, art_start)
-        tableau, basis = _drop_artificial_columns(tableau, basis, art_start)
+        lcm = math.lcm(*(scale for _, scale in artificial))
+        reduced = [0] * (width + 1)
+        for k, (i, scale) in enumerate(artificial):
+            weight = lcm // scale
+            reduced[art_start + k] = weight
+            reduced = [v - weight * a for v, a in zip(reduced, tableau[i])]
+        status, pivots = _pivot_until_optimal(tableau, reduced, basis, width)
+        if status != "optimal" or reduced[-1] < 0:
+            return LpResult("infeasible", None, None, pivots)
+        pivots += _drive_out_artificials(tableau, basis, art_start)
+        tableau = [row[:art_start] + row[-1:] for row in tableau]
         width = art_start
 
-    # Phase 2: the real objective.
-    full_costs = costs + [ZERO] * (width - n)
-    reduced = full_costs + [ZERO]
-    for i, b in enumerate(basis):
-        weight = full_costs[b]
+    # Phase 2: the real objective, scaled to ints by its LCM.
+    _, scaled_costs = to_integers(costs)
+    reduced = list(scaled_costs) + [0] * (width - n + 1)
+    for row, b in zip(tableau, basis):
+        weight = reduced[b]
         if weight != 0:
-            for j in range(width + 1):
-                reduced[j] -= weight * tableau[i][j]
-    status = _pivot_until_optimal(tableau, reduced, basis, width)
+            # reduced - weight * row / row[b], times row[b] > 0
+            d = row[b]
+            reduced = _reduce([d * v - weight * a for v, a in zip(reduced, row)])
+    status, phase_2 = _pivot_until_optimal(tableau, reduced, basis, width)
+    pivots += phase_2
     if status == "unbounded":
-        return LpResult("unbounded", None, None)
+        return LpResult("unbounded", None, None, pivots)
 
-    solution = [ZERO] * n
-    for i, b in enumerate(basis):
+    solution = [Fraction(0)] * n
+    for row, b in zip(tableau, basis):
         if b < n:
-            solution[b] = tableau[i][-1]
-    return LpResult("optimal", -reduced[-1], tuple(solution))
+            solution[b] = Fraction(row[-1], row[b])
+    objective = sum((c * x for c, x in zip(costs, solution) if x), Fraction(0))
+    return LpResult("optimal", objective, tuple(solution), pivots)
 
 
-def _pivot_until_optimal(tableau, reduced, basis, width) -> str:
+def _pivot_until_optimal(tableau, reduced, basis, width) -> tuple:
+    """Bland's rule to optimality or unboundedness: ``(status, pivots)``."""
+    pivots = 0
     while True:
         entering = None
         for j in range(width):
@@ -124,39 +162,55 @@ def _pivot_until_optimal(tableau, reduced, basis, width) -> str:
                 entering = j  # Bland: lowest improving index
                 break
         if entering is None:
-            return "optimal"
+            return "optimal", pivots
 
+        # The least ratio rhs/coeff over positive coefficients, ties to the
+        # lowest basic index; ratios compare by cross-multiplying.
         leaving = None
-        best = None
         for i, row in enumerate(tableau):
             coeff = row[entering]
             if coeff > 0:
-                key = (row[-1] / coeff, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leaving = i
+                if leaving is None:
+                    leaving, num, den = i, row[-1], coeff
+                    continue
+                left, right = row[-1] * den, num * coeff
+                if left < right or (left == right and basis[i] < basis[leaving]):
+                    leaving, num, den = i, row[-1], coeff
         if leaving is None:
-            return "unbounded"
+            return "unbounded", pivots
         _pivot(tableau, reduced, basis, leaving, entering)
+        pivots += 1
+
+
+def _reduce(row: list) -> list:
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    if g > 1:
+        return [v // g for v in row]
+    return row
 
 
 def _pivot(tableau, reduced, basis, row, col) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
     pivot_row = tableau[row]
+    p = pivot_row[col]
+    if p < 0:  # the drive-out step; the new basic coefficient must be positive
+        pivot_row = tableau[row] = [-v for v in pivot_row]
+        p = -p
     for r, other in enumerate(tableau):
-        if r != row and other[col] != 0:
-            factor = other[col]
-            tableau[r] = [v - factor * p for v, p in zip(other, pivot_row)]
+        factor = other[col]
+        if r != row and factor != 0:
+            tableau[r] = _reduce([p * v - factor * a for v, a in zip(other, pivot_row)])
     factor = reduced[col]
     if factor != 0:
-        reduced[:] = [v - factor * p for v, p in zip(reduced, pivot_row)]
+        reduced[:] = _reduce([p * v - factor * a for v, a in zip(reduced, pivot_row)])
     basis[row] = col
 
 
-def _drive_out_artificials(tableau, basis, art_start) -> None:
+def _drive_out_artificials(tableau, basis, art_start) -> int:
     """Pivot zero-valued artificial variables out of the basis; a row with
-    no real nonzero coefficient is redundant and removed."""
+    no real nonzero coefficient is redundant and removed. Returns the
+    number of pivots."""
+    pivots = 0
     i = 0
     while i < len(tableau):
         if basis[i] < art_start:
@@ -171,11 +225,8 @@ def _drive_out_artificials(tableau, basis, art_start) -> None:
             del tableau[i]
             del basis[i]
             continue
-        dummy = [ZERO] * (len(tableau[i]))
+        dummy = [0] * len(tableau[i])
         _pivot(tableau, dummy, basis, i, pivot_col)
+        pivots += 1
         i += 1
-
-
-def _drop_artificial_columns(tableau, basis, art_start):
-    trimmed = [row[:art_start] + row[-1:] for row in tableau]
-    return trimmed, basis
+    return pivots

@@ -11,12 +11,14 @@ from flowgame import (
     Cut,
     EdgeBudgetExceeded,
     PathBudgetExceeded,
+    PathFlow,
     attacker_payoff,
     expected_edge_loads,
+    path_cost,
     router_payoff,
 )
 from flowgame.flows import Decomposition, _extract_path, _find_cycle, _subtract
-from flowgame.lp import solve_lp
+from flowgame.lp import LpResult
 from flowgame.network import ZERO
 
 ONE = Fraction(1)
@@ -89,7 +91,7 @@ def lp_edge_always_saturated(net, max_flow_value, min_transport_cost, edge_id):
 
     objective = [ZERO] * n
     objective[edge_id] = ONE
-    result = solve_lp(objective, eq=eq_rows, ub=ub_rows)
+    result = fraction_solve_lp(objective, eq=eq_rows, ub=ub_rows)
     assert result.status == "optimal", result.status
     return result.objective == net.edge(edge_id).capacity
 
@@ -181,6 +183,32 @@ def recursive_simple_paths(net, budget):
 # ---------------------------------------------------------------------------
 # The flow layer on Fraction, as it ran before its integer core
 # ---------------------------------------------------------------------------
+
+def fraction_router_response(net, s2, params, budget=5000):
+    """The router's best response as the path-packing program stated on
+    Fractions: recursive path enumeration, Fraction path costs and
+    survival sums, and the Fraction simplex, with the column and row
+    order of ``best_router_response``."""
+    weighted = []
+    for nodes in recursive_simple_paths(net, budget):
+        ids = frozenset(net.edge_ids_on_path(nodes))
+        survival = sum(
+            (q for atk, q in s2.support if ids.isdisjoint(atk.edge_ids)), ZERO
+        )
+        worth = params.p1 * survival - path_cost(net, nodes)
+        if worth > 0:
+            weighted.append((nodes, ids, worth))
+    if not weighted:
+        return BestResponse(ZERO, PathFlow(()))
+    rows = [
+        ([ONE if edge_id in ids else ZERO for _, ids, _ in weighted], net.edge(edge_id).capacity)
+        for edge_id in sorted(set().union(*(ids for _, ids, _ in weighted)))
+    ]
+    result = fraction_solve_lp([-w for _, _, w in weighted], ub=rows)
+    assert result.status == "optimal", result.status
+    amounts = [(nodes, x) for (nodes, _, _), x in zip(weighted, result.solution) if x > 0]
+    return BestResponse(-result.objective, PathFlow(tuple(sorted(amounts))))
+
 
 def _arcs_by_node(net, reverse_ties=False):
     """Residual adjacency: node -> tuple of (edge id, is_forward, other end),
@@ -329,3 +357,151 @@ def fraction_canonical_cut(net, flow):
     cut_ids = tuple(e.id for e in net.edges if e.tail in side and e.head not in side)
     capacity = sum((net.edge(i).capacity for i in cut_ids), ZERO)
     return Cut(frozenset(side), cut_ids, capacity)
+
+
+def fraction_solve_lp(minimize, eq=(), ub=()):
+    """The two-phase Bland simplex of ``flowgame.lp.solve_lp`` on a dense
+    Fraction tableau, each row divided through by its pivot: the same
+    pivot sequence, counted the same way, in plain rational arithmetic."""
+    costs = [Fraction(c) for c in minimize]
+    n = len(costs)
+
+    # Assemble equality rows: slacks turn inequalities into equations.
+    rows = []        # each: (coeffs over n originals, rhs, has_slack)
+    for coeffs, rhs in eq:
+        rows.append(([Fraction(a) for a in coeffs], Fraction(rhs), False))
+    for coeffs, rhs in ub:
+        rows.append(([Fraction(a) for a in coeffs], Fraction(rhs), True))
+
+    n_slack = sum(1 for _, _, s in rows if s)
+    slack_start = n
+    art_start = n + n_slack
+
+    tableau = []
+    basis = []
+    artificial_rows = []
+    slack_index = 0
+    for coeffs, rhs, has_slack in rows:
+        row = coeffs + [ZERO] * n_slack
+        this_slack = None
+        if has_slack:
+            this_slack = slack_start + slack_index
+            row[this_slack] = ONE
+            slack_index += 1
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+            this_slack = None  # slack coefficient is now -1, unusable as basis
+        if this_slack is not None:
+            basis.append(this_slack)
+        else:
+            artificial_rows.append(len(tableau))
+            basis.append(None)  # patched below once artificial columns exist
+        tableau.append(row + [rhs])
+
+    n_art = len(artificial_rows)
+    width = art_start + n_art  # columns excluding rhs
+    for row in tableau:
+        row[-1:-1] = [ZERO] * n_art
+    for k, i in enumerate(artificial_rows):
+        tableau[i][art_start + k] = ONE
+        basis[i] = art_start + k
+
+    pivots = 0
+    # Phase 1: minimize the artificial total to find a feasible basis.
+    if n_art:
+        reduced = [ZERO] * (width + 1)
+        for k in range(n_art):
+            reduced[art_start + k] = ONE
+        for i in artificial_rows:
+            for j in range(width + 1):
+                reduced[j] -= tableau[i][j]
+        status, pivots = _fraction_pivot_until_optimal(tableau, reduced, basis, width)
+        if status != "optimal" or -reduced[-1] > 0:
+            return LpResult("infeasible", None, None, pivots)
+        pivots += _fraction_drive_out_artificials(tableau, basis, art_start)
+        tableau = [row[:art_start] + row[-1:] for row in tableau]
+        width = art_start
+
+    # Phase 2: the real objective.
+    full_costs = costs + [ZERO] * (width - n)
+    reduced = full_costs + [ZERO]
+    for i, b in enumerate(basis):
+        weight = full_costs[b]
+        if weight != 0:
+            for j in range(width + 1):
+                reduced[j] -= weight * tableau[i][j]
+    status, phase_2 = _fraction_pivot_until_optimal(tableau, reduced, basis, width)
+    pivots += phase_2
+    if status == "unbounded":
+        return LpResult("unbounded", None, None, pivots)
+
+    solution = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            solution[b] = tableau[i][-1]
+    return LpResult("optimal", -reduced[-1], tuple(solution), pivots)
+
+
+def _fraction_pivot_until_optimal(tableau, reduced, basis, width):
+    pivots = 0
+    while True:
+        entering = None
+        for j in range(width):
+            if reduced[j] < 0:
+                entering = j  # Bland: lowest improving index
+                break
+        if entering is None:
+            return "optimal", pivots
+
+        leaving = None
+        best = None
+        for i, row in enumerate(tableau):
+            coeff = row[entering]
+            if coeff > 0:
+                key = (row[-1] / coeff, basis[i])
+                if best is None or key < best:
+                    best = key
+                    leaving = i
+        if leaving is None:
+            return "unbounded", pivots
+        _fraction_pivot(tableau, reduced, basis, leaving, entering)
+        pivots += 1
+
+
+def _fraction_pivot(tableau, reduced, basis, row, col):
+    pivot = tableau[row][col]
+    tableau[row] = [v / pivot for v in tableau[row]]
+    pivot_row = tableau[row]
+    for r, other in enumerate(tableau):
+        if r != row and other[col] != 0:
+            factor = other[col]
+            tableau[r] = [v - factor * p for v, p in zip(other, pivot_row)]
+    factor = reduced[col]
+    if factor != 0:
+        reduced[:] = [v - factor * p for v, p in zip(reduced, pivot_row)]
+    basis[row] = col
+
+
+def _fraction_drive_out_artificials(tableau, basis, art_start):
+    """Pivot zero-valued artificial variables out of the basis; a row with
+    no real nonzero coefficient is redundant and removed."""
+    pivots = 0
+    i = 0
+    while i < len(tableau):
+        if basis[i] < art_start:
+            i += 1
+            continue
+        pivot_col = None
+        for j in range(art_start):
+            if tableau[i][j] != 0:
+                pivot_col = j
+                break
+        if pivot_col is None:
+            del tableau[i]
+            del basis[i]
+            continue
+        _fraction_pivot(tableau, [ZERO] * len(tableau[i]), basis, i, pivot_col)
+        pivots += 1
+        i += 1
+    return pivots

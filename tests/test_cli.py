@@ -1,13 +1,20 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from flowgame import cli
+from flowgame import attack, cli, enumerate_simple_paths, network_to_json
 from flowgame.cli import main
 
-from conftest import FIXTURES
+from conftest import (
+    FIXTURES,
+    random_network,
+    random_path_flow,
+    random_probabilities,
+    random_rational_network,
+)
 
 TRIPLE_CUT = str(FIXTURES / "triple_cut.json")
 CHEAP_ROUTING = str(FIXTURES / "cheap_routing.json")
@@ -809,36 +816,107 @@ def test_json_output_is_byte_identical(capsys):
     assert first == second
 
 
-def test_json_output_is_byte_identical_across_processes(capsys):
-    # set iteration order depends on the hash seed, so run with two
-    # different seeds to prove nothing leaks into the report
+def run_child(argv, hash_seed):
+    """Run ``python -m flowgame.cli`` on this checkout's src under the
+    given ``PYTHONHASHSEED``."""
     import os
     import subprocess
     import sys
 
-    argv = ["solve", TRIPLE_CUT, "--p1", "6", "--p2", "2", "--format", "json"]
     # the child imports this checkout's src ahead of any installed copy
     pythonpath = [str(SRC)]
     if os.environ.get("PYTHONPATH"):
         pythonpath.append(os.environ["PYTHONPATH"])
+    return subprocess.run(
+        [sys.executable, "-m", "flowgame.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONHASHSEED": hash_seed,
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": os.pathsep.join(pythonpath),
+        },
+    )
+
+
+def test_json_output_is_byte_identical_across_processes(capsys):
+    # set iteration order depends on the hash seed, so run with two
+    # different seeds to prove nothing leaks into the report
+    argv = ["solve", TRIPLE_CUT, "--p1", "6", "--p2", "2", "--format", "json"]
     outputs = []
     for seed in ("1", "2"):
-        result = subprocess.run(
-            [sys.executable, "-m", "flowgame.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONHASHSEED": seed,
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": os.pathsep.join(pythonpath),
-            },
-        )
+        result = run_child(argv, seed)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     # the children ran the code under test, not some other installed copy
     _, in_process, _ = run(capsys, *argv)
     assert outputs[0] == in_process
+
+
+def write_random_profile_instance(rng, directory):
+    """A seeded random network with a path, a mixed profile over up to two
+    random path flows and one to three random attacks, and game
+    parameters; returns the network file, the profile file, and the
+    ``--p1``/``--p2`` arguments."""
+    while True:
+        make = random_rational_network if rng.random() < 0.5 else random_network
+        net = make(rng, max_internal=5)
+        paths = enumerate_simple_paths(net, 5000)
+        if paths:
+            break
+    flows = list(dict.fromkeys(random_path_flow(rng, net, paths) for _ in range(2)))
+    attacks = list(dict.fromkeys(
+        attack(net, [e.id for e in net.edges if rng.random() < 0.2])
+        for _ in range(rng.randint(1, 3))
+    ))
+    profile = {
+        "p1_strategy": [
+            {
+                "prob": str(prob),
+                "flow": {
+                    "paths": [
+                        {"nodes": list(nodes), "amount": str(amount)}
+                        for nodes, amount in flow.paths
+                    ]
+                },
+            }
+            for flow, prob in zip(flows, random_probabilities(rng, len(flows)))
+        ],
+        "p2_strategy": [
+            {"prob": str(prob), "attack": [list(pair) for pair in atk.pairs(net)]}
+            for atk, prob in zip(attacks, random_probabilities(rng, len(attacks)))
+        ],
+    }
+    net_file = directory / "net.json"
+    profile_file = directory / "profile.json"
+    net_file.write_text(json.dumps(network_to_json(net)))
+    profile_file.write_text(json.dumps(profile))
+    params = ["--p1", str(F(rng.randint(2, 30), rng.randint(1, 3))),
+              "--p2", str(F(rng.randint(1, 8), rng.randint(1, 3)))]
+    return str(net_file), str(profile_file), params
+
+
+def test_router_output_is_byte_identical_across_hash_seeds(tmp_path):
+    # the router's best response builds sets of edge ids; neither its
+    # flow nor the verifier's report may depend on their iteration order
+    rng = random.Random(909)
+    routed = 0
+    for index in range(10):
+        directory = tmp_path / f"{index:02d}"
+        directory.mkdir()
+        net, profile, params = write_random_profile_instance(rng, directory)
+        for argv in (
+            ["verify", net, profile, *params, "--format", "json"],
+            ["best-response", net, profile, "--player", "1", *params, "--format", "json"],
+        ):
+            first, second = (run_child(argv, seed) for seed in ("1", "2"))
+            assert first.returncode == second.returncode, argv
+            assert first.stdout == second.stdout, argv
+            if argv[0] == "best-response":
+                assert first.returncode == 0, first.stderr
+                routed += bool(json.loads(first.stdout)["flow"]["paths"])
+    assert routed >= 5
 
 
 @pytest.mark.parametrize("command", ["analyze", "solve", "verify"])

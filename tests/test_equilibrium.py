@@ -34,9 +34,15 @@ from flowgame import (
 )
 from flowgame.flows import edge_flow_cost
 
-from conftest import random_network, random_path_flow, random_probabilities
+from conftest import (
+    random_network,
+    random_path_flow,
+    random_probabilities,
+    random_rational_network,
+)
 from oracles import (
     brute_force_attacker_response,
+    fraction_router_response,
     lp_edge_always_saturated,
     recursive_simple_paths,
 )
@@ -298,6 +304,27 @@ def test_simple_paths_match_recursive_enumeration():
     for _ in range(200):
         net = random_network(rng, max_internal=5)
         assert enumerate_simple_paths(net, 5000) == recursive_simple_paths(net, 5000)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_router_best_response_matches_fraction_oracle(rational):
+    # integer path worths and the integer simplex against Fraction costs,
+    # Fraction survival sums and the Fraction simplex: same value, same flow
+    rng = random.Random(41 + rational)
+    make = random_rational_network if rational else random_network
+    packed = 0
+    for _ in range(300):
+        net = make(rng, max_internal=6)
+        params = GameParams(F(rng.randint(2, 40), rng.choice([1, 2, 3])), F(1))
+        attacks = list(dict.fromkeys(
+            attack(net, [e.id for e in net.edges if rng.random() < 0.15])
+            for _ in range(rng.randint(1, 3))
+        ))
+        s2 = mixture(zip(attacks, random_probabilities(rng, len(attacks))))
+        best = best_router_response(net, s2, params)
+        assert best == fraction_router_response(net, s2, params)
+        packed += not best.action.is_zero
+    assert packed >= 100, packed
 
 
 def test_path_budget_exceeded(triple_cut_net):

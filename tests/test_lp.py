@@ -2,7 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from flowgame.lp import solve_lp
+
+from oracles import fraction_solve_lp
 
 ZERO = Fraction(0)
 
@@ -120,6 +124,7 @@ def test_degenerate_vertex():
     )
     assert result.status == "optimal"
     assert -result.objective == 1
+    assert result.pivots == 1
 
 
 def test_redundant_equalities():
@@ -165,3 +170,92 @@ def test_random_instances_against_vertex_enumeration():
             assert sum(c * x for c, x in zip(costs, point)) == expected
             solved += 1
     assert solved > 40  # the sweep must actually exercise optimal cases
+
+
+def random_packing_lp(rng, cols=12, rows=6):
+    """A path-packing program: maximize rational worths over 0/1 columns,
+    each in 1-3 capacity rows with rational capacities."""
+    matrix = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        for r in rng.sample(range(rows), rng.randint(1, 3)):
+            matrix[r][j] = 1
+    ub = [(row, Fraction(rng.randint(1, 10), rng.randint(1, 3))) for row in matrix]
+    costs = [-Fraction(rng.randint(1, 20), rng.randint(1, 4)) for _ in range(cols)]
+    return costs, ub
+
+
+def test_seeded_packing_program_pivots():
+    costs, ub = random_packing_lp(random.Random(0))
+    result = solve_lp(costs, ub=ub)
+    assert result.status == "optimal"
+    assert result.objective == Fraction(-773, 12)
+    assert result.pivots == 9
+
+
+def random_rational(rng, low, high):
+    """A rational in [low, high] over a denominator of 1-5; a plain int
+    when it is whole."""
+    den = rng.randint(1, 5)
+    value = Fraction(rng.randint(low * den, high * den), den)
+    return value.numerator if value.denominator == 1 else value
+
+
+def random_lp(rng):
+    """Up to 6 variables, 0-2 equality rows (the second one sometimes a
+    multiple of the first, so phase 1 leaves a redundant row to delete)
+    and 0-5 inequality rows, some with a negative or zero right-hand side."""
+    n = rng.randint(1, 6)
+
+    def coeffs():
+        return [random_rational(rng, -2, 3) if rng.random() < 0.7 else 0 for _ in range(n)]
+
+    costs = [random_rational(rng, -3, 3) for _ in range(n)]
+    eq = [(coeffs(), random_rational(rng, -1, 4)) for _ in range(rng.randint(0, 2))]
+    duplicated = len(eq) == 2 and rng.random() < 0.5
+    if duplicated:
+        factor = rng.choice([1, 2, Fraction(1, 3), -1])
+        eq[1] = ([factor * a for a in eq[0][0]], factor * eq[0][1])
+    ub = [
+        (coeffs(), random_rational(rng, -1, 5) if rng.random() < 0.7 else 0)
+        for _ in range(rng.randint(0, 5))
+    ]
+    return costs, eq, ub, duplicated
+
+
+def test_integer_simplex_matches_fraction_oracle():
+    # the same pivot sequence: equal status, objective, solution and
+    # pivot count on every instance
+    rng = random.Random(20261018)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    redundant = degenerate = phase_one = 0
+    for _ in range(5000):
+        costs, eq, ub, duplicated = random_lp(rng)
+        result = solve_lp(costs, eq=eq, ub=ub)
+        assert result == fraction_solve_lp(costs, eq=eq, ub=ub), (costs, eq, ub)
+        seen[result.status] += 1
+        if result.status == "optimal":
+            redundant += duplicated
+            degenerate += any(rhs == 0 for _, rhs in ub) and result.pivots > 0
+            phase_one += bool(eq) or any(rhs < 0 for _, rhs in ub)
+    assert min(seen.values()) >= 500, seen
+    assert redundant >= 100 and degenerate >= 200 and phase_one >= 500
+
+
+@pytest.mark.parametrize(
+    "minimize,eq,ub,bad",
+    [
+        ([0.1], (), [([1], 1)], "0.1"),
+        ([1], (), [([1.0], 1)], "1.0"),
+        ([1], [([1], 2.5)], (), "2.5"),
+        ([1], (), [([1], "1")], "'1'"),
+        (["1/2"], (), (), "'1/2'"),
+        ([True], (), [([1], 1)], "True"),
+        ([1], [([False], 0)], (), "False"),
+    ],
+)
+def test_only_ints_and_fractions_are_accepted(minimize, eq, ub, bad):
+    with pytest.raises(TypeError) as info:
+        solve_lp(minimize, eq=eq, ub=ub)
+    message = str(info.value)
+    assert message == f"LP data must be int or Fraction, got {bad}"
+    assert "\n" not in message
