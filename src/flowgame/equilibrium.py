@@ -254,12 +254,12 @@ class BestResponse:
 
 
 def enumerate_simple_paths(net: Network, budget: int) -> tuple:
-    """All simple source-sink paths over positive-capacity edges, in
-    lowest-edge-id depth-first order. Raises PathBudgetExceeded as soon as
-    the count would pass ``budget``."""
+    """All simple source-sink paths over positive-capacity edges, each as
+    the tuple of its edge ids, in lowest-edge-id depth-first order.
+    Raises PathBudgetExceeded as soon as the count would pass ``budget``."""
     capacity = net._integer_form.capacity
     paths = []
-    on_path = [net.source]
+    on_path = []  # edge ids
     visited = {net.source}
     # One iterator over the out-edges of each node on the path, so the
     # depth is bounded by memory, not by the recursion limit.
@@ -268,7 +268,8 @@ def enumerate_simple_paths(net: Network, budget: int) -> tuple:
         e = next(frames[-1], None)
         if e is None:
             frames.pop()
-            visited.remove(on_path.pop())
+            if on_path:
+                visited.remove(net.edges[on_path.pop()].head)
             continue
         if capacity[e.id] <= 0 or e.head in visited:
             continue
@@ -277,9 +278,9 @@ def enumerate_simple_paths(net: Network, budget: int) -> tuple:
                 raise PathBudgetExceeded(
                     f"more than {budget} simple source-sink paths; raise the budget"
                 )
-            paths.append((*on_path, net.sink))
+            paths.append((*on_path, e.id))
             continue
-        on_path.append(e.head)
+        on_path.append(e.id)
         visited.add(e.head)
         frames.append(iter(net.out_edges[e.head]))
     return tuple(paths)
@@ -300,47 +301,56 @@ def best_router_response(
     the program; with none, the zero flow (worth 0) is optimal. Pure
     path flows suffice because the router payoff is linear in path
     amounts and loops only add cost.
+
+    The program runs on the scaled integer capacities, so its amounts and
+    its optimum are those of the true program times the capacity scale.
     """
     form = net._integer_form
-    attacks = [(frozenset(atk.edge_ids), q) for atk, q in s2.support]
-    # A path's worth depends only on which attacks it avoids (bit k of the
-    # mask for attack k) and on its scaled cost, so it is computed once per
-    # such key: the positive worth, or None.
+    # Bit k of an edge's mask: attack k of the support disrupts the edge.
+    hit = [0] * len(form.capacity)
+    for k, (atk, _) in enumerate(s2.support):
+        for i in atk.edge_ids:
+            hit[i] |= 1 << k
+    probs = [q for _, q in s2.support]
+    # A path's worth depends only on which attacks hit it and on its scaled
+    # cost, so it is computed once per such key: the positive worth, or
+    # None.
     worths = {}
     weighted = []
-    for nodes in enumerate_simple_paths(net, max_paths):
-        ids = net.edge_ids_on_path(nodes)
-        mask = 0
-        for k, (attacked, _) in enumerate(attacks):
-            if attacked.isdisjoint(ids):
-                mask |= 1 << k
-        key = (mask, sum(form.cost[i] for i in ids))
+    for ids in enumerate_simple_paths(net, max_paths):
+        mask = cost = 0
+        for i in ids:
+            mask |= hit[i]
+            cost += form.cost[i]
+        key = (mask, cost)
         if key not in worths:
-            survival = sum((q for k, (_, q) in enumerate(attacks) if mask >> k & 1), ZERO)
-            worth = params.p1 * survival - Fraction(key[1], form.cost_scale)
+            survival = sum((q for k, q in enumerate(probs) if not mask >> k & 1), ZERO)
+            worth = params.p1 * survival - Fraction(cost, form.cost_scale)
             worths[key] = worth if worth > 0 else None
         if worths[key] is not None:
-            weighted.append((nodes, ids, worths[key]))
+            weighted.append((ids, worths[key]))
     if not weighted:
         return BestResponse(ZERO, PathFlow(()))
 
     # One capacity row per edge some profitable path uses, 0/1 by path.
-    edge_ids = sorted({i for _, ids, _ in weighted for i in ids})
+    edge_ids = sorted({i for ids, _ in weighted for i in ids})
     row_of = {edge_id: r for r, edge_id in enumerate(edge_ids)}
     coeffs = [[0] * len(weighted) for _ in edge_ids]
-    for j, (_, ids, _) in enumerate(weighted):
+    for j, (ids, _) in enumerate(weighted):
         for i in ids:
             coeffs[row_of[i]][j] = 1
-    rows = [(row, net.edge(i).capacity) for row, i in zip(coeffs, edge_ids)]
-    result = solve_lp([-w for _, _, w in weighted], ub=rows)
+    rows = [(row, form.capacity[i]) for row, i in zip(coeffs, edge_ids)]
+    result = solve_lp([-w for _, w in weighted], ub=rows)
     if result.status != "optimal":
         raise RuntimeError(f"path packing program came back {result.status}")
     amounts = [
-        (nodes, x)
-        for (nodes, _, _), x in zip(weighted, result.solution)
+        (net.nodes_on_path(ids), x / form.cap_scale)
+        for (ids, _), x in zip(weighted, result.solution)
         if x > 0
     ]
-    return BestResponse(-result.objective, PathFlow(tuple(sorted(amounts))))
+    return BestResponse(
+        -result.objective / form.cap_scale, PathFlow(tuple(sorted(amounts)))
+    )
 
 
 def best_attacker_response(

@@ -379,16 +379,7 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
     scale, scaled = to_integers(list(positive.values()))
     work = dict(zip(positive, scaled))
 
-    cycles = []
-    while True:
-        found = _find_cycle(net, work)
-        if found is None:
-            break
-        cycle_nodes, cycle_edges = found
-        bottleneck = min(work[i] for i in cycle_edges)
-        _subtract(work, cycle_edges, bottleneck)
-        cycles.append((tuple(cycle_nodes), bottleneck))
-
+    cycles = _peel_cycles(net, work)
     out_ids = {
         node: tuple(sorted(e.id for e in net.out_edges[node])) for node in net.nodes
     }
@@ -420,44 +411,65 @@ def _subtract(work: dict, edge_ids, amount: int) -> None:
             del work[edge_id]
 
 
-def _find_cycle(net: Network, work: dict):
-    """Deterministic depth-first search for a directed cycle in the support
-    graph of ``work``. Returns (cycle nodes closed, cycle edge ids)."""
+def _peel_cycles(net: Network, work: dict) -> list:
+    """Peel directed cycles off the support graph of ``work`` until none is
+    left: (closed cycle nodes, amount) for each, in the order a
+    deterministic depth-first search finds them.
+
+    The search keeps its finished nodes across peels. A finished node
+    reaches no cycle, and peeling only removes edges, so it never reaches
+    one later; the search therefore finds the cycles that a search
+    restarted from scratch after every peel would find."""
     adjacency = {}
     for edge_id in sorted(work):
         adjacency.setdefault(net.edge(edge_id).tail, []).append(edge_id)
-
     finished = set()
+    cycles = []
     for root in sorted(adjacency):
-        if root in finished:
+        while root not in finished:
+            found = _find_cycle(net, work, adjacency, finished, root)
+            if found is not None:
+                cycle_nodes, cycle_edges = found
+                bottleneck = min(work[i] for i in cycle_edges)
+                _subtract(work, cycle_edges, bottleneck)
+                cycles.append((tuple(cycle_nodes), bottleneck))
+    return cycles
+
+
+def _find_cycle(net: Network, work: dict, adjacency: dict, finished: set, root):
+    """Depth-first search from ``root`` over the edges of ``adjacency``
+    still in ``work``, skipping and extending the ``finished`` nodes.
+    Returns the first cycle met as (cycle nodes closed, cycle edge ids),
+    or None once ``root`` is finished."""
+    frames = [(root, 0)]
+    path_nodes = [root]
+    path_edges = []
+    position = {root: 0}
+    while frames:
+        node, idx = frames[-1]
+        arcs = adjacency.get(node, ())
+        if idx >= len(arcs):
+            frames.pop()
+            finished.add(node)
+            del position[node]
+            path_nodes.pop()
+            if path_edges:
+                path_edges.pop()
             continue
-        frames = [(root, 0)]
-        path_nodes = [root]
-        path_edges = []
-        position = {root: 0}
-        while frames:
-            node, idx = frames[-1]
-            arcs = adjacency.get(node, ())
-            if idx >= len(arcs):
-                frames.pop()
-                finished.add(node)
-                del position[node]
-                path_nodes.pop()
-                if path_edges:
-                    path_edges.pop()
-                continue
-            frames[-1] = (node, idx + 1)
-            edge_id = arcs[idx]
-            dst = net.edge(edge_id).head
-            if dst in position:
-                k = position[dst]
-                return path_nodes[k:] + [dst], path_edges[k:] + [edge_id]
-            if dst in finished:
-                continue
-            frames.append((dst, 0))
-            position[dst] = len(path_nodes)
-            path_nodes.append(dst)
-            path_edges.append(edge_id)
+        frames[-1] = (node, idx + 1)
+        edge_id = arcs[idx]
+        if edge_id not in work:
+            continue
+        dst = net.edge(edge_id).head
+        if dst in position:
+            k = position[dst]
+            return path_nodes[k:] + [dst], path_edges[k:] + [edge_id]
+        if dst in finished:
+            continue
+        frames.append((dst, 0))
+        position[dst] = len(path_nodes)
+        path_nodes.append(dst)
+        path_edges.append(edge_id)
     return None
 
 

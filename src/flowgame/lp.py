@@ -18,15 +18,19 @@ with every number an ``int`` or a ``Fraction``.
 The tableau is fraction-free (integer-preserving pivots; Edmonds 1967,
 Bareiss 1968). Each row is a list of ints that stands for itself divided
 by the coefficient of the row's basic variable, which is kept positive.
-Each input row is scaled to ints once, by the LCM of its denominators;
-slack and artificial coefficients stay 1, which only rescales those
-variables, and the phase-1 costs of the artificials are weighted so the
-phase-1 objective is a positive multiple of the plain sum of artificials.
-A pivot on (r, c), with p = row_r[c] > 0, replaces every other row i
-that has a nonzero in column c by p*row_i - row_i[c]*row_r and divides it
-by the gcd of its entries, so no Fraction is built per entry and the
-entries stay as small as the data allow. The reduced-cost row is kept
-only up to a positive factor; the objective is read off the solution.
+Each input row is scaled to ints once, by the LCM of its denominators (a
+row of ints alone is taken as it is, with scale 1); slack and artificial
+coefficients stay 1, which only rescales those variables, and the
+phase-1 costs of the artificials are weighted so the phase-1 objective
+is a positive multiple of the plain sum of artificials. A pivot on
+(r, c), with p = row_r[c] > 0, replaces every other row i that has a
+nonzero in column c by p*row_i - row_i[c]*row_r and divides it by the
+gcd of its entries, so no Fraction is built per entry and the entries
+stay as small as the data allow. The pivot row's nonzero columns are
+listed once per pivot, and the subtraction touches only those columns:
+packing programs have mostly-zero rows, and skipping their zeros
+changes no entry. The reduced-cost row is kept only up to a positive
+factor; the objective is read off the solution.
 
 Scaling a row or a column by a positive factor changes no sign of a
 reduced cost and no order among the ratios rhs/coefficient of one column,
@@ -57,30 +61,35 @@ class LpResult:
 _EXACT_TYPES = {int, Fraction}
 
 
-def _exact(values) -> list:
-    """The values, each checked to be an ``int`` or a ``Fraction`` (not a
-    ``bool``): a float would carry its binary rounding error into an exact
-    result."""
+def _scaled(values) -> tuple:
+    """``(scale, ints)``: the values times the LCM of their denominators.
+    Each value must be an ``int`` or a ``Fraction`` (not a ``bool``): a
+    float would carry its binary rounding error into an exact result. A
+    list of ``int`` alone is returned as it is, with scale 1."""
     values = list(values)
-    if not set(map(type, values)) <= _EXACT_TYPES:
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return 1, values
+    if not kinds <= _EXACT_TYPES:
         bad = next(v for v in values if type(v) not in _EXACT_TYPES)
         raise TypeError(f"LP data must be int or Fraction, got {bad!r}")
-    return values
+    scale, ints = to_integers(values)
+    return scale, list(ints)
 
 
 def solve_lp(minimize: Sequence, eq: Sequence = (), ub: Sequence = ()) -> LpResult:
     """Solve the LP exactly. ``eq`` and ``ub`` are sequences of
     ``(coefficients, rhs)`` pairs over the same variables as ``minimize``."""
-    costs = _exact(minimize)
-    n = len(costs)
+    cost_scale, scaled_costs = _scaled(minimize)
+    n = len(scaled_costs)
 
     # Rows on ints: (coeffs and rhs scaled by the row's LCM, that LCM,
     # whether the row gets a slack).
     rows = []
     for constraints, has_slack in ((eq, False), (ub, True)):
         for coeffs, rhs in constraints:
-            scale, scaled = to_integers(_exact((*coeffs, rhs)))
-            rows.append((list(scaled), scale, has_slack))
+            scale, scaled = _scaled((*coeffs, rhs))
+            rows.append((scaled, scale, has_slack))
 
     n_slack = sum(1 for *_, has_slack in rows if has_slack)
     art_start = n + n_slack
@@ -131,7 +140,6 @@ def solve_lp(minimize: Sequence, eq: Sequence = (), ub: Sequence = ()) -> LpResu
         width = art_start
 
     # Phase 2: the real objective, scaled to ints by its LCM.
-    _, scaled_costs = to_integers(costs)
     reduced = list(scaled_costs) + [0] * (width - n + 1)
     for row, b in zip(tableau, basis):
         weight = reduced[b]
@@ -148,7 +156,8 @@ def solve_lp(minimize: Sequence, eq: Sequence = (), ub: Sequence = ()) -> LpResu
     for row, b in zip(tableau, basis):
         if b < n:
             solution[b] = Fraction(row[-1], row[b])
-    objective = sum((c * x for c, x in zip(costs, solution) if x), Fraction(0))
+    objective = sum((c * x for c, x in zip(scaled_costs, solution) if x), Fraction(0))
+    objective /= cost_scale
     return LpResult("optimal", objective, tuple(solution), pivots)
 
 
@@ -196,14 +205,26 @@ def _pivot(tableau, reduced, basis, row, col) -> None:
     if p < 0:  # the drive-out step; the new basic coefficient must be positive
         pivot_row = tableau[row] = [-v for v in pivot_row]
         p = -p
+    # Each other row becomes p*other - factor*pivot_row; the second term
+    # touches only the pivot row's nonzero columns.
+    nonzero = [(j, a) for j, a in enumerate(pivot_row) if a]
     for r, other in enumerate(tableau):
         factor = other[col]
         if r != row and factor != 0:
-            tableau[r] = _reduce([p * v - factor * a for v, a in zip(other, pivot_row)])
+            tableau[r] = _eliminate(other, p, factor, nonzero)
     factor = reduced[col]
     if factor != 0:
-        reduced[:] = _reduce([p * v - factor * a for v, a in zip(reduced, pivot_row)])
+        reduced[:] = _eliminate(reduced, p, factor, nonzero)
     basis[row] = col
+
+
+def _eliminate(other: list, p: int, factor: int, nonzero: list) -> list:
+    """p*other - factor*pivot_row, divided by the gcd of its entries, with
+    the pivot row given by its nonzero ``(column, value)`` pairs."""
+    new = [p * v for v in other] if p != 1 else other[:]
+    for j, a in nonzero:
+        new[j] -= factor * a
+    return _reduce(new)
 
 
 def _drive_out_artificials(tableau, basis, art_start) -> int:

@@ -133,6 +133,10 @@ class Network:
             ids.append(edge.id)
         return tuple(ids)
 
+    def nodes_on_path(self, edge_ids: Sequence) -> tuple:
+        """The node sequence of a nonempty path given by its edge ids."""
+        return (self.edges[edge_ids[0]].tail, *(self.edges[i].head for i in edge_ids))
+
 
 def _coerce_edges(edges: Iterable) -> list:
     coerced = []

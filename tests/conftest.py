@@ -60,17 +60,20 @@ def single_edge_net() -> Network:
 # Random instance helpers (seeded by the caller)
 # ---------------------------------------------------------------------------
 
-def random_network(rng: random.Random, max_internal: int = 4) -> Network:
-    """Random directed network with at most ``max_internal`` + 2 nodes,
-    integer capacities and costs up to 3."""
-    internal = [f"v{i}" for i in range(rng.randint(0, max_internal))]
+def random_network(
+    rng: random.Random, max_internal: int = 4, min_internal: int = 0, density: float = 0.4
+) -> Network:
+    """Random directed network with ``min_internal`` to ``max_internal``
+    internal nodes, each ordered pair an edge with probability
+    ``density``, integer capacities and costs up to 3."""
+    internal = [f"v{i}" for i in range(rng.randint(min_internal, max_internal))]
     nodes = ["s", "t"] + internal
     edges = []
     for tail in nodes:
         for head in nodes:
             if tail == head:
                 continue
-            if rng.random() < 0.4:
+            if rng.random() < density:
                 edges.append((tail, head, rng.randint(0, 3), rng.randint(0, 3)))
     return make_network(nodes, edges, "s", "t")
 
@@ -97,37 +100,39 @@ def _non_integer(rng: random.Random, denominators, top: int) -> Fraction:
     return Fraction(rng.choice([n for n in range(1, top * d) if n % d]), d)
 
 
-def random_rational_network(rng: random.Random, max_internal: int = 4) -> Network:
+def random_rational_network(
+    rng: random.Random, max_internal: int = 4, min_internal: int = 0, density: float = 0.4
+) -> Network:
     """Like ``random_network``, but every capacity and cost is a
     non-integer rational, over mixed denominators: capacities over 2, 3,
     4, 5 or 7 up to 3, costs over 2, 3 or 6 up to 2 (so that path costs
     still tie often)."""
-    internal = [f"v{i}" for i in range(rng.randint(0, max_internal))]
+    internal = [f"v{i}" for i in range(rng.randint(min_internal, max_internal))]
     nodes = ["s", "t"] + internal
     edges = []
     for tail in nodes:
         for head in nodes:
-            if tail != head and rng.random() < 0.4:
+            if tail != head and rng.random() < density:
                 capacity = _non_integer(rng, (2, 3, 4, 5, 7), 3)
                 edges.append((tail, head, capacity, _non_integer(rng, (2, 3, 6), 2)))
     return make_network(nodes, edges, "s", "t")
 
 
 def random_path_flow(rng: random.Random, net: Network, paths) -> "path_flow":
-    """A feasible flow over up to two of the given simple paths."""
+    """A feasible flow over up to two of the given simple paths, each an
+    edge-id tuple as ``enumerate_simple_paths`` gives them."""
     if not paths:
         return path_flow(net)
     remaining = {e.id: e.capacity for e in net.edges}
     items = []
-    for nodes in rng.sample(list(paths), min(rng.randint(0, 2), len(paths))):
-        ids = net.edge_ids_on_path(nodes)
+    for ids in rng.sample(list(paths), min(rng.randint(0, 2), len(paths))):
         headroom = min(remaining[i] for i in ids)
         if headroom <= 0:
             continue
         amount = headroom * Fraction(rng.randint(1, 4), 4)
         for i in ids:
             remaining[i] -= amount
-        items.append((nodes, amount))
+        items.append((net.nodes_on_path(ids), amount))
     return path_flow(net, items)
 
 

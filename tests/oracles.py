@@ -17,7 +17,7 @@ from flowgame import (
     path_cost,
     router_payoff,
 )
-from flowgame.flows import Decomposition, _extract_path, _find_cycle, _subtract
+from flowgame.flows import Decomposition, _extract_path, _subtract
 from flowgame.lp import LpResult
 from flowgame.network import ZERO
 
@@ -315,14 +315,56 @@ def fraction_cheapest_path_cost(net):
     return None
 
 
+def restart_find_cycle(net, work):
+    """Deterministic depth-first search for a directed cycle in the support
+    graph of ``work``, from scratch: (cycle nodes closed, cycle edge ids),
+    or None."""
+    adjacency = {}
+    for edge_id in sorted(work):
+        adjacency.setdefault(net.edge(edge_id).tail, []).append(edge_id)
+
+    finished = set()
+    for root in sorted(adjacency):
+        if root in finished:
+            continue
+        frames = [(root, 0)]
+        path_nodes = [root]
+        path_edges = []
+        position = {root: 0}
+        while frames:
+            node, idx = frames[-1]
+            arcs = adjacency.get(node, ())
+            if idx >= len(arcs):
+                frames.pop()
+                finished.add(node)
+                del position[node]
+                path_nodes.pop()
+                if path_edges:
+                    path_edges.pop()
+                continue
+            frames[-1] = (node, idx + 1)
+            edge_id = arcs[idx]
+            dst = net.edge(edge_id).head
+            if dst in position:
+                k = position[dst]
+                return path_nodes[k:] + [dst], path_edges[k:] + [edge_id]
+            if dst in finished:
+                continue
+            frames.append((dst, 0))
+            position[dst] = len(path_nodes)
+            path_nodes.append(dst)
+            path_edges.append(edge_id)
+    return None
+
+
 def fraction_decompose(net, amounts):
-    """``decompose`` peeling the Fraction amounts themselves. The cycle
-    search and the path walk look only at which edges carry flow, so they
-    are the layer's own."""
+    """``decompose`` peeling the Fraction amounts themselves, with the cycle
+    search restarted from scratch after every peel. The path walk looks
+    only at which edges carry flow, so it is the layer's own."""
     work = {i: amount for i, amount in amounts.items() if amount > 0}
     cycles = []
     while True:
-        found = _find_cycle(net, work)
+        found = restart_find_cycle(net, work)
         if found is None:
             break
         cycle_nodes, cycle_edges = found

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from flowgame import attack, cli, enumerate_simple_paths, network_to_json
+from flowgame import attack, cli, enumerate_simple_paths, make_network, network_to_json
 from flowgame.cli import main
 
 from conftest import (
@@ -610,6 +610,34 @@ def test_verify_budget_exceeded_exits_5(tmp_path, capsys):
     )
     assert code == 5
     assert "budget" in err or "paths" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "best-response"])
+def test_path_budget_counts_every_simple_path(tmp_path, capsys, command):
+    # the complete mesh on s, t and four inner nodes has
+    # 1 + 4 + 4*3 + 4*3*2 + 4*3*2*1 = 65 simple s-t paths: a budget of 65
+    # admits them all, and a budget of 64 stops the router at the 65th
+    nodes = ["s", "t", "a", "b", "c", "d"]
+    net = make_network(
+        nodes, [(tail, head, 1, 1) for tail in nodes for head in nodes if tail != head], "s", "t"
+    )
+    assert len(enumerate_simple_paths(net, 5000)) == 65
+    net_file = tmp_path / "mesh.json"
+    net_file.write_text(json.dumps(network_to_json(net)))
+    profile = write_profile(
+        tmp_path,
+        "zero.json",
+        [{"prob": "1", "flow": {"paths": []}}],
+        [{"prob": "1", "attack": [["s", "a"], ["b", "t"]]}],
+    )
+    argv = [command, str(net_file), profile, "--p1", "9", "--p2", "2"]
+    if command == "best-response":
+        argv += ["--player", "1"]
+    code, out, err = run(capsys, *argv, "--max-paths", "65")
+    assert code in (0, 1) and out and err == ""
+    code, out, err = run(capsys, *argv, "--max-paths", "64")
+    assert (code, out) == (5, "")
+    assert err == "error: more than 64 simple source-sink paths; raise the budget\n"
 
 
 @pytest.mark.parametrize("flag", ["--max-paths", "--max-attack-edges"])

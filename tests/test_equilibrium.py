@@ -32,6 +32,7 @@ from flowgame import (
     profile_expectations,
     verify_equilibrium,
 )
+from flowgame import equilibrium
 from flowgame.flows import edge_flow_cost
 
 from conftest import (
@@ -303,11 +304,23 @@ def test_simple_paths_match_recursive_enumeration():
     rng = random.Random(6)
     for _ in range(200):
         net = random_network(rng, max_internal=5)
-        assert enumerate_simple_paths(net, 5000) == recursive_simple_paths(net, 5000)
+        paths = enumerate_simple_paths(net, 5000)
+        expected = recursive_simple_paths(net, 5000)
+        assert paths == tuple(net.edge_ids_on_path(nodes) for nodes in expected)
+        assert [net.nodes_on_path(ids) for ids in paths] == list(expected)
+
+
+def random_attacks(rng, net, density):
+    """One to three distinct random attacks with random probabilities."""
+    attacks = list(dict.fromkeys(
+        attack(net, [e.id for e in net.edges if rng.random() < density])
+        for _ in range(rng.randint(1, 3))
+    ))
+    return mixture(zip(attacks, random_probabilities(rng, len(attacks))))
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
-def test_router_best_response_matches_fraction_oracle(rational):
+def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
     # integer path worths and the integer simplex against Fraction costs,
     # Fraction survival sums and the Fraction simplex: same value, same flow
     rng = random.Random(41 + rational)
@@ -316,15 +329,32 @@ def test_router_best_response_matches_fraction_oracle(rational):
     for _ in range(300):
         net = make(rng, max_internal=6)
         params = GameParams(F(rng.randint(2, 40), rng.choice([1, 2, 3])), F(1))
-        attacks = list(dict.fromkeys(
-            attack(net, [e.id for e in net.edges if rng.random() < 0.15])
-            for _ in range(rng.randint(1, 3))
-        ))
-        s2 = mixture(zip(attacks, random_probabilities(rng, len(attacks))))
+        s2 = random_attacks(rng, net, 0.15)
         best = best_router_response(net, s2, params)
         assert best == fraction_router_response(net, s2, params)
         packed += not best.action.is_zero
     assert packed >= 100, packed
+
+    # wide meshes, 7-8 internal nodes with 120-400 simple paths, where the
+    # packing program has dozens to hundreds of columns
+    columns = []
+    solve_lp = equilibrium.solve_lp
+
+    def counting_solve_lp(minimize, eq=(), ub=()):
+        columns.append(len(minimize))
+        return solve_lp(minimize, eq=eq, ub=ub)
+
+    monkeypatch.setattr(equilibrium, "solve_lp", counting_solve_lp)
+    meshes = 0
+    while meshes < 25:
+        net = make(rng, max_internal=8, min_internal=7, density=0.5)
+        if not 120 <= len(enumerate_simple_paths(net, 5000)) <= 400:
+            continue
+        meshes += 1
+        params = GameParams(F(rng.randint(30, 60)), F(1))
+        s2 = random_attacks(rng, net, 0.1)
+        assert best_router_response(net, s2, params) == fraction_router_response(net, s2, params)
+    assert sum(count >= 60 for count in columns) >= 22, sorted(columns)
 
 
 def test_path_budget_exceeded(triple_cut_net):

@@ -196,6 +196,37 @@ def test_decompose_cycle_through_terminals():
     assert set(nodes) == {"s", "a", "t"}
 
 
+def test_cycle_peeling_matches_restarted_search():
+    # the cycle search keeps its finished nodes across peels; it must peel
+    # the cycles a search restarted after every peel finds, in that order
+    rng = random.Random(29)
+    several = 0
+    for _ in range(2000):
+        nodes = ["s", "t"] + [f"v{i}" for i in range(rng.randint(2, 6))]
+        net = make_network(
+            nodes,
+            [(a, b, 100, 1) for a in nodes for b in nodes if a != b and rng.random() < 0.7],
+            "s",
+            "t",
+        )
+        amounts = {}
+        walks = [[e.id] for e in net.out_edges["s"] if e.head == "t"]
+        for _ in range(rng.randint(2, 8)):
+            # a random simple cycle of existing edges, if the walk closes
+            cycle = rng.sample(nodes, rng.randint(2, 4))
+            pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+            if all(pair in net.edge_by_pair for pair in pairs):
+                walks.append([net.edge_by_pair[pair].id for pair in pairs])
+        for walk in walks:
+            amount = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+            for edge_id in walk:
+                amounts[edge_id] = amounts.get(edge_id, ZERO) + amount
+        result = decompose(net, amounts)
+        assert result == fraction_decompose(net, amounts)
+        several += len(result.cycles) >= 2
+    assert several >= 900, several
+
+
 def test_decompose_rejects_sink_to_source_chain():
     net = make_network(["s", "a", "t"], [("t", "a", 1, 1), ("a", "s", 1, 1)], "s", "t")
     with pytest.raises(UndecomposableFlow):

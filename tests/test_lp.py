@@ -192,6 +192,23 @@ def test_seeded_packing_program_pivots():
     assert result.pivots == 9
 
 
+def test_wide_packing_programs_match_fraction_oracle():
+    # router-sized programs: 80-150 sparse 0/1 columns over 20-35 rows;
+    # whole capacities come as ints, so all-int rows skip scaling while
+    # the others are scaled by their denominators
+    rng = random.Random(11)
+    whole = fractional = 0
+    for _ in range(200):
+        costs, ub = random_packing_lp(rng, cols=rng.randint(80, 150), rows=rng.randint(20, 35))
+        ub = [(row, cap.numerator if cap.denominator == 1 else cap) for row, cap in ub]
+        result = solve_lp(costs, ub=ub)
+        assert result == fraction_solve_lp(costs, ub=ub)
+        assert result.status == "optimal" and result.pivots >= 20
+        whole += sum(type(cap) is int for _, cap in ub)
+        fractional += sum(type(cap) is Fraction for _, cap in ub)
+    assert whole >= 2500 and fractional >= 1500, (whole, fractional)
+
+
 def random_rational(rng, low, high):
     """A rational in [low, high] over a denominator of 1-5; a plain int
     when it is whole."""
