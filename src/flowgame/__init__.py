@@ -60,6 +60,7 @@ from .game import (
     effective_flow,
     expected_edge_loads,
     expected_payoffs,
+    mean_flow,
     mixture,
     path_cost,
     path_flow,

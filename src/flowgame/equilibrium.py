@@ -47,6 +47,7 @@ from .game import (
     effective_flow,
     expected_edge_loads,
     expected_payoffs,
+    mean_flow,
     mixture,
     path_cost,
     path_flow,
@@ -123,6 +124,22 @@ def _mixture_drop_zero(pairs) -> MixedStrategy:
     return mixture([(action, prob) for action, prob in pairs if prob != 0])
 
 
+def _attacker_mixture(net: Network, params: GameParams, analysis: FlowAnalysis) -> MixedStrategy:
+    """The empty attack with probability cost/p1, else the min-cut attack."""
+    unit_cost = analysis.cheapest_path_cost
+    return _mixture_drop_zero([
+        (attack(net), unit_cost / params.p1),
+        (attack(net, analysis.min_cut.cut_set), 1 - unit_cost / params.p1),
+    ])
+
+
+def _router_mixture(net: Network, params: GameParams, analysis: FlowAnalysis) -> MixedStrategy:
+    """The zero flow with probability 1 - 1/p2, else the optimal flow."""
+    return _mixture_drop_zero(
+        [(path_flow(net), 1 - 1 / params.p2), (analysis.optimal_flow, 1 / params.p2)]
+    )
+
+
 def construct_equilibrium(
     net: Network,
     params: GameParams,
@@ -188,14 +205,11 @@ def construct_equilibrium(
             "only along cheapest paths, and this network has none" + detail,
             witness=witness,
         )
-    cut_attack = attack(net, analysis.min_cut.cut_set)
-    s1 = _mixture_drop_zero(
-        [(zero, 1 - 1 / params.p2), (analysis.optimal_flow, 1 / params.p2)]
+    return EquilibriumProfile(
+        _router_mixture(net, params, analysis),
+        _attacker_mixture(net, params, analysis),
+        "contested-mixed",
     )
-    s2 = _mixture_drop_zero(
-        [(no_attack, unit_cost / params.p1), (cut_attack, 1 - unit_cost / params.p1)]
-    )
-    return EquilibriumProfile(s1, s2, "contested-mixed")
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +382,9 @@ def best_attacker_response(
     number of candidates. Ties break toward the lexicographically
     smallest edge set, so the empty attack wins all zero-value ties.
 
-    Each (support flow, path) pair is an item worth p2 * prob * amount,
-    lost when any of its edges is cut; an attack is worth the items it
-    covers minus the capacity it cuts. Coverage is submodular, so no
+    Each path of the mixture's mean flow is an item worth p2 times its
+    amount, lost when any of its edges is cut; an attack is worth the
+    items it covers minus the capacity it cuts. Coverage is submodular, so no
     extension of an attack gains more than the sum of the positive
     marginal gains of the remaining edges. The search visits edge-id
     tuples in lexicographic pre-order, skips every subtree whose bound
@@ -379,23 +393,20 @@ def best_attacker_response(
     Weights and capacities are scaled to integers by the LCM of their
     denominators, which keeps the search exact without Fractions.
     """
-    loads = expected_edge_loads(net, s1)
-    candidates = [edge_id for edge_id in sorted(loads) if loads[edge_id] > 0]
+    # The edges with positive expected load are exactly the edges of the
+    # mean flow's paths.
+    hits = {}
+    weights = []
+    for nodes, amount in mean_flow(s1).paths:
+        for edge_id in net.edge_ids_on_path(nodes):
+            hits[edge_id] = hits.get(edge_id, 0) | 1 << len(weights)
+        weights.append(params.p2 * amount)
+    candidates = sorted(hits)
     if len(candidates) > max_attack_edges:
         raise EdgeBudgetExceeded(
             f"{len(candidates)} candidate edges exceed the attack budget "
             f"of {max_attack_edges}"
         )
-
-    # Every edge on a support path carries positive load, so it is a
-    # candidate.
-    hits = dict.fromkeys(candidates, 0)
-    weights = []
-    for flow, prob in s1.support:
-        for nodes, amount in flow.paths:
-            for edge_id in net.edge_ids_on_path(nodes):
-                hits[edge_id] |= 1 << len(weights)
-            weights.append(params.p2 * prob * amount)
     costs = [net.edge(i).capacity for i in candidates]
     scale, scaled = to_integers(weights + costs)
     weights, costs = scaled[:len(weights)], scaled[len(weights):]
@@ -748,12 +759,7 @@ def minimax_certificate(
             if region.tag == "I":
                 certificate = point_mass(attack(net))
             else:
-                certificate = _mixture_drop_zero(
-                    [
-                        (attack(net), unit_cost / params.p1),
-                        (attack(net, analysis.min_cut.cut_set), 1 - unit_cost / params.p1),
-                    ]
-                )
+                certificate = _attacker_mixture(net, params, analysis)
         else:
             if region.tag in ("I", "II"):
                 certificate = point_mass(path_flow(net))
@@ -764,12 +770,7 @@ def minimax_certificate(
                         "flow, which this network does not admit",
                         witness=analysis.routing_witness,
                     )
-                certificate = mixture(
-                    [
-                        (path_flow(net), 1 - 1 / params.p2),
-                        (analysis.optimal_flow, 1 / params.p2),
-                    ]
-                )
+                certificate = _router_mixture(net, params, analysis)
 
     if player == 1:
         value = best_router_response(net, certificate, params, max_paths).value

@@ -256,18 +256,24 @@ class ProfileExpectations:
     lost_flow: Fraction
 
 
+def mean_flow(s1: MixedStrategy) -> PathFlow:
+    """Each distinct path of the support carries its sum of prob * amount.
+    Payoffs are linear in path amounts, so this has s1's expectations."""
+    merged: dict = {}
+    for flow, prob in s1.support:
+        for nodes, amount in flow.paths:
+            merged[nodes] = merged.get(nodes, ZERO) + prob * amount
+    return PathFlow(tuple(sorted(merged.items())))
+
+
 def profile_expectations(net: Network, s1: MixedStrategy, s2: MixedStrategy) -> ProfileExpectations:
-    initial = s1.expect(lambda flow: flow.value)
-    transport = s1.expect(lambda flow: transport_cost(net, flow))
-    cost_of_attack = s2.expect(lambda atk: attack_cost(net, atk))
-    effective = ZERO
-    for flow, p in s1.support:
-        for atk, q in s2.support:
-            effective += p * q * effective_flow(net, flow, atk).value
+    mean = mean_flow(s1)
+    initial = mean.value
+    effective = s2.expect(lambda atk: effective_flow(net, mean, atk).value)
     return ProfileExpectations(
         initial_flow=initial,
-        transport_cost=transport,
-        attack_cost=cost_of_attack,
+        transport_cost=transport_cost(net, mean),
+        attack_cost=s2.expect(lambda atk: attack_cost(net, atk)),
         effective_flow=effective,
         lost_flow=initial - effective,
     )
@@ -292,8 +298,4 @@ def expected_payoffs(
 
 def expected_edge_loads(net: Network, s1: MixedStrategy) -> dict:
     """Expected flow through each edge under the router's strategy."""
-    loads = {e.id: ZERO for e in net.edges}
-    for flow, p in s1.support:
-        for edge_id, amount in flow.edge_amounts(net).items():
-            loads[edge_id] += p * amount
-    return loads
+    return {e.id: ZERO for e in net.edges} | mean_flow(s1).edge_amounts(net)

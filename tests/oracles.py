@@ -402,9 +402,12 @@ def fraction_canonical_cut(net, flow):
 
 
 def fraction_solve_lp(minimize, eq=(), ub=()):
-    """The two-phase Bland simplex of ``flowgame.lp.solve_lp`` on a dense
-    Fraction tableau, each row divided through by its pivot: the same
-    pivot sequence, counted the same way, in plain rational arithmetic."""
+    """A general two-phase Bland simplex (equality rows, right-hand sides
+    of either sign, infeasible programs) on a dense Fraction tableau, each
+    row divided through by its pivot. On a packing program (``ub`` rows
+    with right-hand sides >= 0) it adds no artificials and starts from
+    the slack basis, so it makes the pivots of ``flowgame.lp.solve_lp``,
+    counted the same way, in plain rational arithmetic."""
     costs = [Fraction(c) for c in minimize]
     n = len(costs)
 

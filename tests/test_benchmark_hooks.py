@@ -2,6 +2,7 @@
 names must stay importable."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import flowgame
@@ -31,3 +32,16 @@ def test_traced_names_are_exported():
 def test_traced_lp_solver_exists():
     assert traced_names("LP_TRACED") == ["solve_lp"]
     assert callable(flowgame.lp.solve_lp)
+
+
+def parameters(fn) -> list:
+    return list(inspect.signature(fn).parameters)
+
+
+def test_parameters_the_tracer_binds_exist():
+    # its counters read these arguments by name: lp.packing_rows sums the
+    # eq and ub rows, and the attack counts reload the edge loads of s1
+    assert parameters(flowgame.lp.solve_lp) == ["minimize", "eq", "ub"]
+    assert {"net", "s1"} <= set(parameters(flowgame.best_attacker_response))
+    assert parameters(flowgame.expected_edge_loads) == ["net", "s1"]
+    assert "net" in parameters(flowgame.all_min_cuts)

@@ -30,7 +30,6 @@ from flowgame import (
 )
 from flowgame.cli import main
 from flowgame.flows import _canonical_cut
-from flowgame.lp import solve_lp
 
 from conftest import random_network, random_rational_network, random_tie_network
 from oracles import (
@@ -39,6 +38,7 @@ from oracles import (
     fraction_cheapest_path_cost,
     fraction_decompose,
     fraction_min_cost_max_flow,
+    fraction_solve_lp,
     lp_edge_always_saturated,
 )
 
@@ -294,7 +294,7 @@ def lp_min_transport_cost(net, value):
         coeffs = [ZERO] * n
         coeffs[e.id] = 1
         ub.append((coeffs, e.capacity))
-    result = solve_lp([e.cost for e in net.edges], eq=eq, ub=ub)
+    result = fraction_solve_lp([e.cost for e in net.edges], eq=eq, ub=ub)
     assert result.status == "optimal"
     return result.objective
 

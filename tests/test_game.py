@@ -14,12 +14,14 @@ from flowgame import (
     attack,
     attack_cost,
     attacker_payoff,
+    best_attacker_response,
     decompose,
     effective_flow,
     enumerate_simple_paths,
     expected_edge_loads,
     expected_payoffs,
     make_network,
+    mean_flow,
     min_cost_max_flow,
     mixture,
     path_flow,
@@ -27,6 +29,7 @@ from flowgame import (
     profile_expectations,
     router_payoff,
     transport_cost,
+    verify_equilibrium,
 )
 from conftest import (
     random_network,
@@ -429,3 +432,44 @@ def test_expected_payoffs_match_the_pairwise_sum():
             net, s1, s2, params
         )
         checked += 1
+
+
+def test_a_router_mixture_plays_as_its_mean_flow():
+    # 120 seeded profiles with 1-3 flows, some of them sharing a path:
+    # verification, the pairwise payoffs and the attacker's best response
+    # see the mixture and the point mass on its mean flow alike.
+    rng = random.Random(71)
+    checked = shared = 0
+    while checked < 120:
+        make = random_network if checked % 2 else random_rational_network
+        net = make(rng)
+        paths = enumerate_simple_paths(net, 5000)
+        flows = [random_path_flow(rng, net, paths) for _ in range(rng.randint(1, 3))]
+        if checked % 3 == 0 and flows[0].paths:
+            # a second flow on a path the first one uses
+            nodes, amount = flows[0].paths[0]
+            flows.append(path_flow(net, [(nodes, amount / 2)]))
+        flows = list(dict.fromkeys(flows))
+        attacks = list(dict.fromkeys(
+            attack(net, [e.id for e in net.edges if rng.random() < 0.3])
+            for _ in range(rng.randint(1, 3))
+        ))
+        s1 = mixture(zip(flows, random_probabilities(rng, len(flows))))
+        s2 = mixture(zip(attacks, random_probabilities(rng, len(attacks))))
+        params = GameParams(
+            F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(1, 9), rng.randint(1, 4))
+        )
+        mean = point_mass(mean_flow(s1))
+        path_uses = [nodes for flow in flows for nodes, _ in flow.paths]
+        shared += len(path_uses) > len(set(path_uses))
+
+        mixed = verify_equilibrium(net, s1, s2, params)
+        pooled = verify_equilibrium(net, mean, s2, params)
+        for field in ("u1", "u2", "router_gap", "attacker_gap", "router_best", "attacker_best"):
+            assert getattr(mixed, field) == getattr(pooled, field), field
+        assert (mixed.u1, mixed.u2) == pairwise_expected_payoffs(net, s1, s2, params)
+        assert best_attacker_response(net, s1, params) == best_attacker_response(
+            net, mean, params
+        )
+        checked += 1
+    assert shared >= 30, shared

@@ -77,9 +77,14 @@ def test_simple_maximization():
     assert result.solution == (Fraction(2), Fraction(2))
 
 
+# Equality rows and negative right-hand sides are outside solve_lp's
+# packing form; they exercise the general two-phase oracle, which
+# lp_edge_always_saturated and lp_min_transport_cost rely on.
+
+
 def test_equality_constraint():
     # min x + 2y s.t. x + y = 3 -> x=3, y=0
-    result = solve_lp([1, 2], eq=[([1, 1], 3)])
+    result = fraction_solve_lp([1, 2], eq=[([1, 1], 3)])
     assert result.status == "optimal"
     assert result.objective == 3
     assert result.solution == (Fraction(3), Fraction(0))
@@ -94,13 +99,13 @@ def test_fractional_optimum_is_exact():
 
 
 def test_infeasible():
-    result = solve_lp([1], eq=[([1], 2), ([1], 3)])
+    result = fraction_solve_lp([1], eq=[([1], 2), ([1], 3)])
     assert result.status == "infeasible"
 
 
 def test_infeasible_negative_rhs():
     # x <= -1 with x >= 0 cannot hold
-    result = solve_lp([1], ub=[([1], -1)])
+    result = fraction_solve_lp([1], ub=[([1], -1)])
     assert result.status == "infeasible"
 
 
@@ -111,7 +116,7 @@ def test_unbounded():
 
 def test_negative_rhs_inequality_feasible():
     # -x <= -2 means x >= 2; minimize x -> 2
-    result = solve_lp([1], ub=[([-1], -2)])
+    result = fraction_solve_lp([1], ub=[([-1], -2)])
     assert result.status == "optimal"
     assert result.objective == 2
 
@@ -128,14 +133,15 @@ def test_degenerate_vertex():
 
 
 def test_redundant_equalities():
-    result = solve_lp([1, 1], eq=[([1, 1], 2), ([2, 2], 4)])
+    result = fraction_solve_lp([1, 1], eq=[([1, 1], 2), ([2, 2], 4)])
     assert result.status == "optimal"
     assert result.objective == 2
 
 
 def test_random_instances_against_vertex_enumeration():
+    # the oracle on general programs; solve_lp on those in packing form
     rng = random.Random(20240811)
-    solved = 0
+    solved = packing = 0
     for _ in range(140):
         n = rng.randint(1, 4)
         costs = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
@@ -153,7 +159,10 @@ def test_random_instances_against_vertex_enumeration():
             bound[i] = Fraction(1)
             ub.append((bound, Fraction(rng.randint(1, 6))))
 
-        result = solve_lp(costs, eq=eq, ub=ub)
+        result = fraction_solve_lp(costs, eq=eq, ub=ub)
+        if not eq and all(rhs >= 0 for _, rhs in ub):
+            assert solve_lp(costs, ub=ub) == result
+            packing += 1
         expected = brute_force_lp(costs, eq, ub)
         if expected is None:
             assert result.status == "infeasible"
@@ -170,6 +179,7 @@ def test_random_instances_against_vertex_enumeration():
             assert sum(c * x for c, x in zip(costs, point)) == expected
             solved += 1
     assert solved > 40  # the sweep must actually exercise optimal cases
+    assert packing > 40
 
 
 def random_packing_lp(rng, cols=12, rows=6):
@@ -218,44 +228,37 @@ def random_rational(rng, low, high):
 
 
 def random_lp(rng):
-    """Up to 6 variables, 0-2 equality rows (the second one sometimes a
-    multiple of the first, so phase 1 leaves a redundant row to delete)
-    and 0-5 inequality rows, some with a negative or zero right-hand side."""
+    """Up to 6 variables and 0-5 inequality rows with coefficients of
+    either sign and right-hand sides >= 0, some of them zero."""
     n = rng.randint(1, 6)
 
     def coeffs():
         return [random_rational(rng, -2, 3) if rng.random() < 0.7 else 0 for _ in range(n)]
 
     costs = [random_rational(rng, -3, 3) for _ in range(n)]
-    eq = [(coeffs(), random_rational(rng, -1, 4)) for _ in range(rng.randint(0, 2))]
-    duplicated = len(eq) == 2 and rng.random() < 0.5
-    if duplicated:
-        factor = rng.choice([1, 2, Fraction(1, 3), -1])
-        eq[1] = ([factor * a for a in eq[0][0]], factor * eq[0][1])
     ub = [
-        (coeffs(), random_rational(rng, -1, 5) if rng.random() < 0.7 else 0)
+        (coeffs(), random_rational(rng, 0, 5) if rng.random() < 0.7 else 0)
         for _ in range(rng.randint(0, 5))
     ]
-    return costs, eq, ub, duplicated
+    return costs, ub
 
 
 def test_integer_simplex_matches_fraction_oracle():
     # the same pivot sequence: equal status, objective, solution and
     # pivot count on every instance
     rng = random.Random(20261018)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    redundant = degenerate = phase_one = 0
+    seen = {"optimal": 0, "unbounded": 0}
+    degenerate = negative = 0
     for _ in range(5000):
-        costs, eq, ub, duplicated = random_lp(rng)
-        result = solve_lp(costs, eq=eq, ub=ub)
-        assert result == fraction_solve_lp(costs, eq=eq, ub=ub), (costs, eq, ub)
+        costs, ub = random_lp(rng)
+        result = solve_lp(costs, ub=ub)
+        assert result == fraction_solve_lp(costs, ub=ub), (costs, ub)
         seen[result.status] += 1
-        if result.status == "optimal":
-            redundant += duplicated
-            degenerate += any(rhs == 0 for _, rhs in ub) and result.pivots > 0
-            phase_one += bool(eq) or any(rhs < 0 for _, rhs in ub)
-    assert min(seen.values()) >= 500, seen
-    assert redundant >= 100 and degenerate >= 200 and phase_one >= 500
+        if result.status == "optimal" and result.pivots > 0:
+            degenerate += any(rhs == 0 for _, rhs in ub)
+            negative += any(a < 0 for row, _ in ub for a in row)
+    assert min(seen.values()) >= 1500, seen
+    assert degenerate >= 800 and negative >= 800, (degenerate, negative)
 
 
 @pytest.mark.parametrize(
@@ -271,8 +274,25 @@ def test_integer_simplex_matches_fraction_oracle():
     ],
 )
 def test_only_ints_and_fractions_are_accepted(minimize, eq, ub, bad):
+    # checked before the form, so a bad equality row is a TypeError too
     with pytest.raises(TypeError) as info:
         solve_lp(minimize, eq=eq, ub=ub)
     message = str(info.value)
     assert message == f"LP data must be int or Fraction, got {bad}"
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "eq,ub,message",
+    [
+        ([([1], 2)], (), "solve_lp takes no equality rows, got 1"),
+        ([([1], 2), ([2], 4)], [([1], 1)], "solve_lp takes no equality rows, got 2"),
+        ((), [([1], -1)], "right-hand sides must be nonnegative, got -1"),
+        ((), [([1], 2), ([-1], Fraction(-1, 3))], "right-hand sides must be nonnegative, got -1/3"),
+    ],
+)
+def test_only_packing_programs_are_accepted(eq, ub, message):
+    with pytest.raises(ValueError) as info:
+        solve_lp([1], eq=eq, ub=ub)
+    assert str(info.value) == message
     assert "\n" not in message
