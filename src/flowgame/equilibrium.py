@@ -316,8 +316,11 @@ def best_router_response(
     path flows suffice because the router payoff is linear in path
     amounts and loops only add cost.
 
-    The program runs on the scaled integer capacities, so its amounts and
-    its optimum are those of the true program times the capacity scale.
+    The program runs on the scaled integer capacities and on the worths
+    times the LCM of their denominators, so its amounts are those of the
+    true program times the capacity scale and its optimum that times the
+    worth scale as well. A positive scale on the costs keeps every sign
+    Bland's rule reads, so the pivots are those of the true program.
     """
     form = net._integer_form
     # Bit k of an edge's mask: attack k of the support disrupts the edge.
@@ -325,7 +328,12 @@ def best_router_response(
     for k, (atk, _) in enumerate(s2.support):
         for i in atk.edge_ids:
             hit[i] |= 1 << k
-    probs = [q for _, q in s2.support]
+    # Worths are ints over ``scale``, the LCM of the denominators of p1
+    # times each attack's probability and of one unit of scaled cost.
+    scale, ints = to_integers(
+        [*(params.p1 * q for _, q in s2.support), Fraction(1, form.cost_scale)]
+    )
+    gains, unit_cost = ints[:-1], ints[-1]
     # A path's worth depends only on which attacks hit it and on its scaled
     # cost, so it is computed once per such key: the positive worth, or
     # None.
@@ -338,8 +346,8 @@ def best_router_response(
             cost += form.cost[i]
         key = (mask, cost)
         if key not in worths:
-            survival = sum((q for k, q in enumerate(probs) if not mask >> k & 1), ZERO)
-            worth = params.p1 * survival - Fraction(cost, form.cost_scale)
+            worth = sum(g for k, g in enumerate(gains) if not mask >> k & 1)
+            worth -= cost * unit_cost
             worths[key] = worth if worth > 0 else None
         if worths[key] is not None:
             weighted.append((ids, worths[key]))
@@ -363,7 +371,7 @@ def best_router_response(
         if x > 0
     ]
     return BestResponse(
-        -result.objective / form.cap_scale, PathFlow(tuple(sorted(amounts)))
+        -result.objective / (scale * form.cap_scale), PathFlow(tuple(sorted(amounts)))
     )
 
 

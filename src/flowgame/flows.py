@@ -18,9 +18,17 @@ networks, not asymptotics:
   Costs are nonnegative, so plain Dijkstra works from the start and
   reduced costs stay nonnegative throughout. It is also a maximum flow,
   and the only flow computed per network. Its first Dijkstra round, on
-  the zero flow, is the cheapest path cost.
+  the zero flow, is the cheapest path cost. Each node keeps the list of
+  its residual arcs the flow leaves open, in the integer form's arc
+  order; an augmentation changes arcs only at the nodes of its path, so
+  only their lists are rebuilt, and Dijkstra never meets a closed arc.
+  The heap holds ``dist * n + node`` for n nodes, which for
+  0 <= node < n orders as the pair (dist, node) does. Pop order and
+  scan order are those of a scan over every arc that skips the closed
+  ones, so each augmenting path and each potential is too.
 * min-cuts: read from the residual graph of that flow; the canonical one
-  has the nodes the source reaches as its source side.
+  has the nodes the source reaches as its source side, grown over the
+  integer form's arcs.
 * edge saturation under every min-cost max-flow: one Bellman-Ford run
   on the same residual graph.
 * decomposition: cycles are peeled off first (depth-first search on the
@@ -160,9 +168,18 @@ def min_cut(net: Network) -> Cut:
 
 
 def _canonical_cut(net: Network, flow: Mapping) -> Cut:
-    s_side = set()
-    _grow(s_side, _residual_arcs(net, flow)[0], net.source, [])
-    return _cut(net, frozenset(s_side))
+    form = net._integer_form
+    forward_open, backward_open = _residual_open(net, flow)
+    source = form.index[net.source]
+    reached = [False] * len(form.arcs)
+    reached[source] = True
+    todo = [source]
+    while todo:
+        for edge_id, forward, dst in form.arcs[todo.pop()]:
+            if not reached[dst] and (forward_open if forward else backward_open)[edge_id]:
+                reached[dst] = True
+                todo.append(dst)
+    return _cut(net, frozenset(name for name, i in form.index.items() if reached[i]))
 
 
 def all_min_cuts(net: Network, flow: Mapping) -> tuple:
@@ -246,22 +263,21 @@ def min_cost_max_flow(net: Network) -> tuple:
     source, sink = form.index[net.source], form.index[net.sink]
     flow = [0] * len(capacity)
     potential = [0] * len(form.arcs)
+    open_arcs = _open_arcs(form, flow)
     total_cost = 0
 
     while True:
-        dist, parent = _cheapest_residual_paths(form, flow, potential, source)
+        dist, parent = _cheapest_residual_paths(open_arcs, potential, source)
         if dist[sink] is None:
             break
-        for node, d in enumerate(dist):
-            if d is not None:
-                potential[node] += d
+        potential = [p if d is None else p + d for p, d in zip(potential, dist)]
 
-        arcs = []
+        arcs, path_nodes = [], [sink]
         node = sink
         while node != source:
-            edge_id, forward, prev = parent[node]
+            edge_id, forward, node = parent[node]
             arcs.append((edge_id, forward))
-            node = prev
+            path_nodes.append(node)
         bottleneck = min(capacity[i] - flow[i] if fwd else flow[i] for i, fwd in arcs)
         step_cost = 0
         for edge_id, forward in arcs:
@@ -272,42 +288,62 @@ def min_cost_max_flow(net: Network) -> tuple:
                 flow[edge_id] -= bottleneck
                 step_cost -= cost[edge_id]
         total_cost += bottleneck * step_cost
+        # Only the arcs of the path's edges opened or closed, and each of
+        # them lies at a node on the path.
+        for node in path_nodes:
+            open_arcs[node] = _open_arcs_at(form, flow, node)
     amounts = {i: Fraction(amount, form.cap_scale) for i, amount in enumerate(flow)}
     return amounts, Fraction(total_cost, form.cap_scale * form.cost_scale)
 
 
-def _cheapest_residual_paths(form, flow, potential, source) -> tuple:
-    """Dijkstra over the residual graph of ``flow`` (scaled amounts by edge
-    id) with reduced arc costs, the heap keyed (distance, node index).
-    Returns each node's distance (None when unreached) and the arc (edge
-    id, is_forward, previous node) it was reached by."""
-    adj, capacity, cost = form.arcs, form.capacity, form.cost
-    dist = [None] * len(adj)
-    parent = [None] * len(adj)
-    final = [False] * len(adj)
+def _open_arcs_at(form, flow, node) -> list:
+    """The residual arcs at ``node`` that ``flow`` (scaled amounts by edge
+    id) leaves open, in ``form.arcs`` order, as (edge id, is_forward,
+    other end, scaled cost signed by direction)."""
+    capacity, cost = form.capacity, form.cost
+    return [
+        (i, True, dst, cost[i]) if forward else (i, False, dst, -cost[i])
+        for i, forward, dst in form.arcs[node]
+        if (flow[i] < capacity[i] if forward else flow[i] > 0)
+    ]
+
+
+def _open_arcs(form, flow) -> list:
+    return [_open_arcs_at(form, flow, node) for node in range(len(form.arcs))]
+
+
+def _cheapest_residual_paths(open_arcs, potential, source) -> tuple:
+    """Dijkstra over the open residual arcs (``open_arcs[node]`` as
+    ``_open_arcs_at`` lists them) with reduced arc costs. Returns each
+    node's distance (None when unreached) and the arc (edge id,
+    is_forward, previous node) it was reached by.
+
+    The heap holds ``dist * n + node`` for n nodes. With 0 <= node < n,
+    these ints order as the pairs (dist, node) do, ties to the lower node
+    number, and the key modulo n is the node. A node's entries are pushed
+    with falling distances, so its first entry popped is its last one
+    pushed, at the distance ``dist`` holds."""
+    pop, push = heapq.heappop, heapq.heappush
+    n = len(open_arcs)
+    dist = [None] * n
+    parent = [None] * n
+    final = [False] * n
     dist[source] = 0
-    heap = [(0, source)]
+    heap = [source]
     while heap:
-        d, node = heapq.heappop(heap)
+        node = pop(heap) % n
         if final[node]:
             continue
         final[node] = True
-        base = d + potential[node]
-        for edge_id, forward, dst in adj[node]:
+        base = dist[node] + potential[node]
+        for edge_id, forward, dst, cost in open_arcs[node]:
             if final[dst]:
                 continue
-            if forward:
-                if flow[edge_id] >= capacity[edge_id]:
-                    continue
-                candidate = base + cost[edge_id] - potential[dst]
-            else:
-                if flow[edge_id] <= 0:
-                    continue
-                candidate = base - cost[edge_id] - potential[dst]
+            candidate = base + cost - potential[dst]
             if dist[dst] is None or candidate < dist[dst]:
                 dist[dst] = candidate
                 parent[dst] = (edge_id, forward, node)
-                heapq.heappush(heap, (candidate, dst))
+                push(heap, candidate * n + dst)
     return dist, parent
 
 
@@ -519,7 +555,9 @@ def cheapest_path_cost(net: Network) -> Optional[Fraction]:
     edges at their own costs."""
     form = net._integer_form
     dist, _ = _cheapest_residual_paths(
-        form, [0] * len(form.capacity), [0] * len(form.arcs), form.index[net.source]
+        _open_arcs(form, [0] * len(form.capacity)),
+        [0] * len(form.arcs),
+        form.index[net.source],
     )
     d = dist[form.index[net.sink]]
     return None if d is None else Fraction(d, form.cost_scale)

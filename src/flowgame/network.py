@@ -139,14 +139,27 @@ class Network:
 
 
 def _coerce_edges(edges: Iterable) -> list:
+    # Each distinct rational string is parsed once per call. Only strings
+    # are memoized: True, 1 and 1.0 hash alike, and bool and float must
+    # still be rejected wherever they occur.
+    parsed = {}
+
+    def rational(value, field, tail, head):
+        if isinstance(value, str) and value in parsed:
+            return parsed[value]
+        number = parse_rational(value, what=f"{field} of edge ({tail}, {head})")
+        if isinstance(value, str):
+            parsed[value] = number
+        return number
+
     coerced = []
     for index, item in enumerate(edges):
         if isinstance(item, EdgeSpec):
             tail, head, capacity, cost = item.tail, item.head, item.capacity, item.cost
         else:
             tail, head, capacity, cost = item
-        capacity = parse_rational(capacity, what=f"capacity of edge ({tail}, {head})")
-        cost = parse_rational(cost, what=f"cost of edge ({tail}, {head})")
+        capacity = rational(capacity, "capacity", tail, head)
+        cost = rational(cost, "cost", tail, head)
         coerced.append(EdgeSpec(index, tail, head, capacity, cost))
     return coerced
 

@@ -93,6 +93,37 @@ def random_tie_network(rng: random.Random) -> Network:
     return make_network(nodes, edges, "s", "t")
 
 
+def random_grid_network(rng: random.Random, max_side: int = 7) -> Network:
+    """An r x c grid, 2 <= r, c <= ``max_side``: every right and down edge,
+    each left and up edge with probability 1/2, capacities 1-5 and costs
+    0-3. s feeds the left column and the right column drains to t over
+    zero-cost edges that never bind. Many paths tie in cost, so the tie
+    order decides which ones the min-cost max-flow takes."""
+    rows, cols = rng.randint(2, max_side), rng.randint(2, max_side)
+    name = [[f"n{r}_{c}" for c in range(cols)] for r in range(rows)]
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            steps = []
+            if c + 1 < cols:
+                steps.append(name[r][c + 1])
+            if r + 1 < rows:
+                steps.append(name[r + 1][c])
+            if c > 0 and rng.random() < 0.5:
+                steps.append(name[r][c - 1])
+            if r > 0 and rng.random() < 0.5:
+                steps.append(name[r - 1][c])
+            edges += [
+                (name[r][c], there, rng.randint(1, 5), rng.randint(0, 3))
+                for there in steps
+            ]
+    never_binds = 5 * cols + 1
+    edges += [("s", name[r][0], never_binds, 0) for r in range(rows)]
+    edges += [(name[r][cols - 1], "t", never_binds, 0) for r in range(rows)]
+    nodes = ["s", "t", *(n for row in name for n in row)]
+    return make_network(nodes, edges, "s", "t")
+
+
 def _non_integer(rng: random.Random, denominators, top: int) -> Fraction:
     """A rational between 0 and ``top`` that is not an integer, over one of
     the given denominators."""

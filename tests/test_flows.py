@@ -31,7 +31,12 @@ from flowgame import (
 from flowgame.cli import main
 from flowgame.flows import _canonical_cut
 
-from conftest import random_network, random_rational_network, random_tie_network
+from conftest import (
+    random_grid_network,
+    random_network,
+    random_rational_network,
+    random_tie_network,
+)
 from oracles import (
     distinct_partition_min_cuts,
     fraction_canonical_cut,
@@ -393,6 +398,27 @@ def test_tie_orders_differ_on_dense_zero_cost_networks():
         assert cost == second_cost
         assert all_min_cuts(net, first) == all_min_cuts(net, second)
     assert differing >= 20
+
+
+def test_grids_match_the_fraction_oracle_in_both_tie_orders():
+    # Grids like the benchmark's, with back edges: the successive
+    # shortest paths over the open residual arcs must take the oracle's
+    # paths in either scan order, and the first round and the cut read
+    # off the flow must be the oracle's too.
+    rng = random.Random(13)
+    differing = 0
+    for _ in range(30):
+        net = random_grid_network(rng)
+        first, cost = min_cost_max_flow(net)
+        assert (first, cost) == fraction_min_cost_max_flow(net)
+        second = min_cost_max_flow_reversed(net)
+        assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
+        differing += first != second[0]
+        assert cheapest_path_cost(net) == fraction_cheapest_path_cost(net)
+        for flow in (first, second[0]):
+            assert _canonical_cut(net, flow) == fraction_canonical_cut(net, flow)
+    # the tie order decides the flow on some of them
+    assert differing >= 2
 
 
 def test_routing_check_agrees_with_per_path_criterion():

@@ -73,6 +73,69 @@ def test_parse_rational_rejects_inexact(bad):
         parse_rational(bad)
 
 
+# ---------------------------------------------------------------------------
+# Edge values: each distinct string is parsed once per network
+# ---------------------------------------------------------------------------
+
+NODES = ["s", "a", "b", "c", "t"]
+
+
+def edge_error(kind, edges) -> str:
+    with pytest.raises(kind) as caught:
+        make_network(NODES, edges, "s", "t")
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "capacity of edge (c, t) must be a rational number, got a boolean"),
+        (1.0, "capacity of edge (c, t) must be an exact rational such as '3' or "
+              "'7/2'; floats like 1.0 are not accepted because results are "
+              "decided by exact equality"),
+        ([1], "capacity of edge (c, t) must be a rational number, got list"),
+    ],
+)
+def test_non_strings_are_checked_after_equal_strings(value, message):
+    # True == 1 == 1.0 and they hash alike, so "1" parsed on earlier edges
+    # must not stand in for them
+    edges = [("s", "a", "1", "1"), ("a", "b", "1", 1), ("b", "c", 1, "1"),
+             ("c", "t", value, 0)]
+    assert edge_error(ParseError, edges) == message
+    edges[3] = ("c", "t", 1, value)
+    assert edge_error(ParseError, edges) == message.replace("capacity", "cost")
+
+
+@pytest.mark.parametrize("text", ["1.5", "-"])
+def test_a_repeated_bad_string_fails_at_its_first_edge(text):
+    edges = [("s", "a", "2", "1"), ("a", "b", text, "1"), ("b", "c", "2", text),
+             ("c", "t", text, "1")]
+    assert edge_error(ParseError, edges) == (
+        f"capacity of edge (a, b) must be an exact rational such as '3' or "
+        f"'7/2', got {text!r}"
+    )
+
+
+def test_a_shared_negative_cost_names_its_first_edge():
+    edges = [("s", "a", "2", "0"), ("a", "b", "2", "-1"), ("b", "c", "2", "-1"),
+             ("c", "t", "2", "-1")]
+    assert edge_error(NegativeCost, edges) == "edge (a, b) has cost -1"
+
+
+def test_equal_values_in_every_form_parse_alike():
+    forms = ["3/2", " 3/2", 3, Fraction(3, 2)]
+    edges = [(tail, head, form, form)
+             for tail, head, form in zip(NODES, NODES[1:], forms)]
+    net = make_network(NODES, edges, "s", "t")
+    expected = [Fraction(3, 2), Fraction(3, 2), Fraction(3), Fraction(3, 2)]
+    assert [e.capacity for e in net.edges] == expected
+    assert [e.cost for e in net.edges] == expected
+    assert all(type(e.capacity) is Fraction for e in net.edges)
+    # the memo lives for one call: another network reads its own strings
+    other = make_network(["s", "t"], [("s", "t", "3/2", "7")], "s", "t")
+    assert (other.edges[0].capacity, other.edges[0].cost) == (Fraction(3, 2), 7)
+
+
 def test_json_round_trip_is_identity(triple_cut_net):
     again = network_from_json(network_to_json(triple_cut_net))
     assert again == triple_cut_net
