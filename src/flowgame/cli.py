@@ -69,14 +69,18 @@ EXIT_BUDGET = 5
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _flow_json(net: Network, flow: PathFlow) -> dict:
+def _flow_json(net: Network, flow: PathFlow, cost=None) -> dict:
+    """The flow's paths, value and transport cost; ``cost``, when given,
+    is that transport cost, which is then not summed again."""
+    if cost is None:
+        cost = transport_cost(net, flow)
     return {
         "paths": [
             {"nodes": list(nodes), "amount": _rat(amount)}
             for nodes, amount in flow.paths
         ],
         "value": _rat(flow.value),
-        "transport_cost": _rat(transport_cost(net, flow)),
+        "transport_cost": _rat(cost),
     }
 
 
@@ -150,7 +154,11 @@ def _verification_json(net: Network, report: VerificationReport) -> dict:
 
 
 def _analysis_json(net: Network, analysis: FlowAnalysis) -> dict:
-    optimal = _flow_json(net, analysis.optimal_flow)
+    # The optimal flow is the min-cost max-flow less the cycles of its
+    # decomposition. Removing a cycle of positive cost would lower the
+    # cost at the same value, and costs are nonnegative, so each dropped
+    # cycle costs 0 and the paths cost the min transport cost.
+    optimal = _flow_json(net, analysis.optimal_flow, analysis.min_transport_cost)
     if analysis.cheapest_routing is None:
         routing = "not applicable"
         witness = None

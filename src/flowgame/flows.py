@@ -292,7 +292,9 @@ def min_cost_max_flow(net: Network) -> tuple:
         # them lies at a node on the path.
         for node in path_nodes:
             open_arcs[node] = _open_arcs_at(form, flow, node)
-    amounts = {i: Fraction(amount, form.cap_scale) for i, amount in enumerate(flow)}
+    # One Fraction per distinct amount, shared by every edge that carries it.
+    shared = {amount: Fraction(amount, form.cap_scale) for amount in set(flow)}
+    amounts = {i: shared[amount] for i, amount in enumerate(flow)}
     return amounts, Fraction(total_cost, form.cap_scale * form.cost_scale)
 
 
@@ -352,9 +354,15 @@ def _cheapest_residual_paths(open_arcs, potential, source) -> tuple:
 # ---------------------------------------------------------------------------
 
 def flow_value(net: Network, amounts: Mapping) -> Fraction:
-    """Net flow into the sink."""
-    into = sum((amounts.get(e.id, ZERO) for e in net.in_edges[net.sink]), ZERO)
-    out = sum((amounts.get(e.id, ZERO) for e in net.out_edges[net.sink]), ZERO)
+    """Net flow into the sink: over its backward residual arcs, which are
+    its in-edges, less over its forward ones, its out-edges."""
+    form = net._integer_form
+    into = out = ZERO
+    for edge_id, forward, _ in form.arcs[form.index[net.sink]]:
+        if forward:
+            out += amounts.get(edge_id, ZERO)
+        else:
+            into += amounts.get(edge_id, ZERO)
     return into - out
 
 
@@ -416,9 +424,8 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
     work = dict(zip(positive, scaled))
 
     cycles = _peel_cycles(net, work)
-    out_ids = {
-        node: tuple(sorted(e.id for e in net.out_edges[node])) for node in net.nodes
-    }
+    # ``out_edges`` lists each node's edges in id order already.
+    out_ids = {node: tuple(e.id for e in edges) for node, edges in net.out_edges.items()}
     paths = []
     while True:
         extracted = _extract_path(net, work, out_ids)

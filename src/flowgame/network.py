@@ -191,11 +191,12 @@ def make_network(nodes: Iterable, edges: Iterable, source: NodeId, sink: NodeId)
         if (e.tail, e.head) in seen:
             raise DuplicateEdge(f"more than one edge from {e.tail!r} to {e.head!r}")
         seen.add((e.tail, e.head))
-        if e.capacity < 0:
+        # Both values are Fractions by now, whose sign is their numerator's.
+        if e.capacity.numerator < 0:
             raise NegativeCapacity(
                 f"edge ({e.tail}, {e.head}) has capacity {e.capacity}"
             )
-        if e.cost < 0:
+        if e.cost.numerator < 0:
             raise NegativeCost(f"edge ({e.tail}, {e.head}) has cost {e.cost}")
 
     return Network(node_set, tuple(specs), source, sink)

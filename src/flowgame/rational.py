@@ -67,6 +67,9 @@ def format_rational(value: Fraction, what: str = "a result") -> str:
 def to_integers(values: list) -> tuple:
     """``(scale, scaled)``: the LCM of the values' denominators, and the
     tuple of the values times it, so that sums and comparisons of them
-    can run on ``int``."""
+    can run on ``int``. When every value is an integer the scale is 1
+    and the numerators are the scaled values."""
     scale = math.lcm(*(x.denominator for x in values))
+    if scale == 1:
+        return 1, tuple(x.numerator for x in values)
     return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
