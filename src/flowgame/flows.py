@@ -7,7 +7,9 @@ their denominators. A positive
 scale keeps every comparison and every heap order, so each result is the
 one the same algorithm gives on the rationals. Values leave the layer as
 ``Fraction``: flow amounts over the capacity scale, path costs over the
-cost scale, a total transport cost over their product. Flows passed in
+cost scale, a total transport cost over their product. The min-cost
+max-flow builds one ``Fraction`` per distinct amount in each call and
+shares it among the edges that carry that amount. Flows passed in
 need not lie on the capacity lattice: residual tests cross-multiply, and
 ``decompose`` scales by the LCM of the given amounts' denominators.
 
@@ -34,6 +36,10 @@ networks, not asymptotics:
 * decomposition: cycles are peeled off first (depth-first search on the
   support graph), after which the support is acyclic and source-to-sink
   paths are extracted by always following the lowest-id positive edge.
+  The cycles of a min-cost flow cost 0 (removing one of positive cost
+  would lower the cost at the same value), so its path part, the
+  optimal flow of ``analyze``, has the min transport cost as its
+  transport cost, and reports print that value instead of summing it.
 
 Everything here is a pure function of an immutable network, safe for
 concurrent use.

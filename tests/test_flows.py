@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowgame import flows
+from flowgame import cli, flows
 from flowgame import (
     NoRoute,
     UndecomposableFlow,
@@ -22,6 +22,7 @@ from flowgame import (
     max_flow,
     min_cost_max_flow,
     min_cut,
+    network_from_json,
     network_to_json,
     path_cost,
     path_flow,
@@ -32,6 +33,7 @@ from flowgame.cli import main
 from flowgame.flows import _canonical_cut
 
 from conftest import (
+    FIXTURES,
     random_grid_network,
     random_network,
     random_rational_network,
@@ -653,6 +655,26 @@ def first_primes(count: int) -> list:
     return primes
 
 
+def analyze_stdout(path, fmt="json"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["analyze", str(path), "--format", fmt])
+    return code, out.getvalue()
+
+
+def swap_in_reference(monkeypatch):
+    """Make ``analyze`` run on the Fraction oracles, and the CLI sum each
+    reported flow's transport cost path by path, so that the report no
+    longer depends on the integer core or on the reused min transport
+    cost."""
+    monkeypatch.setattr(flows, "min_cost_max_flow", fraction_min_cost_max_flow)
+    monkeypatch.setattr(flows, "decompose", fraction_decompose)
+    monkeypatch.setattr(flows, "cheapest_path_cost", fraction_cheapest_path_cost)
+    monkeypatch.setattr(flows, "_canonical_cut", fraction_canonical_cut)
+    flow_json = cli._flow_json
+    monkeypatch.setattr(cli, "_flow_json", lambda net, flow, cost=None: flow_json(net, flow))
+
+
 def test_huge_scales_match_the_oracle(tmp_path, monkeypatch):
     # 40 edges whose capacity and cost denominators are the first 40
     # primes: both scales are their product, over 10^60.
@@ -676,20 +698,46 @@ def test_huge_scales_match_the_oracle(tmp_path, monkeypatch):
 
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(network_to_json(net)))
-
-    def analyze_stdout():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["analyze", str(path), "--format", "json"])
-        return code, out.getvalue()
-
-    code, stdout = analyze_stdout()
-    monkeypatch.setattr(flows, "min_cost_max_flow", fraction_min_cost_max_flow)
-    monkeypatch.setattr(flows, "decompose", fraction_decompose)
-    monkeypatch.setattr(flows, "cheapest_path_cost", fraction_cheapest_path_cost)
-    monkeypatch.setattr(flows, "_canonical_cut", fraction_canonical_cut)
+    code, stdout = analyze_stdout(path)
+    swap_in_reference(monkeypatch)
     assert code == 0
-    assert analyze_stdout() == (code, stdout)
+    assert analyze_stdout(path) == (code, stdout)
+
+
+def test_grid_reports_match_the_reference_byte_for_byte(tmp_path, monkeypatch):
+    rng = random.Random(21)
+    runs = []
+    for k in range(5):
+        path = tmp_path / f"grid{k}.json"
+        path.write_text(json.dumps(network_to_json(random_grid_network(rng))))
+        runs += [(path, "json"), (path, "text")]
+    reports = [analyze_stdout(path, fmt) for path, fmt in runs]
+    assert all(code == 0 for code, _ in reports)
+    swap_in_reference(monkeypatch)
+    assert [analyze_stdout(path, fmt) for path, fmt in runs] == reports
+
+
+def test_reported_transport_cost_is_the_path_by_path_sum():
+    # The report prints the min transport cost as the optimal flow's
+    # transport cost. That flow is the min-cost max-flow less the cycles
+    # of its decomposition, so each of those cycles must cost 0.
+    rng = random.Random(5)
+    nets = [network_from_json(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    nets += [random_grid_network(rng) for _ in range(30)]
+    nets += [random_rational_network(rng) for _ in range(60)]
+    nets += [random_tie_network(rng) for _ in range(60)]
+    with_cycles = 0
+    for net in nets:
+        analysis = analyze(net)
+        summed = transport_cost(net, analysis.optimal_flow)
+        assert analysis.min_transport_cost == summed
+        report = cli._analysis_json(net, analysis)
+        assert report["optimal_flow"]["transport_cost"] == str(summed)
+        if analysis.cheapest_routing:
+            assert report["routing_witness"]["flow"] == report["optimal_flow"]
+        with_cycles += bool(decompose(net, min_cost_max_flow(net)[0]).cycles)
+    assert any(net._integer_form.cap_scale > 1 for net in nets)
+    assert with_cycles >= 1
 
 
 def test_classify_no_route_error():

@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from flowgame import (
     DuplicateEdge,
+    EdgeSpec,
     EmptyTerminalSet,
     NegativeCapacity,
     NegativeCost,
@@ -18,6 +21,7 @@ from flowgame import (
     parse_rational,
 )
 from flowgame.flows import max_flow
+from flowgame.rational import to_integers
 
 from conftest import FIXTURES
 
@@ -134,6 +138,94 @@ def test_equal_values_in_every_form_parse_alike():
     # the memo lives for one call: another network reads its own strings
     other = make_network(["s", "t"], [("s", "t", "3/2", "7")], "s", "t")
     assert (other.edges[0].capacity, other.edges[0].cost) == (Fraction(3, 2), 7)
+
+
+# ---------------------------------------------------------------------------
+# Sign checks: on the numerator of the parsed Fraction
+# ---------------------------------------------------------------------------
+
+def one_edge_network(route, capacity, cost):
+    """A network whose edge (s, t) carries the given values, built by one
+    of the routes a value can take into ``make_network``."""
+    if route == "tuple":
+        return make_network(["s", "t"], [("s", "t", capacity, cost)], "s", "t")
+    if route == "EdgeSpec":
+        edge = EdgeSpec(0, "s", "t", capacity, cost)
+        return make_network(["s", "t"], [edge], "s", "t")
+    if route == "one terminal each":
+        return normalize_terminals(
+            ["s", "t"], [("s", "t", capacity, cost)], sources=["s"], sinks=["t"]
+        )
+    # two sources: normalize_terminals coerces the edges itself first
+    return normalize_terminals(
+        ["s", "u", "t"],
+        [("s", "t", capacity, cost), ("u", "t", 1, 0)],
+        sources=["s", "u"],
+        sinks=["t"],
+    )
+
+
+ROUTES = ["tuple", "EdgeSpec", "one terminal each", "two sources"]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize(
+    "capacity, cost, kind, message",
+    [
+        (Fraction(-1, 3), 0, NegativeCapacity, "edge (s, t) has capacity -1/3"),
+        (1, Fraction(-1, 3), NegativeCost, "edge (s, t) has cost -1/3"),
+    ],
+)
+def test_negative_fractions_are_rejected_by_every_route(route, capacity, cost, kind, message):
+    with pytest.raises(kind) as caught:
+        one_edge_network(route, capacity, cost)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("zero", ["0", "-0", "0/7", 0, Fraction(0)])
+def test_zero_in_every_form_is_accepted(route, zero):
+    net = one_edge_network(route, zero, zero)
+    edge = next(e for e in net.edges if (e.tail, e.head) == ("s", "t"))
+    assert (edge.capacity, edge.cost) == (0, 0)
+    assert type(edge.capacity) is Fraction and type(edge.cost) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# Scaling rationals to integers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [Fraction(3), Fraction(-2), Fraction(0)],
+        [Fraction(0)],
+        [7, -1, 0],
+        [Fraction(-5), 4],
+    ],
+)
+def test_to_integers_returns_integers_as_they_are(values):
+    scale, scaled = to_integers(values)
+    assert (scale, scaled) == (1, tuple(int(v) for v in values))
+    assert type(scaled) is tuple
+    assert all(type(x) is int for x in scaled)
+
+
+def test_to_integers_of_nothing():
+    assert to_integers([]) == (1, ())
+
+
+def test_to_integers_scales_mixed_lists():
+    assert to_integers([Fraction(1, 2), 3, Fraction(-2, 3)]) == (6, (3, 18, -4))
+    rng = random.Random(3)
+    for _ in range(100):
+        values = [
+            Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+            for _ in range(rng.randint(1, 6))
+        ]
+        scale = math.lcm(*(v.denominator for v in values))
+        scaled = tuple(v.numerator * (scale // v.denominator) for v in values)
+        assert to_integers(values) == (scale, scaled)
 
 
 def test_json_round_trip_is_identity(triple_cut_net):
