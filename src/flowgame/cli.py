@@ -154,10 +154,8 @@ def _verification_json(net: Network, report: VerificationReport) -> dict:
 
 
 def _analysis_json(net: Network, analysis: FlowAnalysis) -> dict:
-    # The optimal flow is the min-cost max-flow less the cycles of its
-    # decomposition. Removing a cycle of positive cost would lower the
-    # cost at the same value, and costs are nonnegative, so each dropped
-    # cycle costs 0 and the paths cost the min transport cost.
+    # The optimal flow drops only the min-cost max-flow's cycles, which
+    # cost 0 (see ``flows``), so it costs the min transport cost.
     optimal = _flow_json(net, analysis.optimal_flow, analysis.min_transport_cost)
     if analysis.cheapest_routing is None:
         routing = "not applicable"
