@@ -42,11 +42,9 @@ from .flows import (
     cheapest_path_cost,
     decompose,
     flow_value,
-    is_feasible,
     max_flow,
     min_cost_max_flow,
     min_cut,
-    strip_loops,
 )
 from .game import (
     Attack,

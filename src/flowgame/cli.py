@@ -27,7 +27,6 @@ from .equilibrium import (
     VerificationReport,
     best_attacker_response,
     best_router_response,
-    classify_region,
     closed_form_quantities,
     construct_equilibrium,
     maximin,
@@ -377,10 +376,7 @@ def cmd_solve(args) -> int:
         max_attack_edges=args.max_attack_edges,
         analysis=analysis,
     )
-    if analysis.cheapest_path_cost is None:
-        region_tag = "degenerate"
-    else:
-        region_tag = classify_region(params, analysis.cheapest_path_cost).tag
+    region_tag = "degenerate" if verification.region is None else verification.region.tag
     closed = None
     if region_tag == "III":
         closed = _closed_forms_json(

@@ -20,19 +20,20 @@ networks, not asymptotics:
   Costs are nonnegative, so plain Dijkstra works from the start and
   reduced costs stay nonnegative throughout. It is also a maximum flow,
   and the only flow computed per network. Its first Dijkstra round, on
-  the zero flow, is the cheapest path cost. Each node keeps the list of
-  its residual arcs the flow leaves open, in the integer form's arc
-  order; an augmentation changes arcs only at the nodes of its path, so
-  only their lists are rebuilt, and Dijkstra never meets a closed arc.
-  The heap holds ``dist * n + node`` for n nodes, which for
-  0 <= node < n orders as the pair (dist, node) does. Pop order and
-  scan order are those of a scan over every arc that skips the closed
-  ones, so each augmenting path and each potential is too.
-* min-cuts: read from the residual graph of that flow; the canonical one
-  has the nodes the source reaches as its source side, grown over the
-  integer form's arcs.
+  the zero flow, gives the cheapest path cost; its last, which fails to
+  reach the sink, reaches the source side of the canonical min-cut.
+  Each node keeps the list of its residual arcs the flow leaves open, in
+  the integer form's arc order; an augmentation changes arcs only at the
+  nodes of its path, so only their lists are rebuilt, and Dijkstra never
+  meets a closed arc. The heap holds ``dist * n + node`` for n nodes,
+  which for 0 <= node < n orders as the pair (dist, node) does. Pop
+  order and scan order are those of a scan over every arc that skips the
+  closed ones, so each augmenting path and each potential is too.
+* all min-cuts: a search over the residual graph of a caller's maximum
+  flow, whose open arcs ``_open_arcs`` lists per node as Dijkstra scans
+  them.
 * edge saturation under every min-cost max-flow: one Bellman-Ford run
-  on the same residual graph.
+  over the same lists.
 * decomposition: cycles are peeled off first (depth-first search on the
   support graph), after which the support is acyclic and source-to-sink
   paths are extracted by always following the lowest-id positive edge.
@@ -53,28 +54,44 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import UndecomposableFlow
-from .game import PathFlow, path_cost, path_flow
+from .game import PathFlow, path_cost
 from .network import Cut, Network, ZERO
 from .rational import to_integers
 
 
 # ---------------------------------------------------------------------------
-# Residual-graph helpers
+# Residual arcs
 # ---------------------------------------------------------------------------
 
-def _residual_open(net: Network, flow: Mapping) -> tuple:
-    """For each edge id, whether ``flow`` (absent ids carry 0) leaves
-    positive residual capacity on its forward arc and on its backward arc.
-    Amounts are compared with the scaled capacities by cross-multiplying,
-    so they need not lie on the capacity lattice."""
+def _open_arcs_at(form, forward_open, backward_open, node) -> list:
+    """The residual arcs at ``node`` whose direction is open (by edge id,
+    ``forward_open`` for forward arcs, ``backward_open`` for backward
+    ones), in ``form.arcs`` order, as (edge id, is_forward, other end,
+    scaled cost signed by direction)."""
+    cost = form.cost
+    return [
+        (i, True, dst, cost[i]) if forward else (i, False, dst, -cost[i])
+        for i, forward, dst in form.arcs[node]
+        if (forward_open if forward else backward_open)[i]
+    ]
+
+
+def _open_arcs(net: Network, amounts: Mapping) -> list:
+    """For each node number, the residual arcs that ``amounts`` (absent
+    ids carry 0) leaves open, as ``_open_arcs_at`` lists them. Amounts are
+    compared with the scaled capacities by cross-multiplying, so they need
+    not lie on the capacity lattice."""
     form = net._integer_form
     scale = form.cap_scale
-    forward, backward = [], []
+    forward_open, backward_open = [], []
     for edge_id, capacity in enumerate(form.capacity):
-        amount = flow.get(edge_id, 0)
-        forward.append(amount.numerator * scale < capacity * amount.denominator)
-        backward.append(amount.numerator > 0)
-    return forward, backward
+        amount = amounts.get(edge_id, 0)
+        forward_open.append(amount.numerator * scale < capacity * amount.denominator)
+        backward_open.append(amount.numerator > 0)
+    return [
+        _open_arcs_at(form, forward_open, backward_open, node)
+        for node in range(len(form.arcs))
+    ]
 
 
 def edge_always_saturated(net: Network, amounts: Mapping, edge_id: int) -> bool:
@@ -87,173 +104,34 @@ def edge_always_saturated(net: Network, amounts: Mapping, edge_id: int) -> bool:
     path from u to v costs at most the edge's cost: one Bellman-Ford run.
     """
     form = net._integer_form
-    forward, backward = _residual_open(net, amounts)
-    if forward[edge_id]:
-        return False
+    open_arcs = _open_arcs(net, amounts)
+    edge = net.edge(edge_id)
+    tail, head = form.index[edge.tail], form.index[edge.head]
+    if (edge_id, True, head, form.cost[edge_id]) in open_arcs[tail]:
+        return False  # its forward arc is open: the edge is below capacity
     if form.capacity[edge_id] == 0:
         return True
-    arcs = [
-        (node, dst, form.cost[i] if fwd else -form.cost[i])
-        for node, node_arcs in enumerate(form.arcs)
-        for i, fwd, dst in node_arcs
-        if (forward if fwd else backward)[i]
-    ]
-    edge = net.edge(edge_id)
-    dist = [None] * len(form.arcs)
-    dist[form.index[edge.tail]] = 0
-    for _ in range(len(form.arcs) - 1):
+    dist = [None] * len(open_arcs)
+    dist[tail] = 0
+    for _ in range(len(open_arcs) - 1):
         changed = False
-        for tail, head, cost in arcs:
-            if dist[tail] is None:
+        for node, node_arcs in enumerate(open_arcs):
+            base = dist[node]
+            if base is None:
                 continue
-            if dist[head] is None or dist[tail] + cost < dist[head]:
-                dist[head] = dist[tail] + cost
-                changed = True
+            for _, _, dst, cost in node_arcs:
+                if dist[dst] is None or base + cost < dist[dst]:
+                    dist[dst] = base + cost
+                    changed = True
         if not changed:
             break
-    reach = dist[form.index[edge.head]]
+    reach = dist[head]
     return not (reach is not None and reach <= form.cost[edge_id])
 
 
 # ---------------------------------------------------------------------------
-# Max-flow and min-cut
-# ---------------------------------------------------------------------------
-
-def max_flow(net: Network) -> tuple:
-    """Maximum source-to-sink flow value and a flow attaining it.
-
-    Returns ``(value, amounts)`` where ``amounts`` maps edge id to the
-    exact flow on that edge: the min-cost max-flow, which is a maximum
-    flow. A network with no source-sink path yields value 0 and the zero
-    flow.
-    """
-    amounts, _ = min_cost_max_flow(net)
-    return flow_value(net, amounts), amounts
-
-
-def _residual_arcs(net: Network, flow: Mapping) -> tuple:
-    """Successor and predecessor sets of the positive-residual arcs, and
-    for each edge id whether its forward arc is one of them."""
-    succ = {node: set() for node in net.nodes}
-    pred = {node: set() for node in net.nodes}
-    forward, backward = _residual_open(net, flow)
-    for e in net.edges:
-        if forward[e.id]:
-            succ[e.tail].add(e.head)
-            pred[e.head].add(e.tail)
-        if backward[e.id]:
-            succ[e.head].add(e.tail)
-            pred[e.tail].add(e.head)
-    return succ, pred, forward
-
-
-def _grow(side: set, adj: dict, node, log: list) -> None:
-    """Add ``node`` and all it reaches along ``adj`` to ``side``; log each."""
-    todo = [node]
-    while todo:
-        node = todo.pop()
-        if node not in side:
-            side.add(node)
-            log.append((side, node))
-            todo.extend(adj[node])
-
-
-def _cut(net: Network, s_side: frozenset) -> Cut:
-    cut_ids = tuple(
-        e.id for e in net.edges if e.tail in s_side and e.head not in s_side
-    )
-    form = net._integer_form
-    capacity = Fraction(sum(form.capacity[i] for i in cut_ids), form.cap_scale)
-    return Cut(s_side, cut_ids, capacity)
-
-
-def min_cut(net: Network) -> Cut:
-    """The canonical minimum cut: the source side is the set of nodes
-    reachable from the source in the residual graph of a maximum flow."""
-    return _canonical_cut(net, min_cost_max_flow(net)[0])
-
-
-def _canonical_cut(net: Network, flow: Mapping) -> Cut:
-    form = net._integer_form
-    forward_open, backward_open = _residual_open(net, flow)
-    source = form.index[net.source]
-    reached = [False] * len(form.arcs)
-    reached[source] = True
-    todo = [source]
-    while todo:
-        for edge_id, forward, dst in form.arcs[todo.pop()]:
-            if not reached[dst] and (forward_open if forward else backward_open)[edge_id]:
-                reached[dst] = True
-                todo.append(dst)
-    return _cut(net, frozenset(name for name, i in form.index.items() if reached[i]))
-
-
-def all_min_cuts(net: Network, flow: Mapping) -> tuple:
-    """Every minimum cut, one per set of positive-capacity edges it
-    crosses, with the smallest source side crossing just those, ordered
-    by that side as a bitmask over the sorted non-terminal nodes.
-
-    Source sides of minimum cuts are the sets closed under the residual
-    arcs of a maximum flow (Picard and Queyranne, 1980), so only saturated
-    edges cross one. The search decides them in id order, cut before
-    uncut, grows the nodes each choice forces onto either side and skips
-    choices that cannot be completed: every leaf is a new cut.
-
-    ``flow`` maps edge ids to the amounts of any maximum flow; absent ids
-    carry 0. The cuts do not depend on which one.
-    """
-    succ, pred, forward = _residual_arcs(net, flow)
-    capacity = net._integer_form.capacity
-    choices = [
-        (e.tail, e.head) for e in net.edges if capacity[e.id] > 0 and not forward[e.id]
-    ]
-    s_side, t_side, log = set(), set(), []
-    _grow(s_side, succ, net.source, log)
-    _grow(t_side, pred, net.sink, log)
-
-    def undo(mark):
-        while len(log) > mark:
-            added_to, item = log.pop()
-            added_to.discard(item)
-
-    sides, branches, i = [], [], 0
-    while True:
-        if i < len(choices):
-            tail, head = choices[i]
-            i += 1
-            if head in s_side or tail in t_side or (tail in s_side and head in t_side):
-                continue  # decided already; the arc it would add is implied
-            mark = len(log)
-            _grow(s_side, succ, tail, log)
-            if head in s_side:  # the tail reaches the head: it cannot be cut
-                undo(mark)
-            else:
-                _grow(t_side, pred, head, log)
-                branches.append((mark, i - 1))
-            continue
-        sides.append(frozenset(s_side))
-        if not branches:
-            break
-        mark, i = branches.pop()
-        undo(mark)
-        tail, head = choices[i]
-        i += 1
-        # Left uncut, the edge ties its tail on the source side to its
-        # head. Cutting it was possible, so the tail did not reach the head.
-        for adj, a, b in ((succ, tail, head), (pred, head, tail)):
-            adj[a].add(b)
-            log.append((adj[a], b))
-        if tail in s_side:
-            _grow(s_side, succ, head, log)
-        if head in t_side:
-            _grow(t_side, pred, tail, log)
-    order = {node: i for i, node in enumerate(sorted(net.nodes - {net.source, net.sink}))}
-    sides.sort(key=lambda side: sum(1 << order[n] for n in side if n in order))
-    return tuple(_cut(net, side) for side in sides)
-
-
-# ---------------------------------------------------------------------------
-# Min-cost max-flow
+# Min-cost max-flow, and the max-flow, min-cut and cheapest path cost
+# read off it
 # ---------------------------------------------------------------------------
 
 def min_cost_max_flow(net: Network) -> tuple:
@@ -262,20 +140,33 @@ def min_cost_max_flow(net: Network) -> tuple:
     Successive shortest paths: augment along a cheapest residual path
     until the sink is unreachable. Node potentials keep reduced costs
     nonnegative so every iteration is a plain Dijkstra run. Returns
-    ``(amounts, cost)``.
+    ``(amounts, cost, cheapest_path_cost, source_side)``. The first round
+    runs on the zero flow with zero potentials, so its distance to the
+    sink is the cheapest path cost (None when the sink is unreachable).
+    The last round, which fails to reach the sink, reaches the nodes the
+    source reaches in the residual graph of a maximum flow: the source
+    side of the canonical min-cut.
     """
     form = net._integer_form
     capacity, cost = form.capacity, form.cost
     source, sink = form.index[net.source], form.index[net.sink]
     flow = [0] * len(capacity)
+    forward_open = [c > 0 for c in capacity]
+    backward_open = [False] * len(capacity)
+    open_arcs = [
+        _open_arcs_at(form, forward_open, backward_open, node)
+        for node in range(len(form.arcs))
+    ]
     potential = [0] * len(form.arcs)
-    open_arcs = _open_arcs(form, flow)
     total_cost = 0
+    unit_cost = None
 
     while True:
         dist, parent = _cheapest_residual_paths(open_arcs, potential, source)
         if dist[sink] is None:
             break
+        if unit_cost is None:
+            unit_cost = Fraction(dist[sink], form.cost_scale)
         potential = [p if d is None else p + d for p, d in zip(potential, dist)]
 
         arcs, path_nodes = [], [sink]
@@ -293,31 +184,24 @@ def min_cost_max_flow(net: Network) -> tuple:
             else:
                 flow[edge_id] -= bottleneck
                 step_cost -= cost[edge_id]
+            forward_open[edge_id] = flow[edge_id] < capacity[edge_id]
+            backward_open[edge_id] = flow[edge_id] > 0
         total_cost += bottleneck * step_cost
         # Only the arcs of the path's edges opened or closed, and each of
         # them lies at a node on the path.
         for node in path_nodes:
-            open_arcs[node] = _open_arcs_at(form, flow, node)
+            open_arcs[node] = _open_arcs_at(form, forward_open, backward_open, node)
     # One Fraction per distinct amount, shared by every edge that carries it.
     shared = {amount: Fraction(amount, form.cap_scale) for amount in set(flow)}
     amounts = {i: shared[amount] for i, amount in enumerate(flow)}
-    return amounts, Fraction(total_cost, form.cap_scale * form.cost_scale)
-
-
-def _open_arcs_at(form, flow, node) -> list:
-    """The residual arcs at ``node`` that ``flow`` (scaled amounts by edge
-    id) leaves open, in ``form.arcs`` order, as (edge id, is_forward,
-    other end, scaled cost signed by direction)."""
-    capacity, cost = form.capacity, form.cost
-    return [
-        (i, True, dst, cost[i]) if forward else (i, False, dst, -cost[i])
-        for i, forward, dst in form.arcs[node]
-        if (flow[i] < capacity[i] if forward else flow[i] > 0)
-    ]
-
-
-def _open_arcs(form, flow) -> list:
-    return [_open_arcs_at(form, flow, node) for node in range(len(form.arcs))]
+    # ``form.index`` lists the node names in node-number order.
+    source_side = frozenset(name for name, d in zip(form.index, dist) if d is not None)
+    return (
+        amounts,
+        Fraction(total_cost, form.cap_scale * form.cost_scale),
+        unit_cost,
+        source_side,
+    )
 
 
 def _cheapest_residual_paths(open_arcs, potential, source) -> tuple:
@@ -355,6 +239,132 @@ def _cheapest_residual_paths(open_arcs, potential, source) -> tuple:
     return dist, parent
 
 
+def max_flow(net: Network) -> tuple:
+    """Maximum source-to-sink flow value and a flow attaining it.
+
+    Returns ``(value, amounts)`` where ``amounts`` maps edge id to the
+    exact flow on that edge: the min-cost max-flow, which is a maximum
+    flow. A network with no source-sink path yields value 0 and the zero
+    flow.
+    """
+    amounts = min_cost_max_flow(net)[0]
+    return flow_value(net, amounts), amounts
+
+
+def min_cut(net: Network) -> Cut:
+    """The canonical minimum cut: the source side is the set of nodes
+    reachable from the source in the residual graph of a maximum flow."""
+    return _cut(net, min_cost_max_flow(net)[3])
+
+
+def cheapest_path_cost(net: Network) -> Optional[Fraction]:
+    """Minimum per-unit transport cost over all source-sink paths that use
+    only positive-capacity edges. ``None`` when the sink is unreachable."""
+    return min_cost_max_flow(net)[2]
+
+
+# ---------------------------------------------------------------------------
+# Minimum cuts
+# ---------------------------------------------------------------------------
+
+def _grow(side: set, adj: list, node, log: list) -> None:
+    """Add ``node`` and all it reaches along ``adj`` to ``side``; log each."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node not in side:
+            side.add(node)
+            log.append((side, node))
+            todo.extend(adj[node])
+
+
+def _cut(net: Network, s_side: frozenset) -> Cut:
+    cut_ids = tuple(
+        e.id for e in net.edges if e.tail in s_side and e.head not in s_side
+    )
+    form = net._integer_form
+    capacity = Fraction(sum(form.capacity[i] for i in cut_ids), form.cap_scale)
+    return Cut(s_side, cut_ids, capacity)
+
+
+def all_min_cuts(net: Network, flow: Mapping) -> tuple:
+    """Every minimum cut, one per set of positive-capacity edges it
+    crosses, with the smallest source side crossing just those, ordered
+    by that side as a bitmask over the sorted non-terminal nodes.
+
+    Source sides of minimum cuts are the sets closed under the residual
+    arcs of a maximum flow (Picard and Queyranne, 1980), so only saturated
+    edges cross one. The search decides them in id order, cut before
+    uncut, grows the nodes each choice forces onto either side and skips
+    choices that cannot be completed: every leaf is a new cut.
+
+    ``flow`` maps edge ids to the amounts of any maximum flow; absent ids
+    carry 0. The cuts do not depend on which one.
+    """
+    form = net._integer_form
+    index = form.index
+    succ = [set() for _ in form.arcs]
+    pred = [set() for _ in form.arcs]
+    forward_open = set()
+    for node, arcs in enumerate(_open_arcs(net, flow)):
+        for edge_id, forward, dst, _ in arcs:
+            succ[node].add(dst)
+            pred[dst].add(node)
+            if forward:
+                forward_open.add(edge_id)
+    choices = [
+        (index[e.tail], index[e.head])
+        for e in net.edges
+        if form.capacity[e.id] > 0 and e.id not in forward_open
+    ]
+    s_side, t_side, log = set(), set(), []
+    _grow(s_side, succ, index[net.source], log)
+    _grow(t_side, pred, index[net.sink], log)
+
+    def undo(mark):
+        while len(log) > mark:
+            added_to, item = log.pop()
+            added_to.discard(item)
+
+    sides, branches, i = [], [], 0
+    while True:
+        if i < len(choices):
+            tail, head = choices[i]
+            i += 1
+            if head in s_side or tail in t_side or (tail in s_side and head in t_side):
+                continue  # decided already; the arc it would add is implied
+            mark = len(log)
+            _grow(s_side, succ, tail, log)
+            if head in s_side:  # the tail reaches the head: it cannot be cut
+                undo(mark)
+            else:
+                _grow(t_side, pred, head, log)
+                branches.append((mark, i - 1))
+            continue
+        sides.append(frozenset(s_side))
+        if not branches:
+            break
+        mark, i = branches.pop()
+        undo(mark)
+        tail, head = choices[i]
+        i += 1
+        # Left uncut, the edge ties its tail on the source side to its
+        # head. Cutting it was possible, so the tail did not reach the head.
+        for adj, a, b in ((succ, tail, head), (pred, head, tail)):
+            adj[a].add(b)
+            log.append((adj[a], b))
+        if tail in s_side:
+            _grow(s_side, succ, head, log)
+        if head in t_side:
+            _grow(t_side, pred, tail, log)
+    # Node numbers follow sorted names, every side holds the source and
+    # none the sink, so the bitmask over node numbers orders the sides as
+    # the one over the sorted non-terminal nodes does.
+    sides.sort(key=lambda side: sum(1 << node for node in side))
+    names = tuple(index)
+    return tuple(_cut(net, frozenset(names[node] for node in side)) for side in sides)
+
+
 # ---------------------------------------------------------------------------
 # Edge-flow utilities
 # ---------------------------------------------------------------------------
@@ -370,27 +380,6 @@ def flow_value(net: Network, amounts: Mapping) -> Fraction:
         else:
             into += amounts.get(edge_id, ZERO)
     return into - out
-
-
-def edge_flow_cost(net: Network, amounts: Mapping) -> Fraction:
-    return sum((net.edge(i).cost * amount for i, amount in amounts.items()), ZERO)
-
-
-def is_feasible(net: Network, amounts: Mapping) -> bool:
-    """Capacity bounds on every edge plus conservation at every node other
-    than the source and the sink."""
-    for e in net.edges:
-        amount = amounts.get(e.id, ZERO)
-        if amount < 0 or amount > e.capacity:
-            return False
-    for node in net.nodes:
-        if node in (net.source, net.sink):
-            continue
-        inflow = sum((amounts.get(e.id, ZERO) for e in net.in_edges[node]), ZERO)
-        outflow = sum((amounts.get(e.id, ZERO) for e in net.out_edges[node]), ZERO)
-        if inflow != outflow:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -548,34 +537,6 @@ def _extract_path(net: Network, work: dict, out_ids: dict):
     return tuple(nodes), bottleneck
 
 
-def strip_loops(net: Network, amounts: Mapping) -> PathFlow:
-    """Drop the cycle components of a feasible edge flow and return the
-    path part. Against every attack the result delivers the same flow
-    while paying at most the original transport cost."""
-    return path_flow(net, decompose(net, amounts).paths)
-
-
-# ---------------------------------------------------------------------------
-# Cheapest path cost
-# ---------------------------------------------------------------------------
-
-def cheapest_path_cost(net: Network) -> Optional[Fraction]:
-    """Minimum per-unit transport cost over all source-sink paths that use
-    only positive-capacity edges. ``None`` when the sink is unreachable.
-
-    This is the first Dijkstra round of ``min_cost_max_flow``: on the zero
-    flow with zero potentials the residual arcs are the positive-capacity
-    edges at their own costs."""
-    form = net._integer_form
-    dist, _ = _cheapest_residual_paths(
-        _open_arcs(form, [0] * len(form.capacity)),
-        [0] * len(form.arcs),
-        form.index[net.source],
-    )
-    d = dist[form.index[net.sink]]
-    return None if d is None else Fraction(d, form.cost_scale)
-
-
 # ---------------------------------------------------------------------------
 # One-shot analysis bundle
 # ---------------------------------------------------------------------------
@@ -604,11 +565,10 @@ class FlowAnalysis:
 
 
 def analyze(net: Network) -> FlowAnalysis:
-    amounts, cost = min_cost_max_flow(net)
+    amounts, cost, unit_cost, source_side = min_cost_max_flow(net)
     value = flow_value(net, amounts)
     decomposition = decompose(net, amounts)
     optimal = PathFlow(tuple(sorted(decomposition.paths)))
-    unit_cost = cheapest_path_cost(net)
 
     if value == 0:
         routing, witness = None, None
@@ -620,7 +580,7 @@ def analyze(net: Network) -> FlowAnalysis:
 
     return FlowAnalysis(
         max_flow_value=value,
-        min_cut=_canonical_cut(net, amounts),
+        min_cut=_cut(net, source_side),
         optimal_flow=optimal,
         min_transport_cost=cost,
         cheapest_path_cost=unit_cost,

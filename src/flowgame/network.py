@@ -66,9 +66,11 @@ class IntegerForm:
     ``capacity`` and ``cost`` hold, by edge id, the capacities times
     ``cap_scale`` and the costs times ``cost_scale``, each scale being the
     LCM of the denominators it clears. ``index`` numbers the nodes in
-    sorted-name order. ``arcs[i]`` lists the residual arcs at node ``i``
-    as (edge id, is_forward, other end's number) in edge-id order, the
-    order every flow algorithm scans them in. A positive scale keeps
+    sorted-name order and iterates over the names in that order, so
+    ``all_min_cuts`` can order cuts by node numbers in place of sorted
+    names. ``arcs[i]`` lists the residual arcs at node ``i`` as (edge id,
+    is_forward, other end's number) in edge-id order, the order every
+    flow algorithm scans them in. A positive scale keeps
     every comparison, so results computed here equal those on the
     rationals once divided by the scales again."""
 
@@ -110,13 +112,6 @@ class Network:
         table = {node: [] for node in self.nodes}
         for e in self.edges:
             table[e.tail].append(e)
-        return {node: tuple(edges) for node, edges in table.items()}
-
-    @cached_property
-    def in_edges(self) -> Mapping:
-        table = {node: [] for node in self.nodes}
-        for e in self.edges:
-            table[e.head].append(e)
         return {node: tuple(edges) for node, edges in table.items()}
 
     def edge(self, edge_id: int) -> EdgeSpec:

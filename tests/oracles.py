@@ -13,8 +13,10 @@ from flowgame import (
     PathBudgetExceeded,
     PathFlow,
     attacker_payoff,
+    decompose,
     expected_edge_loads,
     path_cost,
+    path_flow,
     router_payoff,
 )
 from flowgame.flows import Decomposition, _extract_path, _subtract
@@ -22,6 +24,41 @@ from flowgame.lp import LpResult
 from flowgame.network import ZERO
 
 ONE = Fraction(1)
+
+
+def in_edges(net):
+    """Each node's in-edges, in id order."""
+    table = {node: [] for node in net.nodes}
+    for e in net.edges:
+        table[e.head].append(e)
+    return table
+
+
+def is_feasible(net, amounts):
+    """Capacity bounds on every edge plus conservation at every node other
+    than the source and the sink."""
+    for e in net.edges:
+        amount = amounts.get(e.id, ZERO)
+        if amount < 0 or amount > e.capacity:
+            return False
+    into = in_edges(net)
+    for node in net.nodes - {net.source, net.sink}:
+        inflow = sum((amounts.get(e.id, ZERO) for e in into[node]), ZERO)
+        outflow = sum((amounts.get(e.id, ZERO) for e in net.out_edges[node]), ZERO)
+        if inflow != outflow:
+            return False
+    return True
+
+
+def edge_flow_cost(net, amounts):
+    """The transport cost of an edge flow, edge by edge."""
+    return sum((net.edge(i).cost * amount for i, amount in amounts.items()), ZERO)
+
+
+def strip_loops(net, amounts):
+    """The path part of a feasible edge flow: its decomposition less the
+    cycles."""
+    return path_flow(net, decompose(net, amounts).paths)
 
 
 def enumerate_partition_cuts(net):
@@ -66,18 +103,19 @@ def lp_edge_always_saturated(net, max_flow_value, min_transport_cost, edge_id):
     secondary program: over all flows with the maximum value and the
     minimum transport cost, minimize the amount on this edge."""
     n = len(net.edges)
+    into = in_edges(net)
     eq_rows = []
     for node in sorted(net.nodes):
         if node in (net.source, net.sink):
             continue
         coeffs = [ZERO] * n
-        for e in net.in_edges[node]:
+        for e in into[node]:
             coeffs[e.id] += ONE
         for e in net.out_edges[node]:
             coeffs[e.id] -= ONE
         eq_rows.append((coeffs, ZERO))
     value_row = [ZERO] * n
-    for e in net.in_edges[net.sink]:
+    for e in into[net.sink]:
         value_row[e.id] += ONE
     for e in net.out_edges[net.sink]:
         value_row[e.id] -= ONE

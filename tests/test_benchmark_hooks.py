@@ -2,11 +2,15 @@
 names must stay importable."""
 
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
 import flowgame
+import flowgame.cli
 import flowgame.lp
+
+from conftest import FIXTURES
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -45,3 +49,20 @@ def test_parameters_the_tracer_binds_exist():
     assert {"net", "s1"} <= set(parameters(flowgame.best_attacker_response))
     assert parameters(flowgame.expected_edge_loads) == ["net", "s1"]
     assert "net" in parameters(flowgame.all_min_cuts)
+
+
+def test_analyze_spans_show_the_min_cost_max_flow(capsys):
+    # the per-layer metrics read these spans; a refactor that stopped
+    # analyze from calling the min-cost max-flow and the decomposition by
+    # their exported names would hide them
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(flowgame, flowgame.lp)
+    argv = ["analyze", str(FIXTURES / "detour.json")]
+    with tracer.installed():
+        code = tracer.op(0, flowgame.cli.main, argv)
+    capsys.readouterr()
+    assert code == 0
+    names = {span.name for span in tracer.spans if span.op == 0}
+    assert {"flows.analyze", "flows.min_cost_max_flow", "flows.decompose"} <= names

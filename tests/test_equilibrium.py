@@ -22,7 +22,6 @@ from flowgame import (
     enumerate_simple_paths,
     expected_payoffs,
     flow_value,
-    is_feasible,
     make_network,
     maximin,
     minimax_certificate,
@@ -33,7 +32,6 @@ from flowgame import (
     verify_equilibrium,
 )
 from flowgame import equilibrium
-from flowgame.flows import edge_flow_cost
 
 from conftest import (
     random_network,
@@ -43,7 +41,9 @@ from conftest import (
 )
 from oracles import (
     brute_force_attacker_response,
+    edge_flow_cost,
     fraction_router_response,
+    is_feasible,
     lp_edge_always_saturated,
     recursive_simple_paths,
 )

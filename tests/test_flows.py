@@ -17,7 +17,6 @@ from flowgame import (
     decompose,
     edge_always_saturated,
     flow_value,
-    is_feasible,
     make_network,
     max_flow,
     min_cost_max_flow,
@@ -26,11 +25,9 @@ from flowgame import (
     network_to_json,
     path_cost,
     path_flow,
-    strip_loops,
     transport_cost,
 )
 from flowgame.cli import main
-from flowgame.flows import _canonical_cut
 
 from conftest import (
     FIXTURES,
@@ -41,12 +38,16 @@ from conftest import (
 )
 from oracles import (
     distinct_partition_min_cuts,
+    edge_flow_cost,
     fraction_canonical_cut,
     fraction_cheapest_path_cost,
     fraction_decompose,
     fraction_min_cost_max_flow,
     fraction_solve_lp,
+    in_edges,
+    is_feasible,
     lp_edge_always_saturated,
+    strip_loops,
 )
 
 ZERO = Fraction(0)
@@ -66,7 +67,7 @@ def min_cost_max_flow_reversed(net):
         net.source,
         net.sink,
     )
-    amounts, cost = min_cost_max_flow(flipped)
+    amounts, cost, _, _ = min_cost_max_flow(flipped)
     last = len(net.edges) - 1
     return {i: amounts[last - i] for i in range(len(net.edges))}, cost
 
@@ -82,7 +83,7 @@ def test_cheap_routing_net_analysis(cheap_routing_net):
     assert a.min_transport_cost == 9
     assert a.cheapest_routing is True
     # the unique optimal routing, as edge amounts
-    amounts, cost = min_cost_max_flow(cheap_routing_net)
+    amounts, cost, _, _ = min_cost_max_flow(cheap_routing_net)
     expected = {
         ("s", "1"): 1, ("s", "2"): 2, ("s", "4"): 0,
         ("1", "3"): 0, ("1", "t"): 1, ("2", "3"): 1,
@@ -141,7 +142,7 @@ def test_no_path_theta_zero():
 
 def test_zero_capacity_network():
     net = make_network(["s", "t"], [("s", "t", 0, 1)], "s", "t")
-    amounts, cost = min_cost_max_flow(net)
+    amounts, cost, _, _ = min_cost_max_flow(net)
     assert flow_value(net, amounts) == 0
     assert cost == 0
     # a capacity-zero edge cannot carry flow, so no route exists either
@@ -280,18 +281,19 @@ def brute_force_min_cut_value(net):
 def lp_min_transport_cost(net, value):
     """Independent statement of the min-cost flow problem as an exact LP."""
     n = len(net.edges)
+    into = in_edges(net)
     eq = []
     for node in sorted(net.nodes):
         if node in (net.source, net.sink):
             continue
         coeffs = [ZERO] * n
-        for e in net.in_edges[node]:
+        for e in into[node]:
             coeffs[e.id] += 1
         for e in net.out_edges[node]:
             coeffs[e.id] -= 1
         eq.append((coeffs, ZERO))
     value_row = [ZERO] * n
-    for e in net.in_edges[net.sink]:
+    for e in into[net.sink]:
         value_row[e.id] += 1
     for e in net.out_edges[net.sink]:
         value_row[e.id] -= 1
@@ -319,7 +321,7 @@ def test_random_networks_cross_checked(seed):
         cut = min_cut(net)
         assert cut.capacity == value
 
-        mc_amounts, cost = min_cost_max_flow(net)
+        mc_amounts, cost, _, _ = min_cost_max_flow(net)
         assert is_feasible(net, mc_amounts)
         assert flow_value(net, mc_amounts) == value
         # cost agrees with an independent exact LP formulation
@@ -352,7 +354,7 @@ def test_tie_breaking_order_does_not_change_results(
     nets = [triple_cut_net, cheap_routing_net, detour_net]
     nets += [random_network(rng) for _ in range(20)]
     for net in nets:
-        amounts_a, cost_a = min_cost_max_flow(net)
+        amounts_a, cost_a, _, _ = min_cost_max_flow(net)
         amounts_b, cost_b = min_cost_max_flow_reversed(net)
         assert flow_value(net, amounts_a) == flow_value(net, amounts_b)
         assert cost_a == cost_b
@@ -371,7 +373,7 @@ def test_reversed_edge_list_takes_the_other_tie_order():
          ("v1", "v0", 1, 0)],
         "s", "t",
     )
-    first, cost = min_cost_max_flow(net)
+    first, cost, _, _ = min_cost_max_flow(net)
     second = min_cost_max_flow_reversed(net)
     assert first != second[0]
     assert (first, cost) == fraction_min_cost_max_flow(net)
@@ -389,7 +391,7 @@ def test_tie_orders_differ_on_dense_zero_cost_networks():
     differing = 0
     for _ in range(1000):
         net = random_tie_network(rng)
-        first, cost = min_cost_max_flow(net)
+        first, cost, _, _ = min_cost_max_flow(net)
         second, second_cost = min_cost_max_flow_reversed(net)
         if first == second:
             continue
@@ -406,19 +408,20 @@ def test_grids_match_the_fraction_oracle_in_both_tie_orders():
     # Grids like the benchmark's, with back edges: the successive
     # shortest paths over the open residual arcs must take the oracle's
     # paths in either scan order, and the first round and the cut read
-    # off the flow must be the oracle's too.
+    # off the run must be the oracle's too, from either flow.
     rng = random.Random(13)
     differing = 0
     for _ in range(30):
         net = random_grid_network(rng)
-        first, cost = min_cost_max_flow(net)
+        first, cost, _, _ = min_cost_max_flow(net)
         assert (first, cost) == fraction_min_cost_max_flow(net)
         second = min_cost_max_flow_reversed(net)
         assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
         differing += first != second[0]
         assert cheapest_path_cost(net) == fraction_cheapest_path_cost(net)
+        cut = min_cut(net)
         for flow in (first, second[0]):
-            assert _canonical_cut(net, flow) == fraction_canonical_cut(net, flow)
+            assert cut == fraction_canonical_cut(net, flow)
     # the tie order decides the flow on some of them
     assert differing >= 2
 
@@ -429,7 +432,7 @@ def test_routing_check_agrees_with_per_path_criterion():
     rng = random.Random(7)
     nets = [random_network(rng) for _ in range(60)]
     for net in nets:
-        amounts, cost = min_cost_max_flow(net)
+        amounts, cost, _, _ = min_cost_max_flow(net)
         value = flow_value(net, amounts)
         if value == 0:
             continue
@@ -571,7 +574,7 @@ def always_saturated(net, amounts, edge_id) -> bool:
     edge = net.edge(edge_id)
     if amounts.get(edge_id, 0) < edge.capacity:
         return False
-    value, cost = flow_value(net, amounts), flows.edge_flow_cost(net, amounts)
+    value, cost = flow_value(net, amounts), edge_flow_cost(net, amounts)
     return lp_edge_always_saturated(net, value, cost, edge_id)
 
 
@@ -580,14 +583,15 @@ def test_integer_core_matches_fraction_oracle(seed):
     # 100 rational networks per seed, in both tie orders. Cuts and the
     # decomposition also get the decomposed optimal flow that
     # verify_equilibrium passes, and a mix of the min-cost max-flow with
-    # another maximum flow (cheapest under inverted costs). The saturation
+    # another maximum flow (cheapest under inverted costs); the canonical
+    # cut read off the run must be the oracle's from each of them. The saturation
     # test also gets a mix of two min-cost max-flows of the network with
     # every cost 1/2, which has many.
     rng = random.Random(seed)
     off = 0
     for _ in range(100):
         net = random_rational_network(rng, max_internal=5)
-        first, cost = min_cost_max_flow(net)
+        first, cost, _, _ = min_cost_max_flow(net)
         assert (first, cost) == fraction_min_cost_max_flow(net)
         second = min_cost_max_flow_reversed(net)
         assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
@@ -599,9 +603,10 @@ def test_integer_core_matches_fraction_oracle(seed):
         optimal = optimal_flow.edge_amounts(net)
         mixed = mix(first, min_cost_max_flow(relabelled(net, lambda e: 2 - e.cost))[0])
         min_cuts = distinct_partition_min_cuts(net)
+        cut = min_cut(net)
         for flow in (first, second[0], optimal, mixed):
             assert decompose(net, flow) == fraction_decompose(net, flow)
-            assert _canonical_cut(net, flow) == fraction_canonical_cut(net, flow)
+            assert cut == fraction_canonical_cut(net, flow)
             assert all_min_cuts(net, flow) == min_cuts
 
         tied = relabelled(net, lambda e: Fraction(1, 2))
@@ -629,19 +634,18 @@ def test_flows_off_the_capacity_lattice():
          ("a", "b", 1, 0), ("b", "a", 1, 0)],
         "s", "t",
     )
-    first, cost = min_cost_max_flow(net)
+    first, cost, _, _ = min_cost_max_flow(net)
     flow = dict(first) | {4: Fraction(1, 1009), 5: Fraction(1, 1009)}
     assert off_lattice(net, flow)
     assert decompose(net, flow) == fraction_decompose(net, flow)
     assert decompose(net, flow).cycles == ((("a", "b", "a"), Fraction(1, 1009)),)
-    assert _canonical_cut(net, flow) == fraction_canonical_cut(net, flow)
+    assert min_cut(net) == fraction_canonical_cut(net, flow)
     assert all_min_cuts(net, flow) == distinct_partition_min_cuts(net)
     saturated = [edge_always_saturated(net, flow, e.id) for e in net.edges]
     assert saturated == [True, True, True, True, False, False]
     assert saturated == [always_saturated(net, first, e.id) for e in net.edges]
     # filled to within 1/1009 of capacity, every forward arc stays open
     nearly = {e.id: e.capacity - Fraction(1, 1009) for e in net.edges}
-    assert _canonical_cut(net, nearly).s_side == net.nodes
     assert not any(edge_always_saturated(net, nearly, e.id) for e in net.edges)
 
 
@@ -662,15 +666,20 @@ def analyze_stdout(path, fmt="json"):
     return code, out.getvalue()
 
 
+def fraction_min_cost_max_flow_run(net):
+    """What ``min_cost_max_flow`` returns, from the Fraction oracles."""
+    amounts, cost = fraction_min_cost_max_flow(net)
+    source_side = fraction_canonical_cut(net, amounts).s_side
+    return amounts, cost, fraction_cheapest_path_cost(net), source_side
+
+
 def swap_in_reference(monkeypatch):
     """Make ``analyze`` run on the Fraction oracles, and the CLI sum each
     reported flow's transport cost path by path, so that the report no
     longer depends on the integer core or on the reused min transport
     cost."""
-    monkeypatch.setattr(flows, "min_cost_max_flow", fraction_min_cost_max_flow)
+    monkeypatch.setattr(flows, "min_cost_max_flow", fraction_min_cost_max_flow_run)
     monkeypatch.setattr(flows, "decompose", fraction_decompose)
-    monkeypatch.setattr(flows, "cheapest_path_cost", fraction_cheapest_path_cost)
-    monkeypatch.setattr(flows, "_canonical_cut", fraction_canonical_cut)
     flow_json = cli._flow_json
     monkeypatch.setattr(cli, "_flow_json", lambda net, flow, cost=None: flow_json(net, flow))
 
@@ -692,7 +701,7 @@ def test_huge_scales_match_the_oracle(tmp_path, monkeypatch):
     form = net._integer_form
     assert min(form.cap_scale, form.cost_scale) > 10**60
     for solve, reverse in ((min_cost_max_flow, False), (min_cost_max_flow_reversed, True)):
-        amounts, cost = solve(net)
+        amounts, cost = solve(net)[:2]
         assert flow_value(net, amounts) > 0
         assert (amounts, cost) == fraction_min_cost_max_flow(net, reverse)
 

@@ -37,7 +37,7 @@ from conftest import (
     random_probabilities,
     random_rational_network,
 )
-from oracles import pairwise_expected_payoffs
+from oracles import edge_flow_cost, pairwise_expected_payoffs, strip_loops
 
 F = Fraction
 
@@ -185,8 +185,6 @@ def test_transport_cost_examples(cheap_routing_net):
 def test_transport_cost_path_sum_equals_edge_sum():
     rng = random.Random(5)
     from flowgame import enumerate_simple_paths
-    from flowgame.flows import edge_flow_cost
-
     for _ in range(30):
         net = random_network(rng)
         paths = enumerate_simple_paths(net, 5000)
@@ -361,8 +359,6 @@ def test_link_identities_on_random_profiles():
 # ---------------------------------------------------------------------------
 
 def test_strip_loops_never_hurts_against_any_attack():
-    from flowgame import strip_loops
-
     net = make_network(
         ["s", "a", "b", "t"],
         [
@@ -385,8 +381,6 @@ def test_strip_loops_never_hurts_against_any_attack():
     stripped = strip_loops(net, amounts)
     assert stripped == path_part
 
-    from flowgame.flows import edge_flow_cost
-
     for atk in all_attacks(net):
         # payoff of the loopy original: surviving paths earn, the whole
         # edge flow (cycles included) is paid for
@@ -399,9 +393,7 @@ def test_strip_loops_never_hurts_against_any_attack():
 
 
 def test_strip_loops_identity_on_acyclic(cheap_routing_net):
-    from flowgame import strip_loops
-
-    amounts, _ = min_cost_max_flow(cheap_routing_net)
+    amounts = min_cost_max_flow(cheap_routing_net)[0]
     a = analyze(cheap_routing_net)
     assert strip_loops(cheap_routing_net, amounts) == a.optimal_flow
 
