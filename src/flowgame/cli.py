@@ -27,6 +27,7 @@ from .equilibrium import (
     VerificationReport,
     best_attacker_response,
     best_router_response,
+    classify_region,
     closed_form_quantities,
     construct_equilibrium,
     maximin,
@@ -376,7 +377,8 @@ def cmd_solve(args) -> int:
         max_attack_edges=args.max_attack_edges,
         analysis=analysis,
     )
-    region_tag = "degenerate" if verification.region is None else verification.region.tag
+    unit_cost = analysis.cheapest_path_cost
+    region_tag = "degenerate" if unit_cost is None else classify_region(params, unit_cost).tag
     closed = None
     if region_tag == "III":
         closed = _closed_forms_json(

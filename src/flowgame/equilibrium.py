@@ -267,37 +267,72 @@ class BestResponse:
     action: Union[PathFlow, Attack]
 
 
+def _walk_paths(net: Network, hit: list, worth, budget: int) -> list:
+    """Walk every simple source-sink path over positive-capacity edges, in
+    lowest-edge-id depth-first order, and return ``(edge ids, worth)`` for
+    each path whose worth is positive.
+
+    ``hit[i]`` is edge i's attack mask, and ``worth(mask, cost)`` gives the
+    worth of a path from the OR of its edges' masks and the sum of their
+    scaled costs; it is called once per such pair. Every simple path
+    counts against ``budget``, worth or not: PathBudgetExceeded is raised
+    as soon as the count would pass it. Only a profitable path gets an
+    edge-id tuple. The walk is iterative, so the depth is bounded by
+    memory, not by the recursion limit.
+    """
+    form = net._integer_form
+    capacity, cost = form.capacity, form.cost
+    out = [
+        [(e, head) for e, forward, head in arcs if forward and capacity[e] > 0]
+        for arcs in form.arcs
+    ]
+    source, sink = form.index[net.source], form.index[net.sink]
+    worths = {}
+    found = []
+    count = 0
+    visited = [False] * len(out)
+    visited[source] = True
+    on_path = []  # edge ids
+    # Per depth: the node, its out-arc iterator, and the mask and cost of
+    # the path up to it.
+    frames = [(source, iter(out[source]), 0, 0)]
+    while frames:
+        node, arcs, mask, so_far = frames[-1]
+        for e, head in arcs:
+            if visited[head]:
+                continue
+            if head == sink:
+                if count >= budget:
+                    raise PathBudgetExceeded(
+                        f"more than {budget} simple source-sink paths; raise the budget"
+                    )
+                count += 1
+                key = (mask | hit[e], so_far + cost[e])
+                w = worths.get(key)
+                if w is None:
+                    w = worths[key] = worth(*key)
+                if w > 0:
+                    found.append(((*on_path, e), w))
+                continue
+            visited[head] = True
+            on_path.append(e)
+            frames.append((head, iter(out[head]), mask | hit[e], so_far + cost[e]))
+            break
+        else:
+            frames.pop()
+            visited[node] = False
+            if on_path:
+                on_path.pop()
+    return found
+
+
 def enumerate_simple_paths(net: Network, budget: int) -> tuple:
     """All simple source-sink paths over positive-capacity edges, each as
     the tuple of its edge ids, in lowest-edge-id depth-first order.
-    Raises PathBudgetExceeded as soon as the count would pass ``budget``."""
-    capacity = net._integer_form.capacity
-    paths = []
-    on_path = []  # edge ids
-    visited = {net.source}
-    # One iterator over the out-edges of each node on the path, so the
-    # depth is bounded by memory, not by the recursion limit.
-    frames = [iter(net.out_edges[net.source])]
-    while frames:
-        e = next(frames[-1], None)
-        if e is None:
-            frames.pop()
-            if on_path:
-                visited.remove(net.edges[on_path.pop()].head)
-            continue
-        if capacity[e.id] <= 0 or e.head in visited:
-            continue
-        if e.head == net.sink:
-            if len(paths) >= budget:
-                raise PathBudgetExceeded(
-                    f"more than {budget} simple source-sink paths; raise the budget"
-                )
-            paths.append((*on_path, e.id))
-            continue
-        on_path.append(e.id)
-        visited.add(e.head)
-        frames.append(iter(net.out_edges[e.head]))
-    return tuple(paths)
+    Raises PathBudgetExceeded as soon as the count would pass ``budget``.
+    It is the router's walk with no attacks and every path worth 1."""
+    found = _walk_paths(net, [0] * len(net.edges), lambda mask, cost: 1, budget)
+    return tuple(ids for ids, _ in found)
 
 
 def best_router_response(
@@ -334,23 +369,13 @@ def best_router_response(
         [*(params.p1 * q for _, q in s2.support), Fraction(1, form.cost_scale)]
     )
     gains, unit_cost = ints[:-1], ints[-1]
-    # A path's worth depends only on which attacks hit it and on its scaled
-    # cost, so it is computed once per such key: the positive worth, or
-    # None.
-    worths = {}
-    weighted = []
-    for ids in enumerate_simple_paths(net, max_paths):
-        mask = cost = 0
-        for i in ids:
-            mask |= hit[i]
-            cost += form.cost[i]
-        key = (mask, cost)
-        if key not in worths:
-            worth = sum(g for k, g in enumerate(gains) if not mask >> k & 1)
-            worth -= cost * unit_cost
-            worths[key] = worth if worth > 0 else None
-        if worths[key] is not None:
-            weighted.append((ids, worths[key]))
+
+    def worth(mask, cost):
+        """A path's worth depends only on which attacks hit it and on its
+        scaled cost."""
+        return sum(g for k, g in enumerate(gains) if not mask >> k & 1) - cost * unit_cost
+
+    weighted = _walk_paths(net, hit, worth, max_paths)
     if not weighted:
         return BestResponse(ZERO, PathFlow(()))
 
@@ -485,7 +510,6 @@ class VerificationReport:
     u2: Fraction
     router_best: BestResponse
     attacker_best: BestResponse
-    region: Optional[Region]
     checks: tuple
 
 
@@ -504,10 +528,10 @@ def verify_equilibrium(
     payoff (and symmetrically for the attacker); the profile is an
     equilibrium iff both gaps are exactly zero. For equilibria in the
     contested region of a cheapest-routing network, the structural
-    properties every equilibrium must satisfy are checked as well.
+    properties every equilibrium must satisfy are checked as well. Only
+    those checks read the network's analysis, so it is computed, when
+    not passed in, only for an equilibrium.
     """
-    if analysis is None:
-        analysis = analyze(net)
     u1, u2 = expected_payoffs(net, s1, s2, params)
     router_best = best_router_response(net, s2, params, max_paths)
     attacker_best = best_attacker_response(net, s1, params, max_attack_edges)
@@ -515,13 +539,17 @@ def verify_equilibrium(
     attacker_gap = attacker_best.value - u2
     is_ne = router_gap == 0 and attacker_gap == 0
 
-    region = None
-    if analysis.cheapest_path_cost is not None:
-        region = classify_region(params, analysis.cheapest_path_cost)
-
     checks = ()
-    if is_ne and region is not None and region.tag == "III" and analysis.cheapest_routing:
-        checks = _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2)
+    if is_ne:
+        if analysis is None:
+            analysis = analyze(net)
+        unit_cost = analysis.cheapest_path_cost
+        if (
+            unit_cost is not None
+            and classify_region(params, unit_cost).tag == "III"
+            and analysis.cheapest_routing
+        ):
+            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2)
 
     return VerificationReport(
         is_ne=is_ne,
@@ -531,7 +559,6 @@ def verify_equilibrium(
         u2=u2,
         router_best=router_best,
         attacker_best=attacker_best,
-        region=region,
         checks=checks,
     )
 

@@ -25,12 +25,14 @@ Each input row is scaled to ints once, by the LCM of its denominators (a
 row of ints alone is taken as it is, with scale 1); slack coefficients
 stay 1, which only rescales the slacks, and the costs are scaled by the
 LCM of theirs. A pivot on (r, c), with p = row_r[c] > 0, replaces every
-other row i that has a nonzero in column c by p*row_i - row_i[c]*row_r
-and divides it by the gcd of its entries, so no Fraction is built per
-entry and the entries stay as small as the data allow. The pivot row's
-nonzero columns are listed once per pivot, and the subtraction touches
-only those columns: packing programs have mostly-zero rows, and skipping
-their zeros changes no entry. The reduced-cost row is kept only up to a
+other row i that has a nonzero in column c by p*row_i - row_i[c]*row_r,
+so no Fraction is built per entry. When p > 1 the new row is divided by
+the gcd of its entries, which keeps the entries as small as the data
+allow. When p = 1, as in most pivots of a 0/1 packing program, the row
+is kept as it is: nothing was multiplied, and a common factor is rare.
+The pivot row's nonzero columns are listed once per pivot, and the
+subtraction touches only those columns: packing programs have
+mostly-zero rows, and skipping their zeros changes no entry. The reduced-cost row is kept only up to a
 positive factor; the objective is read off the solution.
 
 Scaling a row or a column by a positive factor changes no sign of a
@@ -163,8 +165,13 @@ def _pivot(tableau, reduced, basis, row, col) -> None:
 
 def _eliminate(other: list, p: int, factor: int, nonzero: list) -> list:
     """p*other - factor*pivot_row, divided by the gcd of its entries, with
-    the pivot row given by its nonzero ``(column, value)`` pairs."""
-    new = [p * v for v in other] if p != 1 else other[:]
+    the pivot row given by its nonzero ``(column, value)`` pairs. With
+    p = 1 it is other - factor*pivot_row, computed in ``other`` itself."""
+    if p == 1:
+        for j, a in nonzero:
+            other[j] -= factor * a
+        return other
+    new = [p * v for v in other]
     for j, a in nonzero:
         new[j] -= factor * a
     g = math.gcd(*new)

@@ -555,14 +555,18 @@ def _fraction_pivot_until_optimal(tableau, reduced, basis, width):
 def _fraction_pivot(tableau, reduced, basis, row, col):
     pivot = tableau[row][col]
     tableau[row] = [v / pivot for v in tableau[row]]
-    pivot_row = tableau[row]
+    # v - factor * 0 is v, so each updated row changes only in the pivot
+    # row's nonzero columns.
+    nonzero = [(j, p) for j, p in enumerate(tableau[row]) if p]
     for r, other in enumerate(tableau):
-        if r != row and other[col] != 0:
-            factor = other[col]
-            tableau[r] = [v - factor * p for v, p in zip(other, pivot_row)]
+        factor = other[col]
+        if r != row and factor != 0:
+            for j, p in nonzero:
+                other[j] -= factor * p
     factor = reduced[col]
     if factor != 0:
-        reduced[:] = [v - factor * p for v, p in zip(reduced, pivot_row)]
+        for j, p in nonzero:
+            reduced[j] -= factor * p
     basis[row] = col
 
 

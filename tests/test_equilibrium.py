@@ -336,15 +336,18 @@ def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
     assert packed >= 100, packed
 
     # wide meshes, 7-8 internal nodes with 120-400 simple paths, where the
-    # packing program has dozens to hundreds of columns
-    columns = []
+    # packing program has dozens to hundreds of columns. Bland's pivots
+    # depend on the column order, so the program the router hands the
+    # solver must also be the one rebuilt from the enumerated paths,
+    # column for column and row for row.
+    programs = []
     solve_lp = equilibrium.solve_lp
 
-    def counting_solve_lp(minimize, eq=(), ub=()):
-        columns.append(len(minimize))
+    def capturing_solve_lp(minimize, eq=(), ub=()):
+        programs.append((list(minimize), list(ub)))
         return solve_lp(minimize, eq=eq, ub=ub)
 
-    monkeypatch.setattr(equilibrium, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(equilibrium, "solve_lp", capturing_solve_lp)
     meshes = 0
     while meshes < 25:
         net = make(rng, max_internal=8, min_internal=7, density=0.5)
@@ -353,8 +356,78 @@ def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
         meshes += 1
         params = GameParams(F(rng.randint(30, 60)), F(1))
         s2 = random_attacks(rng, net, 0.1)
+        before = len(programs)
         assert best_router_response(net, s2, params) == fraction_router_response(net, s2, params)
+        costs, rows = packing_program(net, s2, params)
+        if not costs:
+            assert len(programs) == before
+            continue
+        assert len(programs) == before + 1
+        minimize, ub = programs[-1]
+        assert proportional(minimize, costs)
+        assert [coeffs for coeffs, _ in ub] == [coeffs for coeffs, _ in rows]
+        assert proportional([rhs for _, rhs in ub], [rhs for _, rhs in rows])
+    columns = [len(minimize) for minimize, _ in programs]
     assert sum(count >= 60 for count in columns) >= 22, sorted(columns)
+
+
+def packing_program(net, s2, params):
+    """The router's packing program on Fractions, rebuilt from
+    ``enumerate_simple_paths``: the costs (minus each positive path worth)
+    in path order, and one 0/1 capacity row per edge those paths use, in
+    edge-id order."""
+    weighted = []
+    for ids in enumerate_simple_paths(net, 5000):
+        survival = sum((q for atk, q in s2.support if not set(ids) & set(atk.edge_ids)), F(0))
+        worth = params.p1 * survival - sum(net.edge(i).cost for i in ids)
+        if worth > 0:
+            weighted.append((ids, worth))
+    edge_ids = sorted({i for ids, _ in weighted for i in ids})
+    rows = [
+        ([int(i in ids) for ids, _ in weighted], net.edge(i).capacity) for i in edge_ids
+    ]
+    return [-worth for _, worth in weighted], rows
+
+
+def proportional(scaled, values) -> bool:
+    """Is ``scaled`` ``values`` times one positive factor?"""
+    if len(scaled) != len(values):
+        return False
+    pivot = next((j for j, v in enumerate(values) if v), None)
+    if pivot is None:
+        return all(v == 0 for v in scaled)
+    factor = F(scaled[pivot]) / values[pivot]
+    return factor > 0 and all(a == factor * v for a, v in zip(scaled, values))
+
+
+def test_router_path_budget_counts_worthless_paths():
+    # an attack of probability 1 makes every path it hits worthless, and
+    # the router's walk builds no program column for those; each simple
+    # path still counts against the budget, so the router stops at the
+    # same budget as the enumeration, not at the number of paths it keeps
+    rng = random.Random(29)
+    checked = 0
+    while checked < 30:
+        net = random_network(rng, max_internal=6, min_internal=3, density=0.5)
+        paths = enumerate_simple_paths(net, 5000)
+        hit = [e.id for e in net.edges if rng.random() < 0.4]
+        params = GameParams(F(rng.randint(4, 12)), F(2))
+        kept = sum(
+            1 for ids in paths
+            if not set(ids) & set(hit) and sum(net.edge(i).cost for i in ids) < params.p1
+        )
+        if len(paths) < 4 or 2 * kept >= len(paths):
+            continue
+        checked += 1
+        s2 = point_mass(attack(net, hit))
+        full = best_router_response(net, s2, params)
+        for budget in sorted({0, kept, len(paths) // 2, len(paths) - 1, len(paths),
+                              len(paths) + 1}):
+            if budget < len(paths):
+                with pytest.raises(PathBudgetExceeded, match=f"more than {budget} simple"):
+                    best_router_response(net, s2, params, max_paths=budget)
+            else:
+                assert best_router_response(net, s2, params, max_paths=budget) == full
 
 
 def test_path_budget_exceeded(triple_cut_net):
@@ -716,6 +789,30 @@ def test_constructed_region_three_equilibria_pass_every_check():
     assert crossing_zero >= 30
 
 
+def test_verify_analyzes_the_network_only_for_equilibria(contested, monkeypatch):
+    # the analysis feeds only the property checks, and those run only for
+    # equilibria: a profile that is not one costs no analysis
+    net, params, analysis = contested
+    profile = construct_equilibrium(net, params, analysis)
+    expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    calls = []
+
+    def counted(net):
+        calls.append(net)
+        return analyze(net)
+
+    monkeypatch.setattr(equilibrium, "analyze", counted)
+    route_only = point_mass(analysis.optimal_flow)
+    report = verify_equilibrium(net, route_only, point_mass(attack(net)), params)
+    assert not report.is_ne and calls == []
+
+    report = verify_equilibrium(net, profile.s1, profile.s2, params)
+    assert report.is_ne and len(calls) == 1
+    assert report == expected
+    assert len(report.checks) == 8
+    assert {check.status for check in report.checks} <= {"pass", "not applicable"}
+
+
 # ---------------------------------------------------------------------------
 # Maximin and minimax
 # ---------------------------------------------------------------------------
@@ -902,7 +999,7 @@ def test_constructed_equilibria_verify_on_both_routing_fixtures(
             profile = construct_equilibrium(net, params)
             report = verify_equilibrium(net, profile.s1, profile.s2, params)
             assert report.is_ne, (net.sink, p1, p2)
-            if report.region.tag == "III":
+            if classify_region(params, analyze(net).cheapest_path_cost).tag == "III":
                 assert all(check.status == "pass" for check in report.checks)
 
 
