@@ -32,8 +32,9 @@ allow. When p = 1, as in most pivots of a 0/1 packing program, the row
 is kept as it is: nothing was multiplied, and a common factor is rare.
 The pivot row's nonzero columns are listed once per pivot, and the
 subtraction touches only those columns: packing programs have
-mostly-zero rows, and skipping their zeros changes no entry. The reduced-cost row is kept only up to a
-positive factor; the objective is read off the solution.
+mostly-zero rows, and skipping their zeros changes no entry. The
+reduced-cost row is kept only up to a positive factor; the objective is
+read off the solution.
 
 Scaling a row or a column by a positive factor changes no sign of a
 reduced cost and no order among the ratios rhs/coefficient of one column,
