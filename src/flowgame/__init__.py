@@ -38,9 +38,11 @@ from .flows import (
     Decomposition,
     FlowAnalysis,
     all_min_cuts,
+    always_saturated_edges,
     analyze,
     cheapest_path_cost,
     decompose,
+    edge_always_saturated,
     flow_value,
     max_flow,
     min_cost_max_flow,
@@ -79,7 +81,6 @@ from .equilibrium import (
     classify_region,
     closed_form_quantities,
     construct_equilibrium,
-    edge_always_saturated,
     enumerate_simple_paths,
     maximin,
     minimax_certificate,

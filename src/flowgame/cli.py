@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .equilibrium import (
@@ -319,9 +320,54 @@ def _scalar(item) -> str:
     return str(item)
 
 
+def _json_chunks(value, pad: str, out: list) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)``
+    writes it, its nested lines indented past ``pad``. It takes dicts with
+    str keys, lists, tuples, str, int, bool and None, and raises TypeError
+    on anything else. ``json.dumps`` uses its C encoder only without
+    ``indent``, so this writes the same bytes faster."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _json_chunks(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        out: list = []
+        _json_chunks(report, "", out)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         lines: list = []
         _text_lines(report, 0, lines)

@@ -36,7 +36,7 @@ from .errors import (
     PathBudgetExceeded,
     WrongRegion,
 )
-from .flows import FlowAnalysis, all_min_cuts, analyze, edge_always_saturated
+from .flows import FlowAnalysis, all_min_cuts, always_saturated_edges, analyze
 from .game import (
     Attack,
     GameParams,
@@ -46,11 +46,11 @@ from .game import (
     attack_cost,
     effective_flow,
     expected_edge_loads,
-    expected_payoffs,
     mean_flow,
     mixture,
     path_cost,
     path_flow,
+    payoffs_of,
     point_mass,
     profile_expectations,
 )
@@ -530,9 +530,11 @@ def verify_equilibrium(
     contested region of a cheapest-routing network, the structural
     properties every equilibrium must satisfy are checked as well. Only
     those checks read the network's analysis, so it is computed, when
-    not passed in, only for an equilibrium.
+    not passed in, only for an equilibrium. The profile's expectations
+    are computed once, for its payoffs and for those checks.
     """
-    u1, u2 = expected_payoffs(net, s1, s2, params)
+    exps = profile_expectations(net, s1, s2)
+    u1, u2 = payoffs_of(exps, params)
     router_best = best_router_response(net, s2, params, max_paths)
     attacker_best = best_attacker_response(net, s1, params, max_attack_edges)
     router_gap = router_best.value - u1
@@ -549,7 +551,7 @@ def verify_equilibrium(
             and classify_region(params, unit_cost).tag == "III"
             and analysis.cheapest_routing
         ):
-            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2)
+            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, exps)
 
     return VerificationReport(
         is_ne=is_ne,
@@ -583,7 +585,9 @@ def _label(edge) -> str:
     return f"({edge.tail}, {edge.head})"
 
 
-def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple:
+def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
+    """The structural checks on a profile whose expectations are ``exps``
+    (``profile_expectations(net, s1, s2)``)."""
     theta = analysis.max_flow_value
     unit_cost = analysis.cheapest_path_cost
     p1, p2 = params.p1, params.p2
@@ -591,7 +595,7 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple
 
     # Closed forms against direct expectation over the support.
     report = closed_form_quantities(params, unit_cost, theta)
-    exps = profile_expectations(net, s1, s2)
+    u1, u2 = payoffs_of(exps, params)
     comparisons = [
         ("router payoff", u1, report.u1),
         ("attacker payoff", u2, report.u2),
@@ -625,11 +629,8 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2) -> tuple
     # Every disrupted edge is filled to capacity by every optimal routing.
     disrupted = sorted({i for atk, _ in s2.support for i in atk.edge_ids})
     optimal_amounts = analysis.optimal_flow.edge_amounts(net)
-    unsaturated = [
-        _label(net.edge(i))
-        for i in disrupted
-        if not edge_always_saturated(net, optimal_amounts, i)
-    ]
+    always_full = always_saturated_edges(net, optimal_amounts)
+    unsaturated = [_label(net.edge(i)) for i in disrupted if i not in always_full]
     checks.append(_verdict(
         "disrupted edges saturated by every optimal routing", unsaturated,
         "all disrupted edges are saturated in every optimal routing",

@@ -289,7 +289,12 @@ def expected_payoffs(
     expectations, and both strategies' probabilities sum to one, so
     u1 = p1 * E[delivered] - E[transport cost] and
     u2 = p2 * E[lost] - E[attack cost]."""
-    exps = profile_expectations(net, s1, s2)
+    return payoffs_of(profile_expectations(net, s1, s2), params)
+
+
+def payoffs_of(exps: ProfileExpectations, params: GameParams) -> tuple:
+    """The expected payoffs (u1, u2) of a profile with these expectations;
+    see ``expected_payoffs``."""
     return (
         params.p1 * exps.effective_flow - exps.transport_cost,
         params.p2 * exps.lost_flow - exps.attack_cost,

@@ -30,9 +30,9 @@ from flowgame import (
     analyze,
     attack,
     edge_always_saturated,
-    expected_payoffs,
     path_flow,
     point_mass,
+    profile_expectations,
 )
 from flowgame.cli import load_network
 from flowgame.equilibrium import _equilibrium_property_checks, _mixture_drop_zero
@@ -76,8 +76,8 @@ def _records() -> dict:
         net = load_network(str(fixture))
         analysis = analyze(net)
         for label, s1, s2, params in _profiles(net, analysis):
-            u1, u2 = expected_payoffs(net, s1, s2, params)
-            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, u1, u2)
+            exps = profile_expectations(net, s1, s2)
+            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, exps)
             records[f"{fixture.name} {label}"] = [
                 [check.name, check.status, check.detail] for check in checks
             ]

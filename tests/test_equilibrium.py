@@ -813,6 +813,27 @@ def test_verify_analyzes_the_network_only_for_equilibria(contested, monkeypatch)
     assert {check.status for check in report.checks} <= {"pass", "not applicable"}
 
 
+def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch):
+    # the payoffs and the checks share one profile_expectations call, and
+    # one pass decides saturation for every disrupted edge
+    net, params, analysis = contested
+    profile = construct_equilibrium(net, params, analysis)
+    expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    calls = []
+
+    def counted(name):
+        original = getattr(equilibrium, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("profile_expectations", "always_saturated_edges"):
+        monkeypatch.setattr(equilibrium, name, counted(name))
+    report = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    assert report == expected
+    assert report.is_ne and len(report.checks) == 8
+    assert len({i for atk, _ in profile.s2.support for i in atk.edge_ids}) == 3
+    assert sorted(calls) == ["always_saturated_edges", "profile_expectations"]
+
+
 # ---------------------------------------------------------------------------
 # Maximin and minimax
 # ---------------------------------------------------------------------------
