@@ -629,7 +629,7 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
     # Every disrupted edge is filled to capacity by every optimal routing.
     disrupted = sorted({i for atk, _ in s2.support for i in atk.edge_ids})
     optimal_amounts = analysis.optimal_flow.edge_amounts(net)
-    always_full = always_saturated_edges(net, optimal_amounts)
+    always_full = always_saturated_edges(net, optimal_amounts, disrupted)
     unsaturated = [_label(net.edge(i)) for i in disrupted if i not in always_full]
     checks.append(_verdict(
         "disrupted edges saturated by every optimal routing", unsaturated,

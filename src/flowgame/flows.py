@@ -33,8 +33,8 @@ networks, not asymptotics:
   flow, whose open arcs ``_open_arcs`` lists per node as Dijkstra scans
   them.
 * edge saturation under every min-cost max-flow: one Bellman-Ford run
-  over the same lists gives potentials, and one Tarjan pass over the
-  arcs they make tight decides every edge at once.
+  per edge over the same lists, built once for all the edges a caller
+  decides.
 * decomposition: cycles are peeled off first (depth-first search on the
   support graph), after which the support is acyclic and source-to-sink
   paths are extracted by always following the lowest-id positive edge.
@@ -95,117 +95,61 @@ def _open_arcs(net: Network, amounts: Mapping) -> list:
     ]
 
 
-def always_saturated_edges(net: Network, amounts: Mapping) -> frozenset:
-    """The ids of the edges that every min-cost max-flow fills to capacity.
-
-    ``amounts`` is the edge flow of one min-cost max-flow (absent ids
-    carry nothing). The others differ from it by zero-cost circulations in
-    its residual graph, which has no negative cycle. An edge whose forward
-    arc is open is below capacity here, and a zero-capacity edge is always
-    full. A saturated edge of positive capacity can lose flow iff some
-    zero-cost residual cycle runs through its backward arc. Potentials
-    from one Bellman-Ford run make every open arc's reduced cost,
-    cost + π(tail) − π(head), nonnegative, so the zero-cost cycles are the
-    cycles of tight arcs, those of reduced cost 0. The edge can therefore
-    lose flow iff its reduced cost is 0 and its ends share a strongly
-    connected component of the tight arcs: one Tarjan pass decides every
-    edge.
-
-    Raises ValueError when the residual graph has a negative cycle, which
-    means ``amounts`` is not a min-cost flow. Only flows that saturate
-    some positive-capacity edge are checked.
-    """
-    form = net._integer_form
+def always_saturated_edges(net: Network, amounts: Mapping, edge_ids) -> frozenset:
+    """The ids among ``edge_ids`` of the edges that every min-cost max-flow
+    fills to capacity: ``edge_always_saturated`` on each, with the open-arc
+    lists of ``amounts`` built once."""
     open_arcs = _open_arcs(net, amounts)
-    full = set(range(len(form.capacity)))
-    for arcs in open_arcs:
-        for edge_id, forward, _, _ in arcs:
-            if forward:
-                full.discard(edge_id)
-    at_risk = [i for i in full if form.capacity[i] > 0]
-    if at_risk:
-        potential = _potentials(open_arcs)
-        component = _tight_components(open_arcs, potential)
-        for edge_id in at_risk:
-            edge = net.edge(edge_id)
-            tail, head = form.index[edge.tail], form.index[edge.head]
-            if (
-                form.cost[edge_id] + potential[tail] == potential[head]
-                and component[tail] == component[head]
-            ):
-                full.discard(edge_id)
-    return frozenset(full)
-
-
-def edge_always_saturated(net: Network, amounts: Mapping, edge_id: int) -> bool:
-    """Whether every min-cost max-flow fills the edge to capacity; see
-    ``always_saturated_edges``."""
-    return edge_id in always_saturated_edges(net, amounts)
-
-
-def _potentials(open_arcs) -> list:
-    """Shortest distances over the open arcs from a virtual root joined to
-    every node at cost 0 (Bellman-Ford), so that no open arc has a
-    negative reduced cost. With n nodes, n rounds settle them unless the
-    open arcs close a negative cycle, which raises ValueError."""
-    potential = [0] * len(open_arcs)
-    for _ in range(len(open_arcs)):
-        changed = False
-        for node, arcs in enumerate(open_arcs):
-            base = potential[node]
-            for _, _, dst, cost in arcs:
-                if base + cost < potential[dst]:
-                    potential[dst] = base + cost
-                    changed = True
-        if not changed:
-            return potential
-    raise ValueError(
-        "the residual graph has a negative cycle: the amounts are not a min-cost flow"
+    return frozenset(
+        i for i in edge_ids if edge_always_saturated(net, amounts, i, open_arcs)
     )
 
 
-def _tight_components(open_arcs, potential) -> list:
-    """Each node's strongly connected component, numbered, over the open
-    arcs of reduced cost 0 (Tarjan, 1972). Iterative, so the depth is
-    bounded by memory, not by the recursion limit."""
-    n = len(open_arcs)
-    tight = [
-        [dst for _, _, dst, cost in arcs if cost + potential[node] == potential[dst]]
-        for node, arcs in enumerate(open_arcs)
-    ]
-    order, low, component = [None] * n, [0] * n, [None] * n
-    stack, found, count = [], 0, 0
-    for root in range(n):
-        if order[root] is not None:
-            continue
-        order[root] = low[root] = found
-        found += 1
-        stack.append(root)
-        frames = [(root, iter(tight[root]))]
-        while frames:
-            node, succ = frames[-1]
-            for dst in succ:
-                if order[dst] is None:
-                    order[dst] = low[dst] = found
-                    found += 1
-                    stack.append(dst)
-                    frames.append((dst, iter(tight[dst])))
-                    break
-                if component[dst] is None:  # still on the stack
-                    low[node] = min(low[node], order[dst])
-            else:
-                frames.pop()
-                if frames:
-                    parent = frames[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == order[node]:
-                    while True:
-                        member = stack.pop()
-                        component[member] = count
-                        if member == node:
-                            break
-                    count += 1
-    return component
+def edge_always_saturated(
+    net: Network, amounts: Mapping, edge_id: int, open_arcs: Optional[list] = None
+) -> bool:
+    """Whether every min-cost max-flow fills the edge to capacity.
+
+    ``amounts`` is the edge flow of one min-cost max-flow (absent ids
+    carry nothing). The others differ from it by zero-cost circulations in
+    its residual graph, which has no negative cycle. So a saturated edge
+    (u, v) of positive capacity can lose flow iff some positive-residual
+    path from u to v costs at most the edge's cost: one Bellman-Ford run.
+    A run that still relaxes an arc in its n-th round, for n nodes, has
+    reached a negative residual cycle from u, so ``amounts`` is not a
+    min-cost flow, and ValueError is raised. ``open_arcs``, when given, is
+    ``_open_arcs(net, amounts)``, built once by a caller that decides
+    several edges.
+    """
+    form = net._integer_form
+    if open_arcs is None:
+        open_arcs = _open_arcs(net, amounts)
+    edge = net.edge(edge_id)
+    tail, head = form.index[edge.tail], form.index[edge.head]
+    if (edge_id, True, head, form.cost[edge_id]) in open_arcs[tail]:
+        return False  # its forward arc is open: the edge is below capacity
+    if form.capacity[edge_id] == 0:
+        return True
+    dist = [None] * len(open_arcs)
+    dist[tail] = 0
+    for _ in range(len(open_arcs)):
+        changed = False
+        for node, node_arcs in enumerate(open_arcs):
+            base = dist[node]
+            if base is None:
+                continue
+            for _, _, dst, cost in node_arcs:
+                if dist[dst] is None or base + cost < dist[dst]:
+                    dist[dst] = base + cost
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise ValueError(
+            "the residual graph has a negative cycle: the amounts are not a min-cost flow"
+        )
+    reach = dist[head]
+    return not (reach is not None and reach <= form.cost[edge_id])
 
 
 # ---------------------------------------------------------------------------

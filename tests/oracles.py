@@ -134,37 +134,6 @@ def lp_edge_always_saturated(net, max_flow_value, min_transport_cost, edge_id):
     return result.objective == net.edge(edge_id).capacity
 
 
-def bellman_ford_edge_always_saturated(net, amounts, edge_id):
-    """Whether every min-cost max-flow fills the edge to capacity, by one
-    Bellman-Ford run per edge on the rationals. ``amounts`` is one
-    min-cost max-flow; the others differ from it by zero-cost residual
-    circulations, so a saturated edge (u, v) of positive capacity can lose
-    flow iff some residual path from u to v costs at most the edge's
-    cost."""
-    edge = net.edge(edge_id)
-    if amounts.get(edge_id, ZERO) < edge.capacity:
-        return False
-    if edge.capacity == 0:
-        return True
-    arcs = []
-    for e in net.edges:
-        amount = amounts.get(e.id, ZERO)
-        if amount < e.capacity:
-            arcs.append((e.tail, e.head, e.cost))
-        if amount > 0:
-            arcs.append((e.head, e.tail, -e.cost))
-    dist = {edge.tail: ZERO}
-    for _ in range(len(net.nodes) - 1):
-        changed = False
-        for tail, head, cost in arcs:
-            if tail in dist and (head not in dist or dist[tail] + cost < dist[head]):
-                dist[head] = dist[tail] + cost
-                changed = True
-        if not changed:
-            break
-    return not (edge.head in dist and dist[edge.head] <= edge.cost)
-
-
 def brute_force_attacker_response(
     net, s1, params, max_attack_edges=20, exhaustive=False
 ):

@@ -31,7 +31,7 @@ from flowgame import (
     profile_expectations,
     verify_equilibrium,
 )
-from flowgame import equilibrium
+from flowgame import equilibrium, flows
 
 from conftest import (
     random_network,
@@ -815,11 +815,12 @@ def test_verify_analyzes_the_network_only_for_equilibria(contested, monkeypatch)
 
 def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch):
     # the payoffs and the checks share one profile_expectations call, and
-    # one pass decides saturation for every disrupted edge
+    # every disrupted edge's saturation verdict walks one build of the
+    # open-arc lists
     net, params, analysis = contested
     profile = construct_equilibrium(net, params, analysis)
     expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
-    calls = []
+    calls, arc_lists = [], []
 
     def counted(name):
         original = getattr(equilibrium, name)
@@ -827,11 +828,17 @@ def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch
 
     for name in ("profile_expectations", "always_saturated_edges"):
         monkeypatch.setattr(equilibrium, name, counted(name))
+    per_edge = flows.edge_always_saturated
+    monkeypatch.setattr(
+        flows, "edge_always_saturated",
+        lambda *args: arc_lists.append(args[3]) or per_edge(*args),
+    )
     report = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
     assert report == expected
     assert report.is_ne and len(report.checks) == 8
     assert len({i for atk, _ in profile.s2.support for i in atk.edge_ids}) == 3
     assert sorted(calls) == ["always_saturated_edges", "profile_expectations"]
+    assert len(arc_lists) == 3 and all(arcs is arc_lists[0] for arcs in arc_lists)
 
 
 # ---------------------------------------------------------------------------

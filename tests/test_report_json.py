@@ -66,7 +66,7 @@ def test_writer_matches_json_dumps(value):
     assert written(value) == json.dumps(value, indent=2)
 
 
-@SETTINGS
+@settings(SETTINGS, max_examples=100)
 @given(value=VALUE, bad=st.sampled_from([1.5, 0.0, Fraction(1, 3), Fraction(2)]),
        where=st.integers(0, 2))
 def test_writer_refuses_floats_and_fractions(value, bad, where):
