@@ -24,9 +24,8 @@ best-response gaps are exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     BoundaryParams,
@@ -36,7 +35,7 @@ from .errors import (
     PathBudgetExceeded,
     WrongRegion,
 )
-from .flows import FlowAnalysis, all_min_cuts, always_saturated_edges, analyze
+from .flows import FlowAnalysis, _open_arcs, all_min_cuts, always_saturated_edges, analyze
 from .game import (
     Attack,
     GameParams,
@@ -68,8 +67,7 @@ MAX_ATTACK_EDGES = 20
 # Regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """Parameter region tag: "I", "II", "III", or "boundary" with flags
     saying which equality binds."""
 
@@ -110,8 +108,7 @@ def classify_region(params: GameParams, unit_cost: Optional[Fraction]) -> Region
 # Constructed equilibria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquilibriumProfile:
+class EquilibriumProfile(NamedTuple):
     s1: MixedStrategy
     s2: MixedStrategy
     provenance: str
@@ -194,7 +191,7 @@ def construct_equilibrium(
     if not analysis.cheapest_routing:
         witness = analysis.routing_witness
         detail = ""
-        if isinstance(witness, tuple):
+        if witness is not None:  # a (nodes, cost) pair when routing fails
             nodes, cost = witness
             detail = (
                 f"; the optimal routing uses path {list(nodes)} of cost {cost}, "
@@ -216,8 +213,7 @@ def construct_equilibrium(
 # Closed-form equilibrium quantities (Region III)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     """Quantities shared by every equilibrium in the contested region:
     payoffs are zero, and the expected flows and costs depend only on
     (p1, p2), the cheapest path cost, and the max-flow value."""
@@ -261,8 +257,7 @@ def closed_form_quantities(
 # Best-response oracles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     value: Fraction
     action: Union[PathFlow, Attack]
 
@@ -490,15 +485,13 @@ def best_attacker_response(
 # Profile verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     name: str
     status: str  # "pass", "fail", or "not applicable"
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Best-response gaps for both players, the equilibrium verdict, and
     (for verified equilibria in the contested region with cheapest-path
     routing) the structural property checks."""
@@ -629,7 +622,8 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
     # Every disrupted edge is filled to capacity by every optimal routing.
     disrupted = sorted({i for atk, _ in s2.support for i in atk.edge_ids})
     optimal_amounts = analysis.optimal_flow.edge_amounts(net)
-    always_full = always_saturated_edges(net, optimal_amounts, disrupted)
+    open_arcs = _open_arcs(net, optimal_amounts)  # shared with all_min_cuts
+    always_full = always_saturated_edges(net, optimal_amounts, disrupted, open_arcs)
     unsaturated = [_label(net.edge(i)) for i in disrupted if i not in always_full]
     checks.append(_verdict(
         "disrupted edges saturated by every optimal routing", unsaturated,
@@ -637,7 +631,7 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
         f"edges {', '.join(unsaturated)} admit an optimal routing below capacity",
     ))
 
-    cuts = all_min_cuts(net, optimal_amounts)
+    cuts = all_min_cuts(net, optimal_amounts, open_arcs)
     loads = expected_edge_loads(net, s1)
 
     def cut_edges(chosen):

@@ -50,9 +50,8 @@ concurrent use.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import UndecomposableFlow
 from .game import PathFlow, path_cost
@@ -95,11 +94,14 @@ def _open_arcs(net: Network, amounts: Mapping) -> list:
     ]
 
 
-def always_saturated_edges(net: Network, amounts: Mapping, edge_ids) -> frozenset:
+def always_saturated_edges(
+    net: Network, amounts: Mapping, edge_ids, open_arcs: Optional[list] = None
+) -> frozenset:
     """The ids among ``edge_ids`` of the edges that every min-cost max-flow
     fills to capacity: ``edge_always_saturated`` on each, with the open-arc
-    lists of ``amounts`` built once."""
-    open_arcs = _open_arcs(net, amounts)
+    lists of ``amounts`` built once, or taken from ``open_arcs``."""
+    if open_arcs is None:
+        open_arcs = _open_arcs(net, amounts)
     return frozenset(
         i for i in edge_ids if edge_always_saturated(net, amounts, i, open_arcs)
     )
@@ -310,7 +312,7 @@ def _cut(net: Network, s_side: frozenset) -> Cut:
     return Cut(s_side, cut_ids, capacity)
 
 
-def all_min_cuts(net: Network, flow: Mapping) -> tuple:
+def all_min_cuts(net: Network, flow: Mapping, open_arcs: Optional[list] = None) -> tuple:
     """Every minimum cut, one per set of positive-capacity edges it
     crosses, with the smallest source side crossing just those, ordered
     by that side as a bitmask over the sorted non-terminal nodes.
@@ -322,14 +324,18 @@ def all_min_cuts(net: Network, flow: Mapping) -> tuple:
     choices that cannot be completed: every leaf is a new cut.
 
     ``flow`` maps edge ids to the amounts of any maximum flow; absent ids
-    carry 0. The cuts do not depend on which one.
+    carry 0. The cuts do not depend on which one. ``open_arcs``, when
+    given, is ``_open_arcs(net, flow)``, built once by a caller that also
+    decides saturation on it.
     """
+    if open_arcs is None:
+        open_arcs = _open_arcs(net, flow)
     form = net._integer_form
     index = form.index
     succ = [set() for _ in form.arcs]
     pred = [set() for _ in form.arcs]
     forward_open = set()
-    for node, arcs in enumerate(_open_arcs(net, flow)):
+    for node, arcs in enumerate(open_arcs):
         for edge_id, forward, dst, _ in arcs:
             succ[node].add(dst)
             pred[dst].add(node)
@@ -409,8 +415,7 @@ def flow_value(net: Network, amounts: Mapping) -> Fraction:
 # Decomposition into paths and cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Paths are (node sequence, amount) pairs from source to sink; cycles
     are closed node sequences (first node repeated last) with an amount.
     Summing amounts edge-wise reproduces the input flow exactly."""
@@ -564,8 +569,7 @@ def _extract_path(net: Network, work: dict, out_ids: dict):
 # One-shot analysis bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowAnalysis:
+class FlowAnalysis(NamedTuple):
     """Everything the equilibrium layer needs about a network:
     the max-flow value, the canonical min-cut, a canonical min-cost
     max-flow as a path flow, its transport cost, the cheapest path cost

@@ -13,9 +13,8 @@ exact Fraction, so expected payoffs compare by equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     CapacityExceeded,
@@ -30,8 +29,7 @@ from .rational import format_rational, parse_rational
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class PathFlow:
+class PathFlow(NamedTuple):
     """A flow as amounts on simple source-sink paths.
 
     ``paths`` is a canonically sorted tuple of (node sequence, amount)
@@ -61,8 +59,7 @@ class PathFlow:
         return self.paths
 
 
-@dataclass(frozen=True)
-class Attack:
+class Attack(NamedTuple):
     """A set of disrupted edges, stored as a sorted tuple of edge ids."""
 
     edge_ids: tuple
@@ -78,8 +75,7 @@ class Attack:
         return self.edge_ids
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(NamedTuple):
     """Finite-support distribution over PathFlow or Attack actions."""
 
     support: tuple
@@ -88,22 +84,26 @@ class MixedStrategy:
         return sum((prob * fn(action) for action, prob in self.support), ZERO)
 
 
-@dataclass(frozen=True)
-class GameParams:
+class _GameParamsFields(NamedTuple):
+    p1: Fraction
+    p2: Fraction
+
+
+class GameParams(_GameParamsFields):
     """Player valuations: p1 is the router's marginal value per unit of
     delivered flow, p2 the attacker's marginal value per unit of lost flow.
     Both must be strictly positive."""
 
-    p1: Fraction
-    p2: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p1", parse_rational(self.p1, what="p1"))
-        object.__setattr__(self, "p2", parse_rational(self.p2, what="p2"))
-        if self.p1 <= 0:
-            raise InvalidParams(f"p1 must be positive, got {self.p1}")
-        if self.p2 <= 0:
-            raise InvalidParams(f"p2 must be positive, got {self.p2}")
+    def __new__(cls, p1, p2):
+        p1 = parse_rational(p1, what="p1")
+        p2 = parse_rational(p2, what="p2")
+        if p1 <= 0:
+            raise InvalidParams(f"p1 must be positive, got {p1}")
+        if p2 <= 0:
+            raise InvalidParams(f"p2 must be positive, got {p2}")
+        return super().__new__(cls, p1, p2)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,7 @@ def attacker_payoff(net: Network, flow: PathFlow, atk: Attack, params: GameParam
 # Expected payoffs over mixed strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileExpectations:
+class ProfileExpectations(NamedTuple):
     """Expected quantities of a strategy profile, independent of payoffs:
     initial flow, transport cost, attack cost, delivered (effective) flow,
     and lost flow. ``initial = effective + lost`` holds exactly."""

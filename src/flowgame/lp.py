@@ -47,15 +47,13 @@ keep that simplex, in its general two-phase form, as the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .rational import to_integers
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str  # "optimal" or "unbounded"
     objective: Optional[Fraction]
     solution: Optional[tuple]

@@ -14,10 +14,9 @@ treats them as read-only values, so sharing across threads is safe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateEdge,
@@ -37,8 +36,7 @@ NodeId = str
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(NamedTuple):
     """One directed edge. ``id`` is the dense index of the edge in the
     network's edge list and is the key used by flows and attacks."""
 
@@ -49,8 +47,7 @@ class EdgeSpec:
     cost: Fraction
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """A source-sink cut: the source-side node set, the ids of the edges
     leaving it, and their total capacity."""
 
@@ -59,8 +56,7 @@ class Cut:
     capacity: Fraction
 
 
-@dataclass(frozen=True)
-class IntegerForm:
+class IntegerForm(NamedTuple):
     """A network's data on plain integers, for the flow algorithms.
 
     ``capacity`` and ``cost`` hold, by edge id, the capacities times
@@ -82,12 +78,24 @@ class IntegerForm:
     arcs: tuple
 
 
-@dataclass(frozen=True)
-class Network:
+class _NetworkFields(NamedTuple):
     nodes: frozenset
     edges: tuple
     source: NodeId
     sink: NodeId
+
+
+class Network(_NetworkFields):
+    """A validated network; build one with :func:`make_network`. Its
+    value is its four fields. The tables derived from them are built on
+    first use and cached in the instance's ``__dict__``, outside that
+    value; no attribute can be assigned."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def _integer_form(self) -> IntegerForm:

@@ -882,6 +882,24 @@ def test_json_output_is_byte_identical_across_processes(capsys):
     assert outputs[0] == in_process
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command is a fresh process, and these two modules (the first
+    # imports the second) cost more to import than the solve itself takes;
+    # -S keeps site-packages' own imports out of the child
+    import subprocess
+    import sys
+
+    probe = "import sys, flowgame.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def write_random_profile_instance(rng, directory):
     """A seeded random network with a path, a mixed profile over up to two
     random path flows and one to three random attacks, and game

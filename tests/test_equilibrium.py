@@ -841,6 +841,39 @@ def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch
     assert len(arc_lists) == 3 and all(arcs is arc_lists[0] for arcs in arc_lists)
 
 
+def test_verify_builds_the_open_arcs_once(contested, monkeypatch):
+    # the saturation verdicts and the min-cut search read one build of the
+    # optimal flow's open residual arcs
+    net, params, analysis = contested
+    profile = construct_equilibrium(net, params, analysis)
+    expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    builds, arc_lists = [], []
+    build = flows._open_arcs
+
+    def build_once(*args):
+        builds.append(build(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(equilibrium, "_open_arcs", build_once)
+    monkeypatch.setattr(flows, "_open_arcs", lambda *args: pytest.fail("a second build"))
+    for module, name, position in (
+        (equilibrium, "all_min_cuts", 2),
+        (equilibrium, "always_saturated_edges", 3),
+        (flows, "edge_always_saturated", 3),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda *args, original=original, position=position:
+                arc_lists.append(args[position]) or original(*args),
+        )
+    report = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    assert report == expected and report.is_ne
+    assert len(builds) == 1 and len(arc_lists) == 5
+    assert all(arcs is builds[0] for arcs in arc_lists)
+    assert builds[0] == build(net, analysis.optimal_flow.edge_amounts(net))
+
+
 # ---------------------------------------------------------------------------
 # Maximin and minimax
 # ---------------------------------------------------------------------------

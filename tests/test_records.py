@@ -178,3 +178,12 @@ def test_network_caches_its_tables_once_outside_its_value():
     assert net == twin and hash(net) == hash(twin)
     assert repr(net) == text
     assert net != make_network(["s", "a", "t"], [("s", "a", 1, 1), ("a", "t", 2, 1)], "s", "t")
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
+def test_records_unpack_and_equal_plain_tuples_of_their_fields(cls, fields, text):
+    record = cls(**fields)
+    assert tuple(record) == tuple(fields.values()) == record
+    assert cls is IntegerForm or hash(record) == hash(tuple(fields.values()))
+    first, *rest = record
+    assert first is next(iter(fields.values())) and len(rest) == len(fields) - 1
