@@ -105,6 +105,11 @@ class GameParams(_GameParamsFields):
             raise InvalidParams(f"p2 must be positive, got {p2}")
         return super().__new__(cls, p1, p2)
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*iterable)
+
 
 # ---------------------------------------------------------------------------
 # Factories

@@ -885,13 +885,14 @@ def test_json_output_is_byte_identical_across_processes(capsys):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # every command is a fresh process, and these two modules (the first
     # imports the second) cost more to import than the solve itself takes;
-    # -S keeps site-packages' own imports out of the child
+    # -S keeps site-packages' own imports out of the child, and -B keeps
+    # it from writing bytecode into the checkout
     import subprocess
     import sys
 
     probe = "import sys, flowgame.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+        [sys.executable, "-S", "-B", "-c", probe],
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},

@@ -161,6 +161,9 @@ def test_game_params_coerce_and_validate():
         GameParams(0, 1)
     with pytest.raises(InvalidParams, match="p2 must be positive, got -1/2"):
         GameParams(1, "-1/2")
+    assert params._replace(p2="5/2") == GameParams(F(7, 2), F(5, 2))
+    with pytest.raises(InvalidParams, match="p1 must be positive, got 0"):
+        params._replace(p1=0)
 
 
 def test_network_caches_its_tables_once_outside_its_value():
