@@ -53,7 +53,7 @@ from .game import (
     point_mass,
     profile_expectations,
 )
-from .lp import solve_lp
+from .lp import solve_tableau
 from .network import Network, ZERO
 from .rational import to_integers
 
@@ -262,34 +262,36 @@ class BestResponse(NamedTuple):
     action: Union[PathFlow, Attack]
 
 
-def _walk_paths(net: Network, hit: list, worth, budget: int) -> list:
+def _walk_paths(net: Network, hit: list, gain, unit: int, budget: int) -> list:
     """Walk every simple source-sink path over positive-capacity edges, in
     lowest-edge-id depth-first order, and return ``(edge ids, worth)`` for
     each path whose worth is positive.
 
-    ``hit[i]`` is edge i's attack mask, and ``worth(mask, cost)`` gives the
-    worth of a path from the OR of its edges' masks and the sum of their
-    scaled costs; it is called once per such pair. Every simple path
-    counts against ``budget``, worth or not: PathBudgetExceeded is raised
-    as soon as the count would pass it. Only a profitable path gets an
-    edge-id tuple. The walk is iterative, so the depth is bounded by
-    memory, not by the recursion limit.
+    ``hit[i]`` is edge i's attack mask. A path's worth is the gain of its
+    mask, the OR of its edges' masks, minus its scaled cost times ``unit``,
+    all on ints. ``gain(mask)`` is called once per mask met, so at most
+    once per subset of the attacks. Every simple path counts against
+    ``budget``, worth or not: PathBudgetExceeded is raised as soon as the
+    count would pass it. Only a profitable path gets an edge-id tuple. The
+    walk is iterative, so the depth is bounded by memory, not by the
+    recursion limit.
     """
     form = net._integer_form
-    capacity, cost = form.capacity, form.cost
+    capacity = form.capacity
+    charge = [c * unit for c in form.cost]
     out = [
         [(e, head) for e, forward, head in arcs if forward and capacity[e] > 0]
         for arcs in form.arcs
     ]
     source, sink = form.index[net.source], form.index[net.sink]
-    worths = {}
+    gains = {}
     found = []
     count = 0
     visited = [False] * len(out)
     visited[source] = True
     on_path = []  # edge ids
-    # Per depth: the node, its out-arc iterator, and the mask and cost of
-    # the path up to it.
+    # Per depth: the node, its out-arc iterator, and the mask and charged
+    # cost of the path up to it.
     frames = [(source, iter(out[source]), 0, 0)]
     while frames:
         node, arcs, mask, so_far = frames[-1]
@@ -302,16 +304,17 @@ def _walk_paths(net: Network, hit: list, worth, budget: int) -> list:
                         f"more than {budget} simple source-sink paths; raise the budget"
                     )
                 count += 1
-                key = (mask | hit[e], so_far + cost[e])
-                w = worths.get(key)
-                if w is None:
-                    w = worths[key] = worth(*key)
+                m = mask | hit[e]
+                g = gains.get(m)
+                if g is None:
+                    g = gains[m] = gain(m)
+                w = g - so_far - charge[e]
                 if w > 0:
                     found.append(((*on_path, e), w))
                 continue
             visited[head] = True
             on_path.append(e)
-            frames.append((head, iter(out[head]), mask | hit[e], so_far + cost[e]))
+            frames.append((head, iter(out[head]), mask | hit[e], so_far + charge[e]))
             break
         else:
             frames.pop()
@@ -326,7 +329,7 @@ def enumerate_simple_paths(net: Network, budget: int) -> tuple:
     the tuple of its edge ids, in lowest-edge-id depth-first order.
     Raises PathBudgetExceeded as soon as the count would pass ``budget``.
     It is the router's walk with no attacks and every path worth 1."""
-    found = _walk_paths(net, [0] * len(net.edges), lambda mask, cost: 1, budget)
+    found = _walk_paths(net, [0] * len(net.edges), lambda mask: 1, 0, budget)
     return tuple(ids for ids, _ in found)
 
 
@@ -365,34 +368,37 @@ def best_router_response(
     )
     gains, unit_cost = ints[:-1], ints[-1]
 
-    def worth(mask, cost):
-        """A path's worth depends only on which attacks hit it and on its
-        scaled cost."""
-        return sum(g for k, g in enumerate(gains) if not mask >> k & 1) - cost * unit_cost
+    def gain(mask):
+        """The summed gains of the attacks that miss a path with this mask."""
+        return sum(g for k, g in enumerate(gains) if not mask >> k & 1)
 
-    weighted = _walk_paths(net, hit, worth, max_paths)
+    weighted = _walk_paths(net, hit, gain, unit_cost, max_paths)
     if not weighted:
         return BestResponse(ZERO, PathFlow(()))
 
-    # One capacity row per edge some profitable path uses, 0/1 by path.
+    # The fraction-free tableau, laid out directly: one row per edge some
+    # profitable path uses, in edge-id order, with the paths' 0/1 entries,
+    # the row's slack and the edge's scaled capacity.
+    n = len(weighted)
     edge_ids = sorted({i for ids, _ in weighted for i in ids})
-    row_of = {edge_id: r for r, edge_id in enumerate(edge_ids)}
-    coeffs = [[0] * len(weighted) for _ in edge_ids]
+    m = len(edge_ids)
+    tableau = []
+    row_of = {}
+    for r, i in enumerate(edge_ids):
+        row = [0] * (n + m + 1)
+        row[n + r] = 1
+        row[-1] = form.capacity[i]
+        tableau.append(row)
+        row_of[i] = row
     for j, (ids, _) in enumerate(weighted):
         for i in ids:
-            coeffs[row_of[i]][j] = 1
-    rows = [(row, form.capacity[i]) for row, i in zip(coeffs, edge_ids)]
-    result = solve_lp([-w for _, w in weighted], ub=rows)
-    if result.status != "optimal":
-        raise RuntimeError(f"path packing program came back {result.status}")
-    amounts = [
-        (net.nodes_on_path(ids), x / form.cap_scale)
-        for (ids, _), x in zip(weighted, result.solution)
-        if x > 0
-    ]
-    return BestResponse(
-        -result.objective / (scale * form.cap_scale), PathFlow(tuple(sorted(amounts)))
-    )
+            row_of[i][j] = 1
+    status, _, basic = solve_tableau([-w for _, w in weighted], tableau)
+    if status != "optimal":
+        raise RuntimeError(f"path packing program came back {status}")
+    value = sum((weighted[j][1] * x for j, x in basic.items()), ZERO)
+    amounts = [(net.nodes_on_path(weighted[j][0]), x / form.cap_scale) for j, x in basic.items()]
+    return BestResponse(value / (scale * form.cap_scale), PathFlow(tuple(sorted(amounts))))
 
 
 def best_attacker_response(

@@ -12,29 +12,36 @@ Problems are stated as::
     subject to  A x <= b
                 x >= 0
 
-with b >= 0 and every number an ``int`` or a ``Fraction``. That is the
-form of the router's path-packing program, whose right-hand sides are
-edge capacities. With b >= 0 the slack basis is feasible from the start,
-so the simplex begins there: the reduced costs start as the costs, since
-every slack costs 0.
+with b >= 0. That is the form of the router's path-packing program,
+whose right-hand sides are edge capacities. With b >= 0 the slack basis
+is feasible from the start, so the simplex begins there: the reduced
+costs start as the costs, since every slack costs 0.
+
+There are two entries to one pivot loop. ``solve_tableau`` takes the
+tableau already laid out on ints, unchecked: the router builds its 0/1
+path rows, slacks and scaled capacities that way directly, and gets
+back only the basic columns with a nonzero value. ``solve_lp`` is the
+checked public entry for rows of ``int`` and ``Fraction`` values: it
+checks and scales the rows, lays out the same tableau and hands it to
+``solve_tableau``.
 
 The tableau is fraction-free (integer-preserving pivots; Edmonds 1967,
 Bareiss 1968). Each row is a list of ints that stands for itself divided
 by the coefficient of the row's basic variable, which is kept positive.
-Each input row is scaled to ints once, by the LCM of its denominators (a
-row of ints alone is taken as it is, with scale 1); slack coefficients
-stay 1, which only rescales the slacks, and the costs are scaled by the
-LCM of theirs. A pivot on (r, c), with p = row_r[c] > 0, replaces every
-other row i that has a nonzero in column c by p*row_i - row_i[c]*row_r,
-so no Fraction is built per entry. When p > 1 the new row is divided by
-the gcd of its entries, which keeps the entries as small as the data
-allow. When p = 1, as in most pivots of a 0/1 packing program, the row
-is kept as it is: nothing was multiplied, and a common factor is rare.
-The pivot row's nonzero columns are listed once per pivot, and the
-subtraction touches only those columns: packing programs have
-mostly-zero rows, and skipping their zeros changes no entry. The
-reduced-cost row is kept only up to a positive factor; the objective is
-read off the solution.
+``solve_lp`` scales each input row to ints once, by the LCM of its
+denominators (a row of ints alone is taken as it is, with scale 1);
+slack coefficients stay 1, which only rescales the slacks, and the
+costs are scaled by the LCM of theirs. A pivot on (r, c), with
+p = row_r[c] > 0, replaces every other row i that has a nonzero in
+column c by p*row_i - row_i[c]*row_r, so no Fraction is built per entry.
+When p > 1 the new row is divided by the gcd of its entries, which keeps
+the entries as small as the data allow. When p = 1, as in most pivots
+of a 0/1 packing program, the row is kept as it is: nothing was
+multiplied, and a common factor is rare. The pivot row's nonzero
+columns are listed once per pivot, and the subtraction touches only
+those columns: packing programs have mostly-zero rows, and skipping
+their zeros changes no entry. The reduced-cost row is kept only up to a
+positive factor; the objective is read off the solution.
 
 Scaling a row or a column by a positive factor changes no sign of a
 reduced cost and no order among the ratios rhs/coefficient of one column,
@@ -83,9 +90,11 @@ def solve_lp(minimize: Sequence, eq: Sequence = (), ub: Sequence = ()) -> LpResu
     """Solve the packing program exactly. ``ub`` is a sequence of
     ``(coefficients, rhs)`` pairs over the same variables as ``minimize``,
     each rhs >= 0. ``eq`` must be empty; it is kept so that callers that
-    bind the rows by name, such as the benchmark's tracer, keep working."""
+    bind the rows by name, such as the benchmark's tracer, keep working.
+
+    This is the checked entry: it scales the rows to ints, lays out the
+    tableau and hands it to ``solve_tableau``."""
     cost_scale, costs = _scaled(minimize)
-    n = len(costs)
     rows = [_scaled((*coeffs, rhs))[1] for coeffs, rhs in (*eq, *ub)]
     if eq:
         raise ValueError(f"solve_lp takes no equality rows, got {len(eq)}")
@@ -94,26 +103,42 @@ def solve_lp(minimize: Sequence, eq: Sequence = (), ub: Sequence = ()) -> LpResu
             raise ValueError(f"right-hand sides must be nonnegative, got {rhs}")
 
     # Row i: its scaled coefficients, then slack n + i with coefficient 1,
-    # then the rhs; the slacks form the starting basis.
+    # then the rhs.
     m = len(rows)
     tableau = []
     for i, row in enumerate(rows):
         slacks = [0] * m
         slacks[i] = 1
         tableau.append(row[:-1] + slacks + row[-1:])
+    status, pivots, basic = solve_tableau(costs, tableau)
+    if status == "unbounded":
+        return LpResult("unbounded", None, None, pivots)
+
+    solution = [Fraction(0)] * len(costs)
+    for j, x in basic.items():
+        solution[j] = x
+    objective = sum((costs[j] * x for j, x in basic.items()), Fraction(0)) / cost_scale
+    return LpResult("optimal", objective, tuple(solution), pivots)
+
+
+def solve_tableau(costs: list, tableau: list) -> tuple:
+    """Run Bland's rule on a laid-out fraction-free tableau, unchecked:
+    ``(status, pivots, basic)``.
+
+    ``costs`` are the n ints to minimize. Row i of ``tableau`` is a list
+    of ints: its n coefficients, then the identity's column n + i among
+    the m slack columns, then its rhs >= 0; the rows are pivoted in
+    place. ``basic`` maps each variable that ends basic with a nonzero
+    value to that value, as a ``Fraction``; every other variable is 0.
+    It is None when the program is unbounded."""
+    n, m = len(costs), len(tableau)
     basis = list(range(n, n + m))
     reduced = costs + [0] * (m + 1)
     status, pivots = _pivot_until_optimal(tableau, reduced, basis, n + m)
     if status == "unbounded":
-        return LpResult("unbounded", None, None, pivots)
-
-    solution = [Fraction(0)] * n
-    for row, b in zip(tableau, basis):
-        if b < n:
-            solution[b] = Fraction(row[-1], row[b])
-    objective = sum((c * x for c, x in zip(costs, solution) if x), Fraction(0))
-    objective /= cost_scale
-    return LpResult("optimal", objective, tuple(solution), pivots)
+        return status, pivots, None
+    basic = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau, basis) if b < n and row[-1]}
+    return status, pivots, basic
 
 
 def _pivot_until_optimal(tableau, reduced, basis, width) -> tuple:

@@ -846,7 +846,8 @@ def test_json_output_is_byte_identical(capsys):
 
 def run_child(argv, hash_seed):
     """Run ``python -m flowgame.cli`` on this checkout's src under the
-    given ``PYTHONHASHSEED``."""
+    given ``PYTHONHASHSEED``. ``PYTHONDONTWRITEBYTECODE`` is passed on, so
+    a run that asks for no bytecode leaves no ``__pycache__`` in src."""
     import os
     import subprocess
     import sys
@@ -855,15 +856,18 @@ def run_child(argv, hash_seed):
     pythonpath = [str(SRC)]
     if os.environ.get("PYTHONPATH"):
         pythonpath.append(os.environ["PYTHONPATH"])
+    env = {
+        "PYTHONHASHSEED": hash_seed,
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": os.pathsep.join(pythonpath),
+    }
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run(
         [sys.executable, "-m", "flowgame.cli", *argv],
         capture_output=True,
         text=True,
-        env={
-            "PYTHONHASHSEED": hash_seed,
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.pathsep.join(pythonpath),
-        },
+        env=env,
     )
 
 

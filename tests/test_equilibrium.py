@@ -31,7 +31,7 @@ from flowgame import (
     profile_expectations,
     verify_equilibrium,
 )
-from flowgame import equilibrium, flows
+from flowgame import equilibrium, flows, lp
 
 from conftest import (
     random_network,
@@ -335,27 +335,22 @@ def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
         packed += not best.action.is_zero
     assert packed >= 100, packed
 
-    # wide meshes, 7-8 internal nodes with 120-400 simple paths, where the
-    # packing program has dozens to hundreds of columns. Bland's pivots
-    # depend on the column order, so the program the router hands the
-    # solver must also be the one rebuilt from the enumerated paths,
-    # column for column and row for row.
+    # wide meshes, where the packing program has dozens to hundreds of
+    # columns. Bland's pivots depend on the column order, so the program
+    # the router lays out as its tableau must also be the one rebuilt from
+    # the enumerated paths, column for column and row for row.
     programs = []
-    solve_lp = equilibrium.solve_lp
+    solve_tableau = equilibrium.solve_tableau
 
-    def capturing_solve_lp(minimize, eq=(), ub=()):
-        programs.append((list(minimize), list(ub)))
-        return solve_lp(minimize, eq=eq, ub=ub)
+    def capturing_solve_tableau(costs, tableau):
+        n = len(costs)
+        for r, row in enumerate(tableau):
+            assert row[n:-1] == [int(k == r) for k in range(len(tableau))]
+        programs.append((list(costs), [(row[:n], row[-1]) for row in tableau]))
+        return solve_tableau(costs, tableau)
 
-    monkeypatch.setattr(equilibrium, "solve_lp", capturing_solve_lp)
-    meshes = 0
-    while meshes < 25:
-        net = make(rng, max_internal=8, min_internal=7, density=0.5)
-        if not 120 <= len(enumerate_simple_paths(net, 5000)) <= 400:
-            continue
-        meshes += 1
-        params = GameParams(F(rng.randint(30, 60)), F(1))
-        s2 = random_attacks(rng, net, 0.1)
+    monkeypatch.setattr(equilibrium, "solve_tableau", capturing_solve_tableau)
+    for net, s2, params in wide_meshes(rng, make, 25):
         before = len(programs)
         assert best_router_response(net, s2, params) == fraction_router_response(net, s2, params)
         costs, rows = packing_program(net, s2, params)
@@ -369,6 +364,64 @@ def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
         assert proportional([rhs for _, rhs in ub], [rhs for _, rhs in rows])
     columns = [len(minimize) for minimize, _ in programs]
     assert sum(count >= 60 for count in columns) >= 22, sorted(columns)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_router_tableau_and_solve_lp_run_one_pivot_loop(rational, monkeypatch):
+    # the router lays out its int tableau itself; solve_lp scales and lays
+    # out the same dense program. Both run Bland's loop exactly once, with
+    # the same pivots, objective and solution.
+    rng = random.Random(43 + rational)
+    make = random_rational_network if rational else random_network
+    core_calls = []
+    core = lp._pivot_until_optimal
+
+    def counting_core(*args):
+        core_calls.append(None)
+        return core(*args)
+
+    runs = []
+    solve_tableau = equilibrium.solve_tableau
+
+    def capturing_solve_tableau(costs, tableau):
+        program = (list(costs), [list(row) for row in tableau])
+        runs.append((program, solve_tableau(costs, tableau)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(lp, "_pivot_until_optimal", counting_core)
+    monkeypatch.setattr(equilibrium, "solve_tableau", capturing_solve_tableau)
+    compared = 0
+    for net, s2, params in wide_meshes(rng, make, 25):
+        before = len(core_calls)
+        best_router_response(net, s2, params)
+        if len(runs) == compared:
+            assert len(core_calls) == before
+            continue
+        assert len(core_calls) == before + 1
+        (costs, tableau), (status, pivots, basic) = runs[-1]
+        n = len(costs)
+        result = lp.solve_lp(costs, ub=[(row[:n], row[-1]) for row in tableau])
+        assert len(core_calls) == before + 2
+        assert status == result.status == "optimal"
+        assert pivots == result.pivots > 0
+        assert sum(costs[j] * x for j, x in basic.items()) == result.objective
+        assert [basic.get(j, 0) for j in range(n)] == list(result.solution)
+        compared += 1
+    assert compared >= 20, compared
+
+
+def wide_meshes(rng, make, count):
+    """``count`` seeded meshes with 7-8 internal nodes and 120-400 simple
+    paths, each with an attacker mixture and a high p1: ``(net, s2,
+    params)``."""
+    meshes = 0
+    while meshes < count:
+        net = make(rng, max_internal=8, min_internal=7, density=0.5)
+        if not 120 <= len(enumerate_simple_paths(net, 5000)) <= 400:
+            continue
+        meshes += 1
+        params = GameParams(F(rng.randint(30, 60)), F(1))
+        yield net, random_attacks(rng, net, 0.1), params
 
 
 def packing_program(net, s2, params):
