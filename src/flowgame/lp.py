@@ -126,9 +126,9 @@ def solve_tableau(costs: list, tableau: list) -> tuple:
     ``(status, pivots, basic)``.
 
     ``costs`` are the n ints to minimize. Row i of ``tableau`` is a list
-    of ints: its n coefficients, then the identity's column n + i among
-    the m slack columns, then its rhs >= 0; the rows are pivoted in
-    place. ``basic`` maps each variable that ends basic with a nonzero
+    of ints: its n coefficients, then m slack entries that are 1 at
+    column n + i and 0 elsewhere, then its rhs >= 0; the rows are pivoted
+    in place. ``basic`` maps each variable that ends basic with a nonzero
     value to that value, as a ``Fraction``; every other variable is 0.
     It is None when the program is unbounded."""
     n, m = len(costs), len(tableau)
