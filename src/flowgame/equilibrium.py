@@ -280,7 +280,7 @@ def _walk_paths(net: Network, hit: list, gain, unit: int, budget: int) -> list:
     capacity = form.capacity
     charge = [c * unit for c in form.cost]
     out = [
-        [(e, head) for e, forward, head in arcs if forward and capacity[e] > 0]
+        [(e, head) for e, forward, head, _ in arcs if forward and capacity[e] > 0]
         for arcs in form.arcs
     ]
     source, sink = form.index[net.source], form.index[net.sink]

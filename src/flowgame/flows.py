@@ -22,13 +22,21 @@ networks, not asymptotics:
   and the only flow computed per network. Its first Dijkstra round, on
   the zero flow, gives the cheapest path cost; its last, which fails to
   reach the sink, reaches the source side of the canonical min-cut.
-  Each node keeps the list of its residual arcs the flow leaves open, in
-  the integer form's arc order; an augmentation changes arcs only at the
-  nodes of its path, so only their lists are rebuilt, and Dijkstra never
-  meets a closed arc. The heap holds ``dist * n + node`` for n nodes,
-  which for 0 <= node < n orders as the pair (dist, node) does. Pop
-  order and scan order are those of a scan over every arc that skips the
-  closed ones, so each augmenting path and each potential is too.
+  Dijkstra keeps each node's label, its residual distance from the
+  source: the potential plus the reduced distance. An arc relaxes when
+  the label across it falls, the reduced test shifted by the head's
+  potential, and each round's labels are the next round's potentials.
+  A node the source stops reaching is never reached again, so its
+  unreached label is never read as a potential. The integer form lists
+  every residual arc once, as one tuple; each node keeps the list of
+  those tuples the flow leaves open, in the integer form's order, and
+  an augmentation changes arcs only at the nodes of its path, so only
+  their lists are rebuilt, and Dijkstra never meets a closed arc. The
+  heap holds the reduced distance times n plus the node for n nodes,
+  which for 0 <= node < n orders as the pair (reduced distance, node)
+  does. Pop order and scan order are those of a scan over every arc that
+  skips the closed ones, so each augmenting path and each potential is
+  too.
 * all min-cuts: a search over the residual graph of a caller's maximum
   flow, whose open arcs ``_open_arcs`` lists per node as Dijkstra scans
   them.
@@ -38,10 +46,12 @@ networks, not asymptotics:
 * decomposition: cycles are peeled off first (depth-first search on the
   support graph), after which the support is acyclic and source-to-sink
   paths are extracted by always following the lowest-id positive edge.
-  The cycles of a min-cost flow cost 0 (removing one of positive cost
-  would lower the cost at the same value), so its path part, the
-  optimal flow of ``analyze``, has the min transport cost as its
-  transport cost, and reports print that value instead of summing it.
+  Both run on node numbers, which follow sorted names, and names are
+  looked up only for the result. The cycles of a min-cost flow cost 0
+  (removing one of positive cost would lower the cost at the same
+  value), so its path part, the optimal flow of ``analyze``, has the min
+  transport cost as its transport cost, and reports print that value
+  instead of summing it.
 
 Everything here is a pure function of an immutable network, safe for
 concurrent use.
@@ -66,13 +76,10 @@ from .rational import to_integers
 def _open_arcs_at(form, forward_open, backward_open, node) -> list:
     """The residual arcs at ``node`` whose direction is open (by edge id,
     ``forward_open`` for forward arcs, ``backward_open`` for backward
-    ones), in ``form.arcs`` order, as (edge id, is_forward, other end,
-    scaled cost signed by direction)."""
-    cost = form.cost
+    ones): the arc tuples of ``form.arcs[node]`` themselves, in that
+    order."""
     return [
-        (i, True, dst, cost[i]) if forward else (i, False, dst, -cost[i])
-        for i, forward, dst in form.arcs[node]
-        if (forward_open if forward else backward_open)[i]
+        arc for arc in form.arcs[node] if (forward_open if arc[1] else backward_open)[arc[0]]
     ]
 
 
@@ -171,9 +178,17 @@ def min_cost_max_flow(net: Network) -> tuple:
     The last round, which fails to reach the sink, reaches the nodes the
     source reaches in the residual graph of a maximum flow: the source
     side of the canonical min-cut.
+
+    Each round's labels, the residual distances from the source, are the
+    next round's potentials. A node the source cannot reach keeps the
+    unreached label, and that label is never read as a potential: an
+    augmentation changes arcs only between nodes of its path, all of them
+    reached, so no arc into an unreached node opens, and the nodes
+    reached only ever shrink. The sink's label is the cost of a unit
+    along the round's path.
     """
     form = net._integer_form
-    capacity, cost = form.capacity, form.cost
+    capacity, ends = form.capacity, form.ends
     source, sink = form.index[net.source], form.index[net.sink]
     flow = [0] * len(capacity)
     forward_open = [c > 0 for c in capacity]
@@ -182,33 +197,38 @@ def min_cost_max_flow(net: Network) -> tuple:
         _open_arcs_at(form, forward_open, backward_open, node)
         for node in range(len(form.arcs))
     ]
-    potential = [0] * len(form.arcs)
+    # Every label is the signed cost of a simple residual path plus one
+    # arc; its forward arcs belong to distinct edges, so it stays below
+    # the sum of all costs plus one.
+    unreached = sum(form.cost) + 1
+    label = [0] * len(form.arcs)
     total_cost = 0
     unit_cost = None
 
     while True:
-        dist, parent = _cheapest_residual_paths(open_arcs, potential, source)
-        if dist[sink] is None:
+        label, parent = _cheapest_residual_paths(open_arcs, label, source, unreached)
+        step_cost = label[sink]
+        if step_cost == unreached:
             break
         if unit_cost is None:
-            unit_cost = Fraction(dist[sink], form.cost_scale)
-        potential = [p if d is None else p + d for p, d in zip(potential, dist)]
+            unit_cost = Fraction(step_cost, form.cost_scale)
 
-        arcs, path_nodes = [], [sink]
+        path, path_nodes = [], [sink]
         node = sink
         while node != source:
-            edge_id, forward, node = parent[node]
-            arcs.append((edge_id, forward))
+            arc = parent[node]
+            path.append(arc)
+            # a forward arc leaves its edge's tail, a backward one its head
+            node = ends[arc[0]][not arc[1]]
             path_nodes.append(node)
-        bottleneck = min(capacity[i] - flow[i] if fwd else flow[i] for i, fwd in arcs)
-        step_cost = 0
-        for edge_id, forward in arcs:
+        bottleneck = min(
+            capacity[i] - flow[i] if forward else flow[i] for i, forward, _, _ in path
+        )
+        for edge_id, forward, _, _ in path:
             if forward:
                 flow[edge_id] += bottleneck
-                step_cost += cost[edge_id]
             else:
                 flow[edge_id] -= bottleneck
-                step_cost -= cost[edge_id]
             forward_open[edge_id] = flow[edge_id] < capacity[edge_id]
             backward_open[edge_id] = flow[edge_id] > 0
         total_cost += bottleneck * step_cost
@@ -220,7 +240,9 @@ def min_cost_max_flow(net: Network) -> tuple:
     shared = {amount: Fraction(amount, form.cap_scale) for amount in set(flow)}
     amounts = {i: shared[amount] for i, amount in enumerate(flow)}
     # ``form.index`` lists the node names in node-number order.
-    source_side = frozenset(name for name, d in zip(form.index, dist) if d is not None)
+    source_side = frozenset(
+        name for name, value in zip(form.index, label) if value != unreached
+    )
     return (
         amounts,
         Fraction(total_cost, form.cap_scale * form.cost_scale),
@@ -229,39 +251,42 @@ def min_cost_max_flow(net: Network) -> tuple:
     )
 
 
-def _cheapest_residual_paths(open_arcs, potential, source) -> tuple:
+def _cheapest_residual_paths(open_arcs, potential, source, unreached) -> tuple:
     """Dijkstra over the open residual arcs (``open_arcs[node]`` as
     ``_open_arcs_at`` lists them) with reduced arc costs. Returns each
-    node's distance (None when unreached) and the arc (edge id,
-    is_forward, previous node) it was reached by.
+    node's label, its residual distance from the source (``unreached``
+    when the source does not reach it), and the arc it was reached by.
 
-    The heap holds ``dist * n + node`` for n nodes. With 0 <= node < n,
-    these ints order as the pairs (dist, node) do, ties to the lower node
-    number, and the key modulo n is the node. A node's entries are pushed
-    with falling distances, so its first entry popped is its last one
-    pushed, at the distance ``dist`` holds."""
+    A label is the node's potential plus its reduced distance, so an arc
+    relaxes exactly when the reduced test does: both sides of
+    ``label[node] + cost < label[dst]`` differ from it by ``potential[dst]``.
+    An arc into a finished node never relaxes, by the triangle inequality.
+    The heap holds the reduced distance times n plus the node, for n
+    nodes. With 0 <= node < n, these ints order as the pairs (reduced
+    distance, node) do, ties to the lower node number, and the key modulo
+    n is the node. A node's entries are pushed with falling keys, so its
+    first entry popped is its last one pushed."""
     pop, push = heapq.heappop, heapq.heappush
     n = len(open_arcs)
-    dist = [None] * n
+    label = [unreached] * n
     parent = [None] * n
     final = [False] * n
-    dist[source] = 0
+    label[source] = 0
     heap = [source]
     while heap:
         node = pop(heap) % n
         if final[node]:
             continue
         final[node] = True
-        base = dist[node] + potential[node]
-        for edge_id, forward, dst, cost in open_arcs[node]:
-            if final[dst]:
-                continue
-            candidate = base + cost - potential[dst]
-            if dist[dst] is None or candidate < dist[dst]:
-                dist[dst] = candidate
-                parent[dst] = (edge_id, forward, node)
-                push(heap, candidate * n + dst)
-    return dist, parent
+        base = label[node]
+        for arc in open_arcs[node]:
+            dst = arc[2]
+            candidate = base + arc[3]
+            if candidate < label[dst]:
+                label[dst] = candidate
+                parent[dst] = arc
+                push(heap, (candidate - potential[dst]) * n + dst)
+    return label, parent
 
 
 def max_flow(net: Network) -> tuple:
@@ -403,7 +428,7 @@ def flow_value(net: Network, amounts: Mapping) -> Fraction:
     its in-edges, less over its forward ones, its out-edges."""
     form = net._integer_form
     into = out = ZERO
-    for edge_id, forward, _ in form.arcs[form.index[net.sink]]:
+    for edge_id, forward, _, _ in form.arcs[form.index[net.sink]]:
         if forward:
             out += amounts.get(edge_id, ZERO)
         else:
@@ -446,15 +471,17 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
     scale, scaled = to_integers(list(positive.values()))
     work = dict(zip(positive, scaled))
 
-    cycles = _peel_cycles(net, work)
-    # ``out_edges`` lists each node's edges in id order already.
-    out_ids = {node: tuple(e.id for e in edges) for node, edges in net.out_edges.items()}
-    paths = []
-    while True:
-        extracted = _extract_path(net, work, out_ids)
-        if extracted is None:
-            break
-        paths.append(extracted)
+    # The search runs on node numbers, which follow sorted names. Each
+    # node lists the edges leaving it that carry flow, in id order, as
+    # (edge id, head).
+    form = net._integer_form
+    names = tuple(form.index)
+    out = [[] for _ in names]
+    for edge_id in sorted(work):
+        tail, head = form.ends[edge_id]
+        out[tail].append((edge_id, head))
+    cycles = _peel_cycles(out, work)
+    paths = _extract_paths(out, work, form.index[net.source], form.index[net.sink], names)
 
     if work:
         leftover = sorted(work)
@@ -463,8 +490,14 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
             f"edges {leftover} carry unassignable amounts"
         )
     return Decomposition(
-        tuple((nodes, Fraction(amount, scale)) for nodes, amount in paths),
-        tuple((nodes, Fraction(amount, scale)) for nodes, amount in cycles),
+        tuple(
+            (tuple(names[node] for node in nodes), Fraction(amount, scale))
+            for nodes, amount in paths
+        ),
+        tuple(
+            (tuple(names[node] for node in nodes), Fraction(amount, scale))
+            for nodes, amount in cycles
+        ),
     )
 
 
@@ -477,92 +510,91 @@ def _subtract(work: dict, edge_ids, amount: int) -> None:
             del work[edge_id]
 
 
-def _peel_cycles(net: Network, work: dict) -> list:
-    """Peel directed cycles off the support graph of ``work`` until none is
-    left: (closed cycle nodes, amount) for each, in the order a
-    deterministic depth-first search finds them.
+def _peel_cycles(out: list, work: dict) -> list:
+    """Peel directed cycles off the support graph of ``work`` (``out`` as
+    ``decompose`` lists it) until none is left: (closed cycle nodes,
+    amount) for each, in the order a deterministic depth-first search
+    from each node in turn finds them.
 
     The search keeps its finished nodes across peels. A finished node
     reaches no cycle, and peeling only removes edges, so it never reaches
     one later; the search therefore finds the cycles that a search
     restarted from scratch after every peel would find."""
-    adjacency = {}
-    for edge_id in sorted(work):
-        adjacency.setdefault(net.edge(edge_id).tail, []).append(edge_id)
-    finished = set()
+    finished = [False] * len(out)
     cycles = []
-    for root in sorted(adjacency):
-        while root not in finished:
-            found = _find_cycle(net, work, adjacency, finished, root)
+    for root in range(len(out)):
+        while not finished[root]:
+            found = _find_cycle(out, work, finished, root)
             if found is not None:
                 cycle_nodes, cycle_edges = found
                 bottleneck = min(work[i] for i in cycle_edges)
                 _subtract(work, cycle_edges, bottleneck)
-                cycles.append((tuple(cycle_nodes), bottleneck))
+                cycles.append((cycle_nodes, bottleneck))
     return cycles
 
 
-def _find_cycle(net: Network, work: dict, adjacency: dict, finished: set, root):
-    """Depth-first search from ``root`` over the edges of ``adjacency``
-    still in ``work``, skipping and extending the ``finished`` nodes.
-    Returns the first cycle met as (cycle nodes closed, cycle edge ids),
-    or None once ``root`` is finished."""
-    frames = [(root, 0)]
+def _find_cycle(out: list, work: dict, finished: list, root: int):
+    """Depth-first search from ``root`` over the edges of ``out`` still in
+    ``work``, skipping and extending the ``finished`` nodes. Returns the
+    first cycle met as (cycle nodes closed, cycle edge ids), or None once
+    ``root`` is finished."""
+    frames = [iter(out[root])]
     path_nodes = [root]
     path_edges = []
     position = {root: 0}
     while frames:
-        node, idx = frames[-1]
-        arcs = adjacency.get(node, ())
-        if idx >= len(arcs):
+        for edge_id, dst in frames[-1]:
+            if edge_id not in work or finished[dst]:
+                continue
+            if dst in position:
+                k = position[dst]
+                return path_nodes[k:] + [dst], path_edges[k:] + [edge_id]
+            frames.append(iter(out[dst]))
+            position[dst] = len(path_nodes)
+            path_nodes.append(dst)
+            path_edges.append(edge_id)
+            break
+        else:
             frames.pop()
-            finished.add(node)
+            node = path_nodes.pop()
+            finished[node] = True
             del position[node]
-            path_nodes.pop()
             if path_edges:
                 path_edges.pop()
-            continue
-        frames[-1] = (node, idx + 1)
-        edge_id = arcs[idx]
-        if edge_id not in work:
-            continue
-        dst = net.edge(edge_id).head
-        if dst in position:
-            k = position[dst]
-            return path_nodes[k:] + [dst], path_edges[k:] + [edge_id]
-        if dst in finished:
-            continue
-        frames.append((dst, 0))
-        position[dst] = len(path_nodes)
-        path_nodes.append(dst)
-        path_edges.append(edge_id)
     return None
 
 
-def _extract_path(net: Network, work: dict, out_ids: dict):
-    node = net.source
-    nodes = [node]
-    edges = []
-    while node != net.sink:
-        step = None
-        for edge_id in out_ids.get(node, ()):
-            if edge_id in work:
-                step = edge_id
-                break
-        if step is None:
-            if node == net.source and not edges:
-                return None
-            raise UndecomposableFlow(
-                f"walk from the source stalled at {node!r}"
-            )
-        edges.append(step)
-        node = net.edge(step).head
-        nodes.append(node)
-        if len(edges) > len(net.edges):
-            raise UndecomposableFlow("walk revisited an edge; flow has a cycle")
-    bottleneck = min(work[i] for i in edges)
-    _subtract(work, edges, bottleneck)
-    return tuple(nodes), bottleneck
+def _extract_paths(out: list, work: dict, source: int, sink: int, names: tuple) -> list:
+    """Walk from the source along the lowest-id edge still in ``work``
+    until the sink, and peel the path's bottleneck off ``work``, until no
+    edge leaves the source: (path nodes, amount) for each path. Run after
+    ``_peel_cycles``, on an acyclic support, so every walk is a simple
+    path. An edge once emptied stays empty, so each node's walks resume
+    at the first of its edges that was still in ``work``."""
+    first = [0] * len(out)
+    paths = []
+    while True:
+        node = source
+        nodes = [node]
+        edges = []
+        while node != sink:
+            arcs = out[node]
+            k = first[node]
+            while k < len(arcs) and arcs[k][0] not in work:
+                k += 1
+            first[node] = k
+            if k == len(arcs):
+                if not edges:
+                    return paths
+                raise UndecomposableFlow(
+                    f"walk from the source stalled at {names[node]!r}"
+                )
+            edge_id, node = arcs[k]
+            edges.append(edge_id)
+            nodes.append(node)
+        bottleneck = min(work[i] for i in edges)
+        _subtract(work, edges, bottleneck)
+        paths.append((nodes, bottleneck))
 
 
 # ---------------------------------------------------------------------------

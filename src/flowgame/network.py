@@ -63,12 +63,14 @@ class IntegerForm(NamedTuple):
     ``cap_scale`` and the costs times ``cost_scale``, each scale being the
     LCM of the denominators it clears. ``index`` numbers the nodes in
     sorted-name order and iterates over the names in that order, so
-    ``all_min_cuts`` can order cuts by node numbers in place of sorted
-    names. ``arcs[i]`` lists the residual arcs at node ``i`` as (edge id,
-    is_forward, other end's number) in edge-id order, the order every
-    flow algorithm scans them in. A positive scale keeps
-    every comparison, so results computed here equal those on the
-    rationals once divided by the scales again."""
+    ``all_min_cuts`` and ``decompose`` can work on node numbers in place of
+    sorted names. ``arcs[i]`` lists the residual arcs at node ``i`` as
+    (edge id, is_forward, other end's number, scaled cost signed by
+    direction) in edge-id order, the order every flow algorithm scans them
+    in; each arc is one tuple, shared by every list of open arcs that holds
+    it. ``ends`` holds, by edge id, the (tail, head) node numbers. A
+    positive scale keeps every comparison, so results computed here equal
+    those on the rationals once divided by the scales again."""
 
     cap_scale: int
     cost_scale: int
@@ -76,6 +78,7 @@ class IntegerForm(NamedTuple):
     cost: tuple
     index: Mapping
     arcs: tuple
+    ends: tuple
 
 
 class _NetworkFields(NamedTuple):
@@ -103,12 +106,14 @@ class Network(_NetworkFields):
         cost_scale, cost = to_integers([e.cost for e in self.edges])
         index = {name: i for i, name in enumerate(sorted(self.nodes))}
         arcs = [[] for _ in index]
+        ends = []
         for e in self.edges:
             tail, head = index[e.tail], index[e.head]
-            arcs[tail].append((e.id, True, head))
-            arcs[head].append((e.id, False, tail))
+            arcs[tail].append((e.id, True, head, cost[e.id]))
+            arcs[head].append((e.id, False, tail, -cost[e.id]))
+            ends.append((tail, head))
         return IntegerForm(
-            cap_scale, cost_scale, capacity, cost, index, tuple(map(tuple, arcs))
+            cap_scale, cost_scale, capacity, cost, index, tuple(map(tuple, arcs)), tuple(ends)
         )
 
     @cached_property

@@ -19,9 +19,11 @@ from flowgame import (
     path_flow,
     router_payoff,
 )
-from flowgame.flows import Decomposition, _extract_path, _subtract
+from flowgame.errors import UndecomposableFlow
+from flowgame.flows import Decomposition, _subtract
 from flowgame.lp import LpResult
 from flowgame.network import ZERO
+from flowgame.rational import to_integers
 
 ONE = Fraction(1)
 
@@ -420,6 +422,139 @@ def fraction_decompose(net, amounts):
         paths.append(extracted)
     assert not work, sorted(work)
     return Decomposition(tuple(paths), tuple(cycles))
+
+
+# ---------------------------------------------------------------------------
+# The decomposition on node names, as it ran before node numbers
+# ---------------------------------------------------------------------------
+
+def name_decompose(net, amounts):
+    """``decompose`` on node names: the integer amounts peeled by a cycle
+    search that keeps its finished nodes across peels, then paths walked
+    along each node's lowest-id edge in ``out_edges``, with the same
+    errors."""
+    positive = {}
+    for edge_id, amount in amounts.items():
+        if amount.numerator < 0:
+            edge = net.edge(edge_id)
+            raise UndecomposableFlow(
+                f"negative amount {amount} on edge ({edge.tail}, {edge.head})"
+            )
+        if amount.numerator > 0:
+            positive[edge_id] = amount
+    scale, scaled = to_integers(list(positive.values()))
+    work = dict(zip(positive, scaled))
+
+    cycles = _peel_cycles(net, work)
+    out_ids = {node: tuple(e.id for e in edges) for node, edges in net.out_edges.items()}
+    paths = []
+    while True:
+        extracted = _extract_path(net, work, out_ids)
+        if extracted is None:
+            break
+        paths.append(extracted)
+
+    if work:
+        leftover = sorted(work)
+        raise UndecomposableFlow(
+            f"flow is not a sum of source-sink paths and cycles; "
+            f"edges {leftover} carry unassignable amounts"
+        )
+    return Decomposition(
+        tuple((nodes, Fraction(amount, scale)) for nodes, amount in paths),
+        tuple((nodes, Fraction(amount, scale)) for nodes, amount in cycles),
+    )
+
+
+def _peel_cycles(net, work):
+    """Peel directed cycles off the support graph of ``work`` until none is
+    left: (closed cycle nodes, amount) for each, in the order a
+    deterministic depth-first search finds them.
+
+    The search keeps its finished nodes across peels. A finished node
+    reaches no cycle, and peeling only removes edges, so it never reaches
+    one later; the search therefore finds the cycles that a search
+    restarted from scratch after every peel would find."""
+    adjacency = {}
+    for edge_id in sorted(work):
+        adjacency.setdefault(net.edge(edge_id).tail, []).append(edge_id)
+    finished = set()
+    cycles = []
+    for root in sorted(adjacency):
+        while root not in finished:
+            found = _find_cycle(net, work, adjacency, finished, root)
+            if found is not None:
+                cycle_nodes, cycle_edges = found
+                bottleneck = min(work[i] for i in cycle_edges)
+                _subtract(work, cycle_edges, bottleneck)
+                cycles.append((tuple(cycle_nodes), bottleneck))
+    return cycles
+
+
+def _find_cycle(net, work, adjacency, finished, root):
+    """Depth-first search from ``root`` over the edges of ``adjacency``
+    still in ``work``, skipping and extending the ``finished`` nodes.
+    Returns the first cycle met as (cycle nodes closed, cycle edge ids),
+    or None once ``root`` is finished."""
+    frames = [(root, 0)]
+    path_nodes = [root]
+    path_edges = []
+    position = {root: 0}
+    while frames:
+        node, idx = frames[-1]
+        arcs = adjacency.get(node, ())
+        if idx >= len(arcs):
+            frames.pop()
+            finished.add(node)
+            del position[node]
+            path_nodes.pop()
+            if path_edges:
+                path_edges.pop()
+            continue
+        frames[-1] = (node, idx + 1)
+        edge_id = arcs[idx]
+        if edge_id not in work:
+            continue
+        dst = net.edge(edge_id).head
+        if dst in position:
+            k = position[dst]
+            return path_nodes[k:] + [dst], path_edges[k:] + [edge_id]
+        if dst in finished:
+            continue
+        frames.append((dst, 0))
+        position[dst] = len(path_nodes)
+        path_nodes.append(dst)
+        path_edges.append(edge_id)
+    return None
+
+
+def _extract_path(net, work, out_ids):
+    """One source-sink path along each node's lowest-id edge still in
+    ``work``, with its bottleneck peeled off ``work``: (nodes, amount),
+    or None when no edge leaves the source."""
+    node = net.source
+    nodes = [node]
+    edges = []
+    while node != net.sink:
+        step = None
+        for edge_id in out_ids.get(node, ()):
+            if edge_id in work:
+                step = edge_id
+                break
+        if step is None:
+            if node == net.source and not edges:
+                return None
+            raise UndecomposableFlow(
+                f"walk from the source stalled at {node!r}"
+            )
+        edges.append(step)
+        node = net.edge(step).head
+        nodes.append(node)
+        if len(edges) > len(net.edges):
+            raise UndecomposableFlow("walk revisited an edge; flow has a cycle")
+    bottleneck = min(work[i] for i in edges)
+    _subtract(work, edges, bottleneck)
+    return tuple(nodes), bottleneck
 
 
 def fraction_canonical_cut(net, flow):

@@ -48,6 +48,7 @@ from oracles import (
     in_edges,
     is_feasible,
     lp_edge_always_saturated,
+    name_decompose,
     strip_loops,
 )
 
@@ -232,8 +233,38 @@ def test_cycle_peeling_matches_restarted_search():
                 amounts[edge_id] = amounts.get(edge_id, ZERO) + amount
         result = decompose(net, amounts)
         assert result == fraction_decompose(net, amounts)
+        assert result == name_decompose(net, amounts)
         several += len(result.cycles) >= 2
     assert several >= 900, several
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message it raises."""
+    try:
+        return call(*args)
+    except UndecomposableFlow as exc:
+        return type(exc), str(exc)
+
+
+def test_decompose_fails_as_the_name_based_search_does():
+    # Random nonnegative amounts on random edges mostly break conservation:
+    # decompose on node numbers must return what the search on names
+    # returns, or raise with the same message.
+    rng = random.Random(41)
+    raised = 0
+    for _ in range(1000):
+        net = random_network(rng, max_internal=5, density=0.5)
+        amounts = {
+            e.id: Fraction(rng.randint(0, 4), rng.randint(1, 3))
+            for e in net.edges
+            if rng.random() < 0.6
+        }
+        if amounts and rng.random() < 0.1:
+            amounts[rng.choice(list(amounts))] = Fraction(-1, 2)
+        expected = outcome(name_decompose, net, amounts)
+        assert outcome(decompose, net, amounts) == expected
+        raised += isinstance(expected, tuple) and expected[0] is UndecomposableFlow
+    assert raised >= 300, raised
 
 
 def test_decompose_rejects_sink_to_source_chain():
@@ -425,6 +456,81 @@ def test_grids_match_the_fraction_oracle_in_both_tie_orders():
             assert cut == fraction_canonical_cut(net, flow)
     # the tie order decides the flow on some of them
     assert differing >= 2
+
+
+def test_benchmark_scale_grids_match_the_oracles():
+    # The first two seeded grids of up to 20 x 20 with at least 100 grid
+    # nodes, the benchmark's sizes: the flow in both tie orders and the
+    # decomposition of each must be the oracles'.
+    rng = random.Random(21)
+    nets = []
+    while len(nets) < 2:
+        net = random_grid_network(rng, max_side=20)
+        if len(net.nodes) >= 102:
+            nets.append(net)
+    for net in nets:
+        first, cost, _, _ = min_cost_max_flow(net)
+        assert (first, cost) == fraction_min_cost_max_flow(net)
+        second = min_cost_max_flow_reversed(net)
+        assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
+        for flow in (first, second[0]):
+            assert decompose(net, flow) == fraction_decompose(net, flow)
+            assert decompose(net, flow) == name_decompose(net, flow)
+
+
+def residual_distances(open_arcs, source, unreached):
+    """Bellman-Ford over the open residual arcs: each node's distance from
+    the source, ``unreached`` for the nodes it does not reach."""
+    dist = [unreached] * len(open_arcs)
+    dist[source] = 0
+    for _ in open_arcs:
+        for node, arcs in enumerate(open_arcs):
+            if dist[node] != unreached:
+                for _, _, dst, cost in arcs:
+                    dist[dst] = min(dist[dst], dist[node] + cost)
+    return dist
+
+
+def test_labels_are_residual_distances_and_the_reached_nodes_only_shrink(monkeypatch):
+    # Each round's labels are the next round's potentials. That is safe
+    # because a node the source stops reaching is never reached again, so
+    # its unreached label is never read as a potential; and each label
+    # must be the node's distance over the round's open residual arcs.
+    rounds = []
+    search = flows._cheapest_residual_paths
+
+    def recording(open_arcs, potential, source, unreached):
+        label, parent = search(open_arcs, potential, source, unreached)
+        rounds.append((list(open_arcs), potential, label, source, unreached))
+        return label, parent
+
+    monkeypatch.setattr(flows, "_cheapest_residual_paths", recording)
+    rng = random.Random(17)
+    nets = [random_network(rng, max_internal=6) for _ in range(100)]
+    nets += [random_rational_network(rng) for _ in range(100)]
+    nets += [random_tie_network(rng) for _ in range(100)]
+    nets += [random_grid_network(rng) for _ in range(20)]
+    shrinking = 0
+    for net in nets:
+        rounds.clear()
+        min_cost_max_flow(net)
+        reached = set(range(len(net.nodes)))
+        potential = [0] * len(net.nodes)
+        for open_arcs, given, label, source, unreached in rounds:
+            assert given == potential
+            assert label == residual_distances(open_arcs, source, unreached)
+            now = {node for node, value in enumerate(label) if value != unreached}
+            assert now <= reached
+            shrinking += now < reached
+            reached, potential = now, label
+    assert shrinking >= 300, shrinking
+
+
+def test_open_arcs_are_the_integer_forms_arc_tuples():
+    net = random_grid_network(random.Random(3))
+    form = net._integer_form
+    for node, arcs in enumerate(flows._open_arcs(net, min_cost_max_flow(net)[0])):
+        assert all(any(arc is shared for shared in form.arcs[node]) for arc in arcs)
 
 
 def test_routing_check_agrees_with_per_path_criterion():

@@ -43,10 +43,11 @@ RECORDS = [
     (Cut, dict(s_side=frozenset({"s"}), cut_set=(0,), capacity=F(3)),
      "Cut(s_side=frozenset({'s'}), cut_set=(0,), capacity=Fraction(3, 1))"),
     (IntegerForm,
-     dict(cap_scale=1, cost_scale=2, capacity=(3,), cost=(1,), index={"s": 0},
-          arcs=(((0, True, 1),),)),
+     dict(cap_scale=1, cost_scale=2, capacity=(3,), cost=(1,), index={"s": 0, "t": 1},
+          arcs=(((0, True, 1, 1),), ((0, False, 0, -1),)), ends=((0, 1),)),
      "IntegerForm(cap_scale=1, cost_scale=2, capacity=(3,), cost=(1,), "
-     "index={'s': 0}, arcs=(((0, True, 1),),))"),
+     "index={'s': 0, 't': 1}, arcs=(((0, True, 1, 1),), ((0, False, 0, -1),)), "
+     "ends=((0, 1),))"),
     (PathFlow, dict(paths=((("s", "t"), F(1)),)),
      "PathFlow(paths=((('s', 't'), Fraction(1, 1)),))"),
     (Attack, dict(edge_ids=(0,)), "Attack(edge_ids=(0,))"),
@@ -181,6 +182,13 @@ def test_network_caches_its_tables_once_outside_its_value():
     assert net == twin and hash(net) == hash(twin)
     assert repr(net) == text
     assert net != make_network(["s", "a", "t"], [("s", "a", 1, 1), ("a", "t", 2, 1)], "s", "t")
+
+
+def test_integer_form_lists_each_residual_arc_once_with_its_signed_cost():
+    assert NET._integer_form == IntegerForm(
+        cap_scale=1, cost_scale=2, capacity=(3,), cost=(1,), index={"s": 0, "t": 1},
+        arcs=(((0, True, 1, 1),), ((0, False, 0, -1),)), ends=((0, 1),),
+    )
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
