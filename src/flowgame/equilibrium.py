@@ -41,17 +41,16 @@ from .game import (
     GameParams,
     MixedStrategy,
     PathFlow,
+    _expectations,
+    _mean_table,
+    _scaled_delivery,
+    _scaled_loads,
+    _scaled_sum,
     attack,
-    attack_cost,
-    effective_flow,
-    expected_edge_loads,
-    mean_flow,
     mixture,
-    path_cost,
     path_flow,
     payoffs_of,
     point_mass,
-    profile_expectations,
 )
 from .lp import solve_tableau
 from .network import Network, ZERO
@@ -239,17 +238,22 @@ def closed_form_quantities(
             "closed-form quantities hold only in the contested region "
             f"(p1 above the cheapest path cost, p2 above 1); got {region.describe()}"
         )
-    p1, p2 = params.p1, params.p2
-    theta = max_flow_value
+    # With p1 = a/b, p2 = c/d, the cost e/f and theta = g/h, each
+    # quantity is one ratio of int products.
+    a, b = params.p1.numerator, params.p1.denominator
+    c, d = params.p2.numerator, params.p2.denominator
+    e, f = unit_cost.numerator, unit_cost.denominator
+    g, h = max_flow_value.numerator, max_flow_value.denominator
+    spare = f * a - e * b  # 1 - cost / p1, times f * a
     return ClosedFormReport(
         u1=ZERO,
         u2=ZERO,
-        exp_initial_flow=theta / p2,
-        exp_transport_cost=unit_cost * theta / p2,
-        exp_attack_cost=(1 - unit_cost / p1) * theta,
-        exp_effective_flow=unit_cost * theta / (p1 * p2),
-        exp_lost_flow=(1 - unit_cost / p1) * theta / p2,
-        yield_ratio=unit_cost / p1,
+        exp_initial_flow=Fraction(g * d, h * c),
+        exp_transport_cost=Fraction(e * g * d, f * h * c),
+        exp_attack_cost=Fraction(spare * g, f * a * h),
+        exp_effective_flow=Fraction(e * g * b * d, f * h * a * c),
+        exp_lost_flow=Fraction(spare * g * d, f * a * h * c),
+        yield_ratio=Fraction(e * b, f * a),
     )
 
 
@@ -424,26 +428,30 @@ def best_attacker_response(
     tuples in lexicographic pre-order, skips every subtree whose bound
     does not beat the incumbent, and replaces the incumbent only on a
     strictly higher value, so the first optimum found is the smallest.
-    Weights and capacities are scaled to integers by the LCM of their
-    denominators, which keeps the search exact without Fractions.
+    Weights and capacities are ints over one common scale, which keeps
+    the search exact without Fractions.
     """
     # The edges with positive expected load are exactly the edges of the
     # mean flow's paths.
+    table = _mean_table(net, s1)
     hits = {}
-    weights = []
-    for nodes, amount in mean_flow(s1).paths:
-        for edge_id in net.edge_ids_on_path(nodes):
-            hits[edge_id] = hits.get(edge_id, 0) | 1 << len(weights)
-        weights.append(params.p2 * amount)
+    for k, (_, ids, _, _) in enumerate(table.rows):
+        for edge_id in ids:
+            hits[edge_id] = hits.get(edge_id, 0) | 1 << k
     candidates = sorted(hits)
     if len(candidates) > max_attack_edges:
         raise EdgeBudgetExceeded(
             f"{len(candidates)} candidate edges exceed the attack budget "
             f"of {max_attack_edges}"
         )
-    costs = [net.edge(i).capacity for i in candidates]
-    scale, scaled = to_integers(weights + costs)
-    weights, costs = scaled[:len(weights)], scaled[len(weights):]
+    # Item k is worth p2 times its amount over the table's scale, and an
+    # edge costs its capacity over the capacity scale: both are ints over
+    # the product of those scales and p2's denominator.
+    form = net._integer_form
+    p2 = params.p2
+    weights = [p2.numerator * form.cap_scale * amount for _, _, amount, _ in table.rows]
+    costs = [form.capacity[i] * table.scale * p2.denominator for i in candidates]
+    scale = table.scale * form.cap_scale * p2.denominator
     masks = [hits[i] for i in candidates]
     k = len(candidates)
 
@@ -529,10 +537,13 @@ def verify_equilibrium(
     contested region of a cheapest-routing network, the structural
     properties every equilibrium must satisfy are checked as well. Only
     those checks read the network's analysis, so it is computed, when
-    not passed in, only for an equilibrium. The profile's expectations
-    are computed once, for its payoffs and for those checks.
+    not passed in, only for an equilibrium. The router mixture's mean
+    flow is built once, as a table on the network's integer form, and
+    the profile's expectations are computed once from it, for its
+    payoffs and for those checks.
     """
-    exps = profile_expectations(net, s1, s2)
+    table = _mean_table(net, s1)
+    exps = _expectations(net, table, s2)
     u1, u2 = payoffs_of(exps, params)
     router_best = best_router_response(net, s2, params, max_paths)
     attacker_best = best_attacker_response(net, s1, params, max_attack_edges)
@@ -550,7 +561,9 @@ def verify_equilibrium(
             and classify_region(params, unit_cost).tag == "III"
             and analysis.cheapest_routing
         ):
-            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, exps)
+            checks = _equilibrium_property_checks(
+                net, s1, s2, params, analysis, table, exps, (u1, u2)
+            )
 
     return VerificationReport(
         is_ne=is_ne,
@@ -564,11 +577,15 @@ def verify_equilibrium(
     )
 
 
-def _is_cheapest_max_flow(net, flow, analysis) -> bool:
+def _is_cheapest_max_flow(flow, path_costs: dict, cost_scale: int, analysis) -> bool:
     """Does this flow qualify as a cheapest-path max flow? Its transport
-    cost is then the cheapest path cost times the max-flow value."""
-    return flow.value == analysis.max_flow_value and all(
-        path_cost(net, nodes) == analysis.cheapest_path_cost for nodes, _ in flow.paths
+    cost is then the cheapest path cost times the max-flow value.
+    ``path_costs`` holds each path's cost times ``cost_scale``."""
+    unit_cost = analysis.cheapest_path_cost
+    unit = unit_cost.numerator * cost_scale
+    return (
+        all(path_costs[nodes] * unit_cost.denominator == unit for nodes, _ in flow.paths)
+        and flow.value == analysis.max_flow_value
     )
 
 
@@ -584,17 +601,23 @@ def _label(edge) -> str:
     return f"({edge.tail}, {edge.head})"
 
 
-def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
-    """The structural checks on a profile whose expectations are ``exps``
-    (``profile_expectations(net, s1, s2)``)."""
+def _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps, payoffs) -> tuple:
+    """The structural checks on a profile whose router mixture has the
+    mean table ``table`` (``game._mean_table(net, s1)``), whose
+    expectations are ``exps`` (``game._expectations(net, table, s2)``) and
+    whose expected payoffs are ``payoffs`` (``payoffs_of(exps, params)``).
+    Each verdict compares ints scaled from the network's integer form and
+    the table; a Fraction is built only for a number a detail prints."""
+    form = net._integer_form
+    capacity, cap_scale = form.capacity, form.cap_scale
     theta = analysis.max_flow_value
     unit_cost = analysis.cheapest_path_cost
-    p1, p2 = params.p1, params.p2
+    p2 = params.p2
     checks = []
 
     # Closed forms against direct expectation over the support.
     report = closed_form_quantities(params, unit_cost, theta)
-    u1, u2 = payoffs_of(exps, params)
+    u1, u2 = payoffs
     comparisons = [
         ("router payoff", u1, report.u1),
         ("attacker payoff", u2, report.u2),
@@ -618,7 +641,10 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
     ))
 
     # No supported attack costs more than disrupting a min-cut.
-    over_budget = [atk for atk, _ in s2.support if attack_cost(net, atk) > theta]
+    over_budget = [
+        atk for atk, _ in s2.support
+        if _scaled_sum(capacity, atk.edge_ids) * theta.denominator > theta.numerator * cap_scale
+    ]
     checks.append(_verdict(
         "attack cost within min-cut budget", over_budget,
         f"every supported attack costs at most {theta}",
@@ -638,26 +664,31 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
     ))
 
     cuts = all_min_cuts(net, optimal_amounts, open_arcs)
-    loads = expected_edge_loads(net, s1)
+    cut_sets = [frozenset(cut.cut_set) for cut in cuts]
+    loads = _scaled_loads(net, table)
 
     def cut_edges(chosen):
-        """The positive-capacity edges the chosen cuts cross. A cut's edge
-        set also holds its zero-capacity edges, but those carry no flow,
-        and disrupting one costs and changes nothing, so their loads and
-        disruption probabilities are free."""
-        edges = (net.edge(i) for cut in chosen for i in cut.cut_set)
-        return [edge for edge in edges if edge.capacity > 0]
+        """The ids of the positive-capacity edges the chosen cuts cross,
+        once per cut. A cut's edge set also holds its zero-capacity edges,
+        but those carry no flow, and disrupting one costs and changes
+        nothing, so their loads and disruption probabilities are free."""
+        return [i for cut in chosen for i in cut.cut_set if capacity[i] > 0]
 
     # Expected load on each min-cut edge equals its capacity over p2, and
     # some supported flow uses the edge: support probabilities are
-    # positive, so exactly when its expected load is.
-    load_misses, uncovered = [], []
-    for edge in cut_edges(cuts):
-        load = loads[edge.id]
-        if load != edge.capacity / p2:
-            load_misses.append(f"{_label(edge)}: {load} != {edge.capacity / p2}")
-        if load == 0:
-            uncovered.append(_label(edge))
+    # positive, so exactly when its expected load is. Each edge's load is
+    # decided once: load / scale == (capacity / cap_scale) / p2.
+    crossed = cut_edges(cuts)
+    off_target = {
+        i for i in set(crossed)
+        if loads[i] * cap_scale * p2.numerator != capacity[i] * p2.denominator * table.scale
+    }
+    load_misses = [
+        f"{_label(net.edge(i))}: {Fraction(loads[i], table.scale)} != {net.edge(i).capacity / p2}"
+        for i in crossed
+        if i in off_target
+    ]
+    uncovered = [_label(net.edge(i)) for i in crossed if loads[i] == 0]
     checks.append(_verdict(
         "min-cut edge loads equal capacity over p2", load_misses,
         f"checked {len(cuts)} min-cut(s)",
@@ -665,17 +696,23 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
 
     # Uniform disruption probability when the attacks live inside one cut.
     name = "uniform disruption probability across the min-cut"
+    attack_sets = [frozenset(atk.edge_ids) for atk, _ in s2.support]
     applicable = [
-        cut
-        for cut in cuts
-        if all(set(atk.edge_ids) <= set(cut.cut_set) for atk, _ in s2.support)
+        cut for cut, cut_set in zip(cuts, cut_sets)
+        if all(attacked <= cut_set for attacked in attack_sets)
     ]
-    expected_prob = 1 - unit_cost / p1
+    expected_prob = 1 - report.yield_ratio  # 1 - cost / p1
+    prob_scale, probs = to_integers([q for _, q in s2.support])
+    disruption = {}  # edge id -> its disruption probability times prob_scale
     prob_misses = []
-    for edge in cut_edges(applicable):
-        prob = sum((q for atk, q in s2.support if edge.id in atk.edge_ids), ZERO)
-        if prob != expected_prob:
-            prob_misses.append(f"{_label(edge)}: {prob} != {expected_prob}")
+    for i in cut_edges(applicable):
+        if i not in disruption:
+            disruption[i] = sum(q for attacked, q in zip(attack_sets, probs) if i in attacked)
+        prob = disruption[i]
+        if prob * expected_prob.denominator != expected_prob.numerator * prob_scale:
+            prob_misses.append(
+                f"{_label(net.edge(i))}: {Fraction(prob, prob_scale)} != {expected_prob}"
+            )
     checks.append(
         _verdict(
             name, prob_misses,
@@ -695,23 +732,25 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
     ))
 
     # Probability bounds on the four named actions when supported.
+    zero_bound = Fraction(p2.numerator - p2.denominator, p2.numerator)  # 1 - 1/p2
+    flow_bound = Fraction(p2.denominator, p2.numerator)  # 1/p2
+    path_costs = {nodes: cost for nodes, _, _, cost in table.rows}
     bound_misses = []
-    cut_sets = [frozenset(cut.cut_set) for cut in cuts]
     for flow, prob in s1.support:
-        if flow.is_zero and prob > 1 - 1 / p2:
-            bound_misses.append(f"zero flow has probability {prob} > {1 - 1 / p2}")
-        if _is_cheapest_max_flow(net, flow, analysis) and prob > 1 / p2:
+        if flow.is_zero and prob > zero_bound:
+            bound_misses.append(f"zero flow has probability {prob} > {zero_bound}")
+        if _is_cheapest_max_flow(flow, path_costs, form.cost_scale, analysis) and prob > flow_bound:
             bound_misses.append(
-                f"a cheapest max flow has probability {prob} > {1 / p2}"
+                f"a cheapest max flow has probability {prob} > {flow_bound}"
             )
-    for atk, prob in s2.support:
-        if atk.is_empty and prob > unit_cost / p1:
+    for (atk, prob), attacked in zip(s2.support, attack_sets):
+        if atk.is_empty and prob > report.yield_ratio:
             bound_misses.append(
-                f"the empty attack has probability {prob} > {unit_cost / p1}"
+                f"the empty attack has probability {prob} > {report.yield_ratio}"
             )
-        if frozenset(atk.edge_ids) in cut_sets and prob > 1 - unit_cost / p1:
+        if attacked in cut_sets and prob > expected_prob:
             bound_misses.append(
-                f"a full min-cut attack has probability {prob} > {1 - unit_cost / p1}"
+                f"a full min-cut attack has probability {prob} > {expected_prob}"
             )
     checks.append(_verdict(
         "support probability bounds", bound_misses,
@@ -721,8 +760,9 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, exps) -> tuple:
     # Delivery identity: what the optimal routing would deliver under the
     # attacker's mixture equals the max-flow value minus the expected
     # attack cost.
-    delivered = s2.expect(
-        lambda atk: effective_flow(net, analysis.optimal_flow, atk).value
+    optimal = _mean_table(net, point_mass(analysis.optimal_flow))
+    delivered = Fraction(
+        _scaled_delivery(optimal, s2, probs), prob_scale * optimal.scale
     )
     expected_delivery = theta - exps.attack_cost
     detail = (

@@ -8,7 +8,16 @@ Flow on a path that touches a disrupted edge is lost, not rerouted; the
 router still pays its transport cost.
 
 Mixed strategies have finite support. Every probability and amount is an
-exact Fraction, so expected payoffs compare by equality.
+exact Fraction at this layer's boundary, so expected payoffs compare by
+equality. Inside, like the flow layer, it computes on ints: the amounts
+or probabilities of one sum are scaled by the LCM of their denominators,
+costs and capacities are read off the network's integer form
+(``Network._integer_form``), and each reported number is one
+``Fraction`` of an int sum over the product of the scales. A router
+mixture's expectations are those of its mean flow, whose paths are
+mapped to edge ids and scaled costs once per table (``_mean_table``);
+``verify_equilibrium`` builds that table once and reads its payoffs, its
+edge loads and its property checks off it.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .errors import (
     LoopyFlowInSupport,
 )
 from .network import Network, ZERO
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, to_integers
 
 ONE = Fraction(1)
 
@@ -41,19 +50,18 @@ class PathFlow(NamedTuple):
     @property
     def value(self) -> Fraction:
         """Amount of flow sent from source to sink."""
-        return sum((amount for _, amount in self.paths), ZERO)
+        scale, amounts = to_integers([amount for _, amount in self.paths])
+        return Fraction(sum(amounts), scale)
 
     @property
     def is_zero(self) -> bool:
         return not self.paths
 
     def edge_amounts(self, net: Network) -> dict:
-        """Per-edge flow induced by the path amounts."""
-        amounts: dict = {}
-        for nodes, amount in self.paths:
-            for edge_id in net.edge_ids_on_path(nodes):
-                amounts[edge_id] = amounts.get(edge_id, ZERO) + amount
-        return amounts
+        """Per-edge flow induced by the path amounts, for the edges some
+        path uses."""
+        scale, totals = _edge_totals(net, self.paths)
+        return _fractions(totals, scale)
 
     def sort_key(self):
         return self.paths
@@ -142,15 +150,17 @@ def path_flow(net: Network, items: Iterable = ()) -> PathFlow:
                 "strictly dominated and not accepted"
             )
         net.edge_ids_on_path(nodes)
-        merged[nodes] = merged.get(nodes, ZERO) + amount
+        merged[nodes] = merged[nodes] + amount if nodes in merged else amount
 
     flow = PathFlow(tuple(sorted(merged.items())))
-    for edge_id, amount in flow.edge_amounts(net).items():
-        edge = net.edge(edge_id)
-        if amount > edge.capacity:
+    form = net._integer_form
+    scale, totals = _edge_totals(net, flow.paths)
+    for edge_id, total in totals.items():
+        if total * form.cap_scale > form.capacity[edge_id] * scale:
+            edge = net.edge(edge_id)
             raise CapacityExceeded(
                 f"edge ({edge.tail}, {edge.head}) carries "
-                f"{format_rational(amount, 'the flow on an edge')} "
+                f"{format_rational(Fraction(total, scale), 'the flow on an edge')} "
                 f"but has capacity {edge.capacity}"
             )
     return flow
@@ -182,11 +192,12 @@ def mixture(items: Iterable) -> MixedStrategy:
         if prob <= 0:
             raise InvalidStrategy(f"probabilities must be positive, got {prob}")
         support.append((action, prob))
-    total = sum((prob for _, prob in support), ZERO)
-    if total != 1:
+    scale, probs = to_integers([prob for _, prob in support])
+    total = sum(probs)
+    if total != scale:
         raise InvalidStrategy(
-            f"probabilities sum to {format_rational(total, 'the probability sum')}, "
-            "expected 1"
+            "probabilities sum to "
+            f"{format_rational(Fraction(total, scale), 'the probability sum')}, expected 1"
         )
     support.sort(key=lambda pair: pair[0].sort_key())
     for left, right in zip(support, support[1:]):
@@ -218,18 +229,25 @@ def effective_flow(net: Network, flow: PathFlow, atk: Attack) -> PathFlow:
 
 
 def path_cost(net: Network, nodes: Sequence) -> Fraction:
-    return sum((net.edge(i).cost for i in net.edge_ids_on_path(nodes)), ZERO)
+    form = net._integer_form
+    return Fraction(_scaled_sum(form.cost, net.edge_ids_on_path(nodes)), form.cost_scale)
 
 
 def transport_cost(net: Network, flow: PathFlow) -> Fraction:
     """Total cost of sending the flow: sum over paths of amount times the
     path's per-unit cost (equal to the edge-sum form)."""
-    return sum((amount * path_cost(net, nodes) for nodes, amount in flow.paths), ZERO)
+    form = net._integer_form
+    scale, amounts = to_integers([amount for _, amount in flow.paths])
+    total = 0
+    for (nodes, _), amount in zip(flow.paths, amounts):
+        total += amount * _scaled_sum(form.cost, net.edge_ids_on_path(nodes))
+    return Fraction(total, scale * form.cost_scale)
 
 
 def attack_cost(net: Network, atk: Attack) -> Fraction:
     """Cost of an attack: the total capacity of the disrupted edges."""
-    return sum((net.edge(i).capacity for i in atk.edge_ids), ZERO)
+    form = net._integer_form
+    return Fraction(_scaled_sum(form.capacity, atk.edge_ids), form.cap_scale)
 
 
 def router_payoff(net: Network, flow: PathFlow, atk: Attack, params: GameParams) -> Fraction:
@@ -263,24 +281,13 @@ class ProfileExpectations(NamedTuple):
 def mean_flow(s1: MixedStrategy) -> PathFlow:
     """Each distinct path of the support carries its sum of prob * amount.
     Payoffs are linear in path amounts, so this has s1's expectations."""
-    merged: dict = {}
-    for flow, prob in s1.support:
-        for nodes, amount in flow.paths:
-            merged[nodes] = merged.get(nodes, ZERO) + prob * amount
-    return PathFlow(tuple(sorted(merged.items())))
+    scale, merged = _merged_paths(s1)
+    paths = ((nodes, Fraction(amount, scale)) for nodes, amount in merged.items())
+    return PathFlow(tuple(sorted(paths)))
 
 
 def profile_expectations(net: Network, s1: MixedStrategy, s2: MixedStrategy) -> ProfileExpectations:
-    mean = mean_flow(s1)
-    initial = mean.value
-    effective = s2.expect(lambda atk: effective_flow(net, mean, atk).value)
-    return ProfileExpectations(
-        initial_flow=initial,
-        transport_cost=transport_cost(net, mean),
-        attack_cost=s2.expect(lambda atk: attack_cost(net, atk)),
-        effective_flow=effective,
-        lost_flow=initial - effective,
-    )
+    return _expectations(net, _mean_table(net, s1), s2)
 
 
 def expected_payoffs(
@@ -307,4 +314,119 @@ def payoffs_of(exps: ProfileExpectations, params: GameParams) -> tuple:
 
 def expected_edge_loads(net: Network, s1: MixedStrategy) -> dict:
     """Expected flow through each edge under the router's strategy."""
-    return {e.id: ZERO for e in net.edges} | mean_flow(s1).edge_amounts(net)
+    table = _mean_table(net, s1)
+    return _fractions(dict(enumerate(_scaled_loads(net, table))), table.scale)
+
+
+# ---------------------------------------------------------------------------
+# The integer core
+# ---------------------------------------------------------------------------
+
+def _scaled_sum(scaled: tuple, edge_ids) -> int:
+    """The sum of ``scaled[i]`` over the edge ids: on the integer form's
+    costs, a path's cost; on its capacities, an attack's."""
+    total = 0
+    for i in edge_ids:
+        total += scaled[i]
+    return total
+
+
+def _fractions(totals: dict, scale: int) -> dict:
+    """``totals`` with each int over ``scale``, one Fraction per distinct
+    value, shared by every key that has it."""
+    shared = {total: Fraction(total, scale) for total in set(totals.values())}
+    return {key: shared[total] for key, total in totals.items()}
+
+
+def _edge_totals(net: Network, paths) -> tuple:
+    """``(scale, totals)``: each edge that some of the (nodes, amount)
+    paths use, in first-use order, with its summed amount times
+    ``scale``."""
+    scale, amounts = to_integers([amount for _, amount in paths])
+    totals: dict = {}
+    for (nodes, _), amount in zip(paths, amounts):
+        for edge_id in net.edge_ids_on_path(nodes):
+            totals[edge_id] = totals.get(edge_id, 0) + amount
+    return scale, totals
+
+
+def _merged_paths(s1: MixedStrategy) -> tuple:
+    """``(scale, merged)``: each distinct path of the support, in
+    first-seen order, with its sum of prob * amount times ``scale``, the
+    LCM of the probabilities' denominators times that of the amounts'."""
+    prob_scale, probs = to_integers([prob for _, prob in s1.support])
+    amount_scale, amounts = to_integers(
+        [amount for flow, _ in s1.support for _, amount in flow.paths]
+    )
+    amounts = iter(amounts)
+    merged: dict = {}
+    for (flow, _), prob in zip(s1.support, probs):
+        for nodes, _ in flow.paths:
+            merged[nodes] = merged.get(nodes, 0) + prob * next(amounts)
+    return prob_scale * amount_scale, merged
+
+
+class _MeanTable(NamedTuple):
+    """A router mixture's mean flow on the network's integer form: each
+    row is a distinct path as (node sequence, edge ids, amount times
+    ``scale``, cost times the cost scale)."""
+
+    scale: int
+    rows: tuple
+
+
+def _mean_table(net: Network, s1: MixedStrategy) -> _MeanTable:
+    """The mean flow of ``s1`` (see ``mean_flow``), each path mapped to
+    its edge ids and scaled cost once."""
+    scale, merged = _merged_paths(s1)
+    cost = net._integer_form.cost
+    rows = []
+    for nodes, amount in merged.items():
+        ids = net.edge_ids_on_path(nodes)
+        rows.append((nodes, ids, amount, _scaled_sum(cost, ids)))
+    return _MeanTable(scale, tuple(rows))
+
+
+def _scaled_loads(net: Network, table: _MeanTable) -> list:
+    """Each edge's expected load times the table's scale, by edge id."""
+    loads = [0] * len(net.edges)
+    for _, ids, amount, _ in table.rows:
+        for i in ids:
+            loads[i] += amount
+    return loads
+
+
+def _expectations(net: Network, table: _MeanTable, s2: MixedStrategy) -> ProfileExpectations:
+    """The expectations of the profile whose router mixture has this mean
+    table: int sums, one Fraction each."""
+    form = net._integer_form
+    scale = table.scale
+    initial = transport = 0
+    for _, _, amount, cost in table.rows:
+        initial += amount
+        transport += amount * cost
+    prob_scale, probs = to_integers([prob for _, prob in s2.support])
+    attacked = 0
+    for (atk, _), prob in zip(s2.support, probs):
+        attacked += prob * _scaled_sum(form.capacity, atk.edge_ids)
+    delivered = _scaled_delivery(table, s2, probs)
+    return ProfileExpectations(
+        initial_flow=Fraction(initial, scale),
+        transport_cost=Fraction(transport, scale * form.cost_scale),
+        attack_cost=Fraction(attacked, prob_scale * form.cap_scale),
+        effective_flow=Fraction(delivered, prob_scale * scale),
+        lost_flow=Fraction(initial * prob_scale - delivered, prob_scale * scale),
+    )
+
+
+def _scaled_delivery(table: _MeanTable, s2: MixedStrategy, probs: tuple) -> int:
+    """The table's flow that survives the attacker mixture, in
+    expectation, times the table's scale and the probabilities' scale:
+    ``probs`` are s2's probabilities as ``to_integers`` scales them."""
+    delivered = 0
+    for (atk, _), prob in zip(s2.support, probs):
+        disrupted = set(atk.edge_ids)
+        for _, ids, amount, _ in table.rows:
+            if disrupted.isdisjoint(ids):
+                delivered += prob * amount
+    return delivered

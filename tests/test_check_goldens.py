@@ -32,10 +32,10 @@ from flowgame import (
     edge_always_saturated,
     path_flow,
     point_mass,
-    profile_expectations,
 )
 from flowgame.cli import load_network
 from flowgame.equilibrium import _equilibrium_property_checks, _mixture_drop_zero
+from flowgame.game import _expectations, _mean_table, payoffs_of
 
 HERE = Path(__file__).resolve().parent
 GOLDENS = HERE / "check_goldens.json"
@@ -76,8 +76,11 @@ def _records() -> dict:
         net = load_network(str(fixture))
         analysis = analyze(net)
         for label, s1, s2, params in _profiles(net, analysis):
-            exps = profile_expectations(net, s1, s2)
-            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, exps)
+            table = _mean_table(net, s1)
+            exps = _expectations(net, table, s2)
+            checks = _equilibrium_property_checks(
+                net, s1, s2, params, analysis, table, exps, payoffs_of(exps, params)
+            )
             records[f"{fixture.name} {label}"] = [
                 [check.name, check.status, check.detail] for check in checks
             ]

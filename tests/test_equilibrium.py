@@ -867,20 +867,31 @@ def test_verify_analyzes_the_network_only_for_equilibria(contested, monkeypatch)
 
 
 def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch):
-    # the payoffs and the checks share one profile_expectations call, and
-    # every disrupted edge's saturation verdict walks one build of the
-    # open-arc lists
+    # the payoffs and the checks share one expectations call on one mean
+    # table of s1, built by verification itself (the attacker's best
+    # response, a public function of s1, builds its own; the delivery
+    # identity tables the optimal flow), and every disrupted edge's
+    # saturation verdict walks one build of the open-arc lists
     net, params, analysis = contested
     profile = construct_equilibrium(net, params, analysis)
     expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
-    calls, arc_lists = [], []
+    calls, arc_lists, tables = [], [], []
 
     def counted(name):
         original = getattr(equilibrium, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    for name in ("profile_expectations", "always_saturated_edges"):
+    for name in ("_expectations", "always_saturated_edges"):
         monkeypatch.setattr(equilibrium, name, counted(name))
+    build = equilibrium._mean_table
+    monkeypatch.setattr(
+        equilibrium, "_mean_table", lambda net, s1: tables.append(s1) or build(net, s1)
+    )
+    attacker = equilibrium.best_attacker_response
+    monkeypatch.setattr(
+        equilibrium, "best_attacker_response",
+        lambda *args: tables.append("attacker") or attacker(*args),
+    )
     per_edge = flows.edge_always_saturated
     monkeypatch.setattr(
         flows, "edge_always_saturated",
@@ -890,7 +901,10 @@ def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch
     assert report == expected
     assert report.is_ne and len(report.checks) == 8
     assert len({i for atk, _ in profile.s2.support for i in atk.edge_ids}) == 3
-    assert sorted(calls) == ["always_saturated_edges", "profile_expectations"]
+    assert sorted(calls) == ["_expectations", "always_saturated_edges"]
+    assert tables == [
+        profile.s1, "attacker", profile.s1, point_mass(analysis.optimal_flow)
+    ]
     assert len(arc_lists) == 3 and all(arcs is arc_lists[0] for arcs in arc_lists)
 
 
