@@ -601,7 +601,9 @@ def _label(edge) -> str:
     return f"({edge.tail}, {edge.head})"
 
 
-def _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps, payoffs) -> tuple:
+def _equilibrium_property_checks(
+    net, s1, s2, params, analysis, table, exps, payoffs
+) -> tuple:
     """The structural checks on a profile whose router mixture has the
     mean table ``table`` (``game._mean_table(net, s1)``), whose
     expectations are ``exps`` (``game._expectations(net, table, s2)``) and
@@ -641,9 +643,10 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps, pay
     ))
 
     # No supported attack costs more than disrupting a min-cut.
+    budget = theta.numerator * cap_scale  # theta, times its denominator
     over_budget = [
         atk for atk, _ in s2.support
-        if _scaled_sum(capacity, atk.edge_ids) * theta.denominator > theta.numerator * cap_scale
+        if _scaled_sum(capacity, atk.edge_ids) * theta.denominator > budget
     ]
     checks.append(_verdict(
         "attack cost within min-cut budget", over_budget,
@@ -684,7 +687,8 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps, pay
         if loads[i] * cap_scale * p2.numerator != capacity[i] * p2.denominator * table.scale
     }
     load_misses = [
-        f"{_label(net.edge(i))}: {Fraction(loads[i], table.scale)} != {net.edge(i).capacity / p2}"
+        f"{_label(net.edge(i))}: "
+        f"{Fraction(loads[i], table.scale)} != {net.edge(i).capacity / p2}"
         for i in crossed
         if i in off_target
     ]
@@ -703,16 +707,18 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps, pay
     ]
     expected_prob = 1 - report.yield_ratio  # 1 - cost / p1
     prob_scale, probs = to_integers([q for _, q in s2.support])
-    disruption = {}  # edge id -> its disruption probability times prob_scale
-    prob_misses = []
-    for i in cut_edges(applicable):
-        if i not in disruption:
-            disruption[i] = sum(q for attacked, q in zip(attack_sets, probs) if i in attacked)
-        prob = disruption[i]
-        if prob * expected_prob.denominator != expected_prob.numerator * prob_scale:
-            prob_misses.append(
-                f"{_label(net.edge(i))}: {Fraction(prob, prob_scale)} != {expected_prob}"
-            )
+    inside = cut_edges(applicable)
+    # Each edge's disruption probability times prob_scale, summed once.
+    disruption = {
+        i: sum(q for attacked, q in zip(attack_sets, probs) if i in attacked)
+        for i in set(inside)
+    }
+    target = expected_prob.numerator * prob_scale  # times its denominator
+    prob_misses = [
+        f"{_label(net.edge(i))}: {Fraction(disruption[i], prob_scale)} != {expected_prob}"
+        for i in inside
+        if disruption[i] * expected_prob.denominator != target
+    ]
     checks.append(
         _verdict(
             name, prob_misses,
@@ -739,7 +745,8 @@ def _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps, pay
     for flow, prob in s1.support:
         if flow.is_zero and prob > zero_bound:
             bound_misses.append(f"zero flow has probability {prob} > {zero_bound}")
-        if _is_cheapest_max_flow(flow, path_costs, form.cost_scale, analysis) and prob > flow_bound:
+        cheapest = _is_cheapest_max_flow(flow, path_costs, form.cost_scale, analysis)
+        if cheapest and prob > flow_bound:
             bound_misses.append(
                 f"a cheapest max flow has probability {prob} > {flow_bound}"
             )

@@ -396,7 +396,9 @@ def _scaled_loads(net: Network, table: _MeanTable) -> list:
     return loads
 
 
-def _expectations(net: Network, table: _MeanTable, s2: MixedStrategy) -> ProfileExpectations:
+def _expectations(
+    net: Network, table: _MeanTable, s2: MixedStrategy
+) -> ProfileExpectations:
     """The expectations of the profile whose router mixture has this mean
     table: int sums, one Fraction each."""
     form = net._integer_form

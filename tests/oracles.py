@@ -12,15 +12,21 @@ from flowgame import (
     EdgeBudgetExceeded,
     PathBudgetExceeded,
     PathFlow,
-    attacker_payoff,
+    ProfileExpectations,
+    PropertyCheck,
+    VerificationReport,
+    all_min_cuts,
+    always_saturated_edges,
+    analyze,
+    classify_region,
     decompose,
-    expected_edge_loads,
-    path_cost,
+    effective_flow,
     path_flow,
-    router_payoff,
 )
+from flowgame.equilibrium import ClosedFormReport, _label, _verdict
 from flowgame.errors import UndecomposableFlow
-from flowgame.flows import Decomposition, _subtract
+from flowgame.flows import Decomposition, _open_arcs, _subtract
+from flowgame.game import payoffs_of
 from flowgame.lp import LpResult
 from flowgame.network import ZERO
 from flowgame.rational import to_integers
@@ -142,7 +148,7 @@ def brute_force_attacker_response(
     """The attacker's best response by scoring every subset of the
     candidate edges, with the tie rule of ``best_attacker_response``:
     the lexicographically smallest optimal edge-id tuple wins."""
-    loads = expected_edge_loads(net, s1)
+    loads = fraction_expected_edge_loads(net, s1)
     if exhaustive:
         candidates = sorted(loads)
     else:
@@ -159,7 +165,7 @@ def brute_force_attacker_response(
             (frozenset(net.edge_ids_on_path(nodes)), amount)
             for nodes, amount in flow.paths
         ]
-        flows_info.append((p, flow.value, paths))
+        flows_info.append((p, fraction_value(flow), paths))
 
     best_value = None
     best_ids = None
@@ -191,8 +197,8 @@ def pairwise_expected_payoffs(net, s1, s2, params):
     u1 = u2 = ZERO
     for flow, p in s1.support:
         for atk, q in s2.support:
-            u1 += p * q * router_payoff(net, flow, atk, params)
-            u2 += p * q * attacker_payoff(net, flow, atk, params)
+            u1 += p * q * fraction_router_payoff(net, flow, atk, params)
+            u2 += p * q * fraction_attacker_payoff(net, flow, atk, params)
     return u1, u2
 
 
@@ -221,6 +227,257 @@ def recursive_simple_paths(net, budget):
 
 
 # ---------------------------------------------------------------------------
+# The game layer on Fraction, as it ran before its integer core: every sum
+# starts at ZERO and adds one Fraction per hop, path or attack
+# ---------------------------------------------------------------------------
+
+def fraction_value(flow):
+    return sum((amount for _, amount in flow.paths), ZERO)
+
+
+def fraction_path_cost(net, nodes):
+    return sum((net.edge(i).cost for i in net.edge_ids_on_path(nodes)), ZERO)
+
+
+def fraction_transport_cost(net, flow):
+    return sum(
+        (amount * fraction_path_cost(net, nodes) for nodes, amount in flow.paths), ZERO
+    )
+
+
+def fraction_attack_cost(net, atk):
+    return sum((net.edge(i).capacity for i in atk.edge_ids), ZERO)
+
+
+def fraction_edge_amounts(net, flow):
+    amounts = {}
+    for nodes, amount in flow.paths:
+        for edge_id in net.edge_ids_on_path(nodes):
+            amounts[edge_id] = amounts.get(edge_id, ZERO) + amount
+    return amounts
+
+
+def fraction_router_payoff(net, flow, atk, params):
+    delivered = fraction_value(effective_flow(net, flow, atk))
+    return params.p1 * delivered - fraction_transport_cost(net, flow)
+
+
+def fraction_attacker_payoff(net, flow, atk, params):
+    lost = fraction_value(flow) - fraction_value(effective_flow(net, flow, atk))
+    return params.p2 * lost - fraction_attack_cost(net, atk)
+
+
+def fraction_mean_flow(s1):
+    merged = {}
+    for flow, prob in s1.support:
+        for nodes, amount in flow.paths:
+            merged[nodes] = merged.get(nodes, ZERO) + prob * amount
+    return PathFlow(tuple(sorted(merged.items())))
+
+
+def fraction_profile_expectations(net, s1, s2):
+    mean = fraction_mean_flow(s1)
+    initial = fraction_value(mean)
+    effective = s2.expect(lambda atk: fraction_value(effective_flow(net, mean, atk)))
+    return ProfileExpectations(
+        initial_flow=initial,
+        transport_cost=fraction_transport_cost(net, mean),
+        attack_cost=s2.expect(lambda atk: fraction_attack_cost(net, atk)),
+        effective_flow=effective,
+        lost_flow=initial - effective,
+    )
+
+
+def fraction_expected_edge_loads(net, s1):
+    return {e.id: ZERO for e in net.edges} | fraction_edge_amounts(net, fraction_mean_flow(s1))
+
+
+def fraction_closed_forms(params, unit_cost, theta):
+    """The Region III closed forms as Fraction expressions."""
+    p1, p2 = params.p1, params.p2
+    return ClosedFormReport(
+        u1=ZERO,
+        u2=ZERO,
+        exp_initial_flow=theta / p2,
+        exp_transport_cost=unit_cost * theta / p2,
+        exp_attack_cost=(1 - unit_cost / p1) * theta,
+        exp_effective_flow=unit_cost * theta / (p1 * p2),
+        exp_lost_flow=(1 - unit_cost / p1) * theta / p2,
+        yield_ratio=unit_cost / p1,
+    )
+
+
+def _fraction_is_cheapest_max_flow(net, flow, analysis):
+    return fraction_value(flow) == analysis.max_flow_value and all(
+        fraction_path_cost(net, nodes) == analysis.cheapest_path_cost
+        for nodes, _ in flow.paths
+    )
+
+
+def fraction_property_checks(net, s1, s2, params, analysis, exps):
+    """The structural checks of ``verify_equilibrium`` on Fractions, with
+    the flow layer's saturation and min-cut verdicts."""
+    theta = analysis.max_flow_value
+    unit_cost = analysis.cheapest_path_cost
+    p1, p2 = params.p1, params.p2
+    checks = []
+
+    report = fraction_closed_forms(params, unit_cost, theta)
+    u1, u2 = payoffs_of(exps, params)
+    comparisons = [
+        ("router payoff", u1, report.u1),
+        ("attacker payoff", u2, report.u2),
+        ("expected initial flow", exps.initial_flow, report.exp_initial_flow),
+        ("expected transport cost", exps.transport_cost, report.exp_transport_cost),
+        ("expected attack cost", exps.attack_cost, report.exp_attack_cost),
+        ("expected delivered flow", exps.effective_flow, report.exp_effective_flow),
+        ("expected lost flow", exps.lost_flow, report.exp_lost_flow),
+    ]
+    if exps.initial_flow > 0:
+        comparisons.append(
+            ("yield", exps.effective_flow / exps.initial_flow, report.yield_ratio)
+        )
+    mismatches = [
+        f"{name}: {actual} != {expected}"
+        for name, actual, expected in comparisons
+        if actual != expected
+    ]
+    checks.append(_verdict(
+        "closed-form quantities", mismatches, "direct expectations match the closed forms"
+    ))
+
+    over_budget = [atk for atk, _ in s2.support if fraction_attack_cost(net, atk) > theta]
+    checks.append(_verdict(
+        "attack cost within min-cut budget", over_budget,
+        f"every supported attack costs at most {theta}",
+        f"{len(over_budget)} supported attacks cost more than {theta}",
+    ))
+
+    disrupted = sorted({i for atk, _ in s2.support for i in atk.edge_ids})
+    optimal_amounts = fraction_edge_amounts(net, analysis.optimal_flow)
+    open_arcs = _open_arcs(net, optimal_amounts)
+    always_full = always_saturated_edges(net, optimal_amounts, disrupted, open_arcs)
+    unsaturated = [_label(net.edge(i)) for i in disrupted if i not in always_full]
+    checks.append(_verdict(
+        "disrupted edges saturated by every optimal routing", unsaturated,
+        "all disrupted edges are saturated in every optimal routing",
+        f"edges {', '.join(unsaturated)} admit an optimal routing below capacity",
+    ))
+
+    cuts = all_min_cuts(net, optimal_amounts, open_arcs)
+    loads = fraction_expected_edge_loads(net, s1)
+
+    def cut_edges(chosen):
+        edges = (net.edge(i) for cut in chosen for i in cut.cut_set)
+        return [edge for edge in edges if edge.capacity > 0]
+
+    load_misses, uncovered = [], []
+    for edge in cut_edges(cuts):
+        load = loads[edge.id]
+        if load != edge.capacity / p2:
+            load_misses.append(f"{_label(edge)}: {load} != {edge.capacity / p2}")
+        if load == 0:
+            uncovered.append(_label(edge))
+    checks.append(_verdict(
+        "min-cut edge loads equal capacity over p2", load_misses,
+        f"checked {len(cuts)} min-cut(s)",
+    ))
+
+    name = "uniform disruption probability across the min-cut"
+    applicable = [
+        cut
+        for cut in cuts
+        if all(set(atk.edge_ids) <= set(cut.cut_set) for atk, _ in s2.support)
+    ]
+    expected_prob = 1 - unit_cost / p1
+    prob_misses = []
+    for edge in cut_edges(applicable):
+        prob = sum((q for atk, q in s2.support if edge.id in atk.edge_ids), ZERO)
+        if prob != expected_prob:
+            prob_misses.append(f"{_label(edge)}: {prob} != {expected_prob}")
+    checks.append(
+        _verdict(
+            name, prob_misses,
+            f"each edge of {len(applicable)} containing min-cut(s) is "
+            f"disrupted with probability {expected_prob}",
+        )
+        if applicable
+        else PropertyCheck(
+            name, "not applicable", "supported attacks are not contained in a single min-cut"
+        )
+    )
+
+    checks.append(_verdict(
+        "min-cut edges covered by supported flows", uncovered,
+        "every min-cut edge carries flow under some supported action",
+        "no supported flow crosses " + ", ".join(uncovered),
+    ))
+
+    bound_misses = []
+    cut_sets = [frozenset(cut.cut_set) for cut in cuts]
+    for flow, prob in s1.support:
+        if flow.is_zero and prob > 1 - 1 / p2:
+            bound_misses.append(f"zero flow has probability {prob} > {1 - 1 / p2}")
+        if _fraction_is_cheapest_max_flow(net, flow, analysis) and prob > 1 / p2:
+            bound_misses.append(
+                f"a cheapest max flow has probability {prob} > {1 / p2}"
+            )
+    for atk, prob in s2.support:
+        if atk.is_empty and prob > unit_cost / p1:
+            bound_misses.append(
+                f"the empty attack has probability {prob} > {unit_cost / p1}"
+            )
+        if frozenset(atk.edge_ids) in cut_sets and prob > 1 - unit_cost / p1:
+            bound_misses.append(
+                f"a full min-cut attack has probability {prob} > {1 - unit_cost / p1}"
+            )
+    checks.append(_verdict(
+        "support probability bounds", bound_misses,
+        "all supported named actions respect their bounds",
+    ))
+
+    delivered = s2.expect(
+        lambda atk: fraction_value(effective_flow(net, analysis.optimal_flow, atk))
+    )
+    expected_delivery = theta - exps.attack_cost
+    detail = (
+        f"expected delivery of the optimal routing is {delivered}, "
+        f"max-flow value minus expected attack cost is {expected_delivery}"
+    )
+    checks.append(_verdict(
+        "optimal-routing delivery identity",
+        [detail] if delivered != expected_delivery else [], detail,
+    ))
+    return tuple(checks)
+
+
+def fraction_verify_equilibrium(net, s1, s2, params):
+    """``verify_equilibrium`` from the oracles: Fraction expectations and
+    checks, the Fraction router response and the brute-force attacker
+    response."""
+    exps = fraction_profile_expectations(net, s1, s2)
+    u1, u2 = payoffs_of(exps, params)
+    router_best = fraction_router_response(net, s2, params)
+    attacker_best = brute_force_attacker_response(net, s1, params)
+    router_gap = router_best.value - u1
+    attacker_gap = attacker_best.value - u2
+    is_ne = router_gap == 0 and attacker_gap == 0
+    checks = ()
+    if is_ne:
+        analysis = analyze(net)
+        unit_cost = analysis.cheapest_path_cost
+        if (
+            unit_cost is not None
+            and classify_region(params, unit_cost).tag == "III"
+            and analysis.cheapest_routing
+        ):
+            checks = fraction_property_checks(net, s1, s2, params, analysis, exps)
+    return VerificationReport(
+        is_ne, router_gap, attacker_gap, u1, u2, router_best, attacker_best, checks
+    )
+
+
+# ---------------------------------------------------------------------------
 # The flow layer on Fraction, as it ran before its integer core
 # ---------------------------------------------------------------------------
 
@@ -235,7 +492,7 @@ def fraction_router_response(net, s2, params, budget=5000):
         survival = sum(
             (q for atk, q in s2.support if ids.isdisjoint(atk.edge_ids)), ZERO
         )
-        worth = params.p1 * survival - path_cost(net, nodes)
+        worth = params.p1 * survival - fraction_path_cost(net, nodes)
         if worth > 0:
             weighted.append((nodes, ids, worth))
     if not weighted:

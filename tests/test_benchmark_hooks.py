@@ -66,3 +66,32 @@ def test_analyze_spans_show_the_min_cost_max_flow(capsys):
     assert code == 0
     names = {span.name for span in tracer.spans if span.op == 0}
     assert {"flows.analyze", "flows.min_cost_max_flow", "flows.decompose"} <= names
+
+
+def test_region_three_solve_spans_show_the_attacker_and_the_checks(capsys):
+    # solve-contested's per-layer metrics read these spans, and the
+    # attacker counters bind the s1 that verify_equilibrium passes to
+    # best_attacker_response by its module name
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(flowgame, flowgame.lp)
+    fixture = str(FIXTURES / "triple_cut.json")
+    argv = ["solve", fixture, "--p1", "6", "--p2", "2", "--format", "json"]
+    with tracer.installed():
+        code = tracer.op(0, flowgame.cli.main, argv)
+    capsys.readouterr()
+    assert code == 0
+    spans = [span for span in tracer.spans if span.op == 0]
+    names = {span.name for span in spans}
+    assert {
+        "equilibrium.verify",
+        "equilibrium.attacker_br",
+        "flows.all_min_cuts",
+        "equilibrium.saturation",
+    } <= names
+    net = flowgame.cli.load_network(fixture)
+    profile = flowgame.construct_equilibrium(net, flowgame.GameParams(6, 2))
+    (attacker,) = [span for span in spans if span.name == "equilibrium.attacker_br"]
+    assert tracer.spans[attacker.parent].name == "equilibrium.verify"
+    assert tracer.bound(attacker)["s1"] == profile.s1

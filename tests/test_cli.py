@@ -1082,3 +1082,39 @@ def test_readme_profile_example_parses(tmp_path, capsys):
     )
     assert code in (0, 1)
     assert "is_ne" in report
+
+
+def layered_network(rng):
+    """s -> layer a -> layer b -> t with every edge between neighbouring
+    layers, the costs uniform within a layer, so that every path costs
+    the same and cheapest routing holds; rational capacities on the
+    middle edges."""
+    layer_a = [f"a{i}" for i in range(rng.randint(2, 3))]
+    layer_b = [f"b{j}" for j in range(rng.randint(2, 3))]
+    costs = [F(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(3)]
+    edges = [("s", a, 1, costs[0]) for a in layer_a]
+    edges += [(a, b, F(rng.randint(1, 6), 2), costs[1]) for a in layer_a for b in layer_b]
+    edges += [(b, "t", 1, costs[2]) for b in layer_b]
+    return make_network(["s", *layer_a, *layer_b, "t"], edges, "s", "t"), sum(costs)
+
+
+def test_region_three_solve_is_byte_identical_across_hash_seeds(tmp_path, capsys):
+    # the verification tables its mean flow, edge loads and disruption
+    # probabilities in dicts and builds sets of edge ids and of cuts; none
+    # of their iteration orders may reach the report
+    rng = random.Random(2205)
+    for index in range(4):
+        net, path_cost = layered_network(rng)
+        net_file = tmp_path / f"layered{index}.json"
+        net_file.write_text(json.dumps(network_to_json(net)))
+        p1 = path_cost + F(rng.randint(1, 9), rng.randint(2, 3))
+        p2 = 1 + F(rng.randint(1, 5), rng.randint(2, 3))
+        argv = ["solve", str(net_file), "--p1", str(p1), "--p2", str(p2), "--format", "json"]
+        first, second = (run_child(argv, seed) for seed in ("1", "2"))
+        assert first.returncode == second.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
+        report = json.loads(first.stdout)
+        assert report["region"] == "III" and report["verification"]["is_ne"]
+        assert len(report["verification"]["property_checks"]) == 8
+        _, in_process, _ = run(capsys, *argv)
+        assert first.stdout == in_process

@@ -24,6 +24,7 @@ from flowgame import (
     mean_flow,
     min_cost_max_flow,
     mixture,
+    path_cost,
     path_flow,
     point_mass,
     profile_expectations,
@@ -37,7 +38,30 @@ from conftest import (
     random_probabilities,
     random_rational_network,
 )
-from oracles import edge_flow_cost, pairwise_expected_payoffs, strip_loops
+from flowgame.equilibrium import (
+    _equilibrium_property_checks,
+    closed_form_quantities,
+    construct_equilibrium,
+)
+from flowgame.game import _expectations, _mean_table, payoffs_of
+from oracles import (
+    edge_flow_cost,
+    fraction_attack_cost,
+    fraction_attacker_payoff,
+    fraction_closed_forms,
+    fraction_edge_amounts,
+    fraction_expected_edge_loads,
+    fraction_mean_flow,
+    fraction_path_cost,
+    fraction_profile_expectations,
+    fraction_property_checks,
+    fraction_router_payoff,
+    fraction_transport_cost,
+    fraction_value,
+    fraction_verify_equilibrium,
+    pairwise_expected_payoffs,
+    strip_loops,
+)
 
 F = Fraction
 
@@ -465,3 +489,95 @@ def test_a_router_mixture_plays_as_its_mean_flow():
         )
         checked += 1
     assert shared >= 30, shared
+
+
+def test_integer_game_layer_matches_fraction_oracle():
+    # 320 seeded profiles on integer and rational networks. Router
+    # mixtures of 1-3 flows, with the zero flow in some and a path that
+    # two flows share in others; attacker mixtures of 1-3 attacks, with the
+    # empty attack in some. Every third network that admits the Region
+    # III construction verifies the constructed equilibrium instead, so
+    # the property checks run too. Costs, amounts, loads, expectations
+    # and whole verification reports equal the Fraction oracles, and the
+    # payoffs the pairwise sum.
+    rng = random.Random(2204)
+    checked = zeros = shared = empties = equilibria = 0
+    while checked < 320:
+        make = random_network if checked % 2 else random_rational_network
+        net = make(rng)
+        paths = enumerate_simple_paths(net, 5000)
+        analysis = analyze(net)
+        unit_cost = analysis.cheapest_path_cost
+        if checked % 3 == 0 and analysis.cheapest_routing:
+            params = GameParams(unit_cost + F(rng.randint(1, 6), rng.randint(1, 3)),
+                                1 + F(rng.randint(1, 6), rng.randint(1, 3)))
+            s1, s2, _ = construct_equilibrium(net, params, analysis)
+            flows = [flow for flow, _ in s1.support]
+            attacks = [atk for atk, _ in s2.support]
+        else:
+            flows = [random_path_flow(rng, net, paths) for _ in range(rng.randint(1, 3))]
+            if checked % 4 == 0:
+                flows.append(path_flow(net))
+            if checked % 3 == 1 and flows[0].paths:
+                nodes, amount = flows[0].paths[0]
+                flows.append(path_flow(net, [(nodes, amount / 3)]))
+            flows = list(dict.fromkeys(flows))
+            attacks = [
+                attack(net, [e.id for e in net.edges if rng.random() < 0.3])
+                for _ in range(rng.randint(1, 3))
+            ]
+            if checked % 5 == 0:
+                attacks[0] = attack(net)
+            attacks = list(dict.fromkeys(attacks))
+            s1 = mixture(zip(flows, random_probabilities(rng, len(flows))))
+            s2 = mixture(zip(attacks, random_probabilities(rng, len(attacks))))
+            params = GameParams(
+                F(rng.randint(1, 9), rng.randint(1, 4)), F(rng.randint(1, 9), rng.randint(1, 4))
+            )
+        path_uses = [nodes for flow in flows for nodes, _ in flow.paths]
+        zeros += any(flow.is_zero for flow in flows)
+        shared += len(path_uses) > len(set(path_uses))
+        empties += any(atk.is_empty for atk in attacks)
+
+        for flow in flows:
+            assert flow.value == fraction_value(flow)
+            assert transport_cost(net, flow) == fraction_transport_cost(net, flow)
+            assert flow.edge_amounts(net) == fraction_edge_amounts(net, flow)
+            for nodes, _ in flow.paths:
+                assert path_cost(net, nodes) == fraction_path_cost(net, nodes)
+            for atk in attacks:
+                assert router_payoff(net, flow, atk, params) == fraction_router_payoff(
+                    net, flow, atk, params
+                )
+                assert attacker_payoff(net, flow, atk, params) == fraction_attacker_payoff(
+                    net, flow, atk, params
+                )
+        for atk in attacks:
+            assert attack_cost(net, atk) == fraction_attack_cost(net, atk)
+        assert mean_flow(s1) == fraction_mean_flow(s1)
+        assert expected_edge_loads(net, s1) == fraction_expected_edge_loads(net, s1)
+        exps = profile_expectations(net, s1, s2)
+        assert exps == fraction_profile_expectations(net, s1, s2)
+
+        report = verify_equilibrium(net, s1, s2, params)
+        assert report == fraction_verify_equilibrium(net, s1, s2, params)
+        assert (report.u1, report.u2) == pairwise_expected_payoffs(net, s1, s2, params)
+        if report.checks:
+            equilibria += 1
+            assert len(report.checks) == 8
+            # past the equilibrium gate: the zero flow and an attack on
+            # every edge make several checks fail
+            everything = mixture([(attack(net, range(len(net.edges))), 1)])
+            for r1, r2 in ((point_mass(path_flow(net)), s2), (s1, everything)):
+                table = _mean_table(net, r1)
+                crafted = _expectations(net, table, r2)
+                assert crafted == fraction_profile_expectations(net, r1, r2)
+                assert _equilibrium_property_checks(
+                    net, r1, r2, params, analysis, table, crafted, payoffs_of(crafted, params)
+                ) == fraction_property_checks(net, r1, r2, params, analysis, crafted)
+            assert closed_form_quantities(
+                params, unit_cost, analysis.max_flow_value
+            ) == fraction_closed_forms(params, unit_cost, analysis.max_flow_value)
+        checked += 1
+    assert min(zeros, shared, empties) >= 40, (zeros, shared, empties)
+    assert equilibria >= 30, equilibria
