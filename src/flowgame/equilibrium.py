@@ -400,9 +400,16 @@ def best_router_response(
     status, _, basic = solve_tableau([-w for _, w in weighted], tableau)
     if status != "optimal":
         raise RuntimeError(f"path packing program came back {status}")
-    value = sum((weighted[j][1] * x for j, x in basic.items()), ZERO)
-    amounts = [(net.nodes_on_path(weighted[j][0]), x / form.cap_scale) for j, x in basic.items()]
-    return BestResponse(value / (scale * form.cap_scale), PathFlow(tuple(sorted(amounts))))
+    # The basic amounts as ints over x_scale, the LCM of their denominators.
+    x_scale, xs = to_integers(list(basic.values()))
+    value = sum(weighted[j][1] * x for j, x in zip(basic, xs))
+    amounts = [
+        (net.nodes_on_path(weighted[j][0]), Fraction(x, x_scale * form.cap_scale))
+        for j, x in zip(basic, xs)
+    ]
+    return BestResponse(
+        Fraction(value, x_scale * scale * form.cap_scale), PathFlow(tuple(sorted(amounts)))
+    )
 
 
 def best_attacker_response(
