@@ -33,6 +33,7 @@ from flowgame import (
     verify_equilibrium,
 )
 from conftest import (
+    load_fixture,
     random_network,
     random_path_flow,
     random_probabilities,
@@ -118,6 +119,66 @@ def test_path_flow_rejects_overload(square_net):
 def test_path_flow_rejects_nonpositive_amount(square_net):
     with pytest.raises(InvalidPath):
         path_flow(square_net, [(("s", "1", "t"), 0)])
+
+
+def test_path_flow_reports_the_first_fault_in_item_order(square_net):
+    # An earlier item's missing edge wins over a later item's loop.
+    with pytest.raises(InvalidPath, match="^no edge from '2' to '1'$"):
+        path_flow(square_net, [(("s", "2", "1", "t"), 1), (("s", "1", "2", "1", "t"), 1)])
+
+
+def test_capacity_fault_names_the_first_edge_in_path_order(square_net):
+    # (1, t) and (s, 2) are both over capacity; (1, t) comes first on the
+    # sorted paths, though (s, 2) has the smaller id and its item comes first.
+    with pytest.raises(CapacityExceeded, match=r"^edge \(1, t\) carries 2 but has capacity 1$"):
+        path_flow(square_net, [(("s", "2", "t"), F(3, 2)), (("s", "1", "t"), 2)])
+
+
+# Each fixture's optimal flow: its edge amounts as (tail, head, amount) in
+# first-use order over the sorted paths, and its transport cost.
+OPTIMAL_FLOW_PINS = {
+    "cheap_routing.json": (
+        [("s", "1", 1), ("1", "t", 1), ("s", "2", 2), ("2", "3", 1), ("3", "t", 1),
+         ("2", "4", 1), ("4", "t", 1)],
+        9,
+    ),
+    "detour.json": ([("s", "1", 1), ("1", "t", 1), ("s", "2", 1), ("2", "t", 1)], 8),
+    "rational_detour.json": (
+        [("s", "1", F(3, 2)), ("1", "t", F(3, 2)), ("s", "2", F(5, 7)), ("2", "t", F(5, 7))],
+        F(31, 7),
+    ),
+    "triple_cut.json": (
+        [("s", "1", 1), ("1", "3", 1), ("3", "t", 2), ("s", "2", 2), ("2", "3", 1),
+         ("2", "4", 1), ("4", "t", 1)],
+        9,
+    ),
+    "two_source.json": (
+        [("super_source", "a1", 2), ("a1", "b", 1), ("b", "z", 2), ("a1", "c", 1),
+         ("c", "z", 2), ("super_source", "a2", 2), ("a2", "b", 1), ("a2", "c", 1)],
+        8,
+    ),
+}
+
+
+def _labelled_amounts(net, flow):
+    return [(net.edge(i).tail, net.edge(i).head, a) for i, a in flow.edge_amounts(net).items()]
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMAL_FLOW_PINS))
+def test_optimal_flow_edge_amounts_and_transport_cost_pinned(name):
+    net = load_fixture(name)
+    flow = analyze(net).optimal_flow
+    amounts, cost = OPTIMAL_FLOW_PINS[name]
+    assert _labelled_amounts(net, flow) == amounts
+    assert transport_cost(net, flow) == cost
+
+
+def test_rational_two_path_flow_edge_amounts_and_transport_cost(square_net):
+    flow = path_flow(square_net, [(("s", "1", "t"), F(1, 3)), (("s", "1", "2", "t"), F(2, 5))])
+    assert _labelled_amounts(square_net, flow) == [
+        ("s", "1", F(11, 15)), ("1", "2", F(2, 5)), ("2", "t", F(2, 5)), ("1", "t", F(1, 3)),
+    ]
+    assert transport_cost(square_net, flow) == F(28, 15)
 
 
 def test_attack_from_pairs_and_ids(square_net):
