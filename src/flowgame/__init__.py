@@ -46,7 +46,6 @@ from .flows import (
     flow_value,
     max_flow,
     min_cost_max_flow,
-    min_cut,
 )
 from .game import (
     Attack,

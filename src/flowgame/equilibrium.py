@@ -41,12 +41,13 @@ from .game import (
     GameParams,
     MixedStrategy,
     PathFlow,
+    _edge_amounts,
+    _edge_loads,
     _expectations,
+    _flow_table,
     _mean_table,
-    _scaled_delivery,
-    _scaled_loads,
-    _scaled_sum,
     attack,
+    attack_cost,
     mixture,
     path_flow,
     payoffs_of,
@@ -569,7 +570,7 @@ def verify_equilibrium(
             and analysis.cheapest_routing
         ):
             checks = _equilibrium_property_checks(
-                net, s1, s2, params, analysis, table, exps, (u1, u2)
+                net, s1, s2, params, analysis, table, exps
             )
 
     return VerificationReport(
@@ -608,15 +609,12 @@ def _label(edge) -> str:
     return f"({edge.tail}, {edge.head})"
 
 
-def _equilibrium_property_checks(
-    net, s1, s2, params, analysis, table, exps, payoffs
-) -> tuple:
+def _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps) -> tuple:
     """The structural checks on a profile whose router mixture has the
-    mean table ``table`` (``game._mean_table(net, s1)``), whose
-    expectations are ``exps`` (``game._expectations(net, table, s2)``) and
-    whose expected payoffs are ``payoffs`` (``payoffs_of(exps, params)``).
+    mean table ``table`` (``game._mean_table(net, s1)``) and whose
+    expectations are ``exps`` (``game._expectations(net, table, s2)``).
     Each verdict compares ints scaled from the network's integer form and
-    the table; a Fraction is built only for a number a detail prints."""
+    the tables; a Fraction is built only for a number a detail prints."""
     form = net._integer_form
     capacity, cap_scale = form.capacity, form.cap_scale
     theta = analysis.max_flow_value
@@ -626,7 +624,7 @@ def _equilibrium_property_checks(
 
     # Closed forms against direct expectation over the support.
     report = closed_form_quantities(params, unit_cost, theta)
-    u1, u2 = payoffs
+    u1, u2 = payoffs_of(exps, params)
     comparisons = [
         ("router payoff", u1, report.u1),
         ("attacker payoff", u2, report.u2),
@@ -650,11 +648,7 @@ def _equilibrium_property_checks(
     ))
 
     # No supported attack costs more than disrupting a min-cut.
-    budget = theta.numerator * cap_scale  # theta, times its denominator
-    over_budget = [
-        atk for atk, _ in s2.support
-        if _scaled_sum(capacity, atk.edge_ids) * theta.denominator > budget
-    ]
+    over_budget = [atk for atk, _ in s2.support if attack_cost(net, atk) > theta]
     checks.append(_verdict(
         "attack cost within min-cut budget", over_budget,
         f"every supported attack costs at most {theta}",
@@ -663,7 +657,8 @@ def _equilibrium_property_checks(
 
     # Every disrupted edge is filled to capacity by every optimal routing.
     disrupted = sorted({i for atk, _ in s2.support for i in atk.edge_ids})
-    optimal_amounts = analysis.optimal_flow.edge_amounts(net)
+    optimal = _flow_table(net, analysis.optimal_flow)
+    optimal_amounts = _edge_amounts(optimal)
     open_arcs = _open_arcs(net, optimal_amounts)  # shared with all_min_cuts
     always_full = always_saturated_edges(net, optimal_amounts, disrupted, open_arcs)
     unsaturated = [_label(net.edge(i)) for i in disrupted if i not in always_full]
@@ -675,7 +670,7 @@ def _equilibrium_property_checks(
 
     cuts = all_min_cuts(net, optimal_amounts, open_arcs)
     cut_sets = [frozenset(cut.cut_set) for cut in cuts]
-    loads = _scaled_loads(net, table)
+    loads = _edge_loads(table)
 
     def cut_edges(chosen):
         """The ids of the positive-capacity edges the chosen cuts cross,
@@ -691,15 +686,16 @@ def _equilibrium_property_checks(
     crossed = cut_edges(cuts)
     off_target = {
         i for i in set(crossed)
-        if loads[i] * cap_scale * p2.numerator != capacity[i] * p2.denominator * table.scale
+        if loads.get(i, 0) * cap_scale * p2.numerator
+        != capacity[i] * p2.denominator * table.scale
     }
     load_misses = [
         f"{_label(net.edge(i))}: "
-        f"{Fraction(loads[i], table.scale)} != {net.edge(i).capacity / p2}"
+        f"{Fraction(loads.get(i, 0), table.scale)} != {net.edge(i).capacity / p2}"
         for i in crossed
         if i in off_target
     ]
-    uncovered = [_label(net.edge(i)) for i in crossed if loads[i] == 0]
+    uncovered = [_label(net.edge(i)) for i in crossed if i not in loads]
     checks.append(_verdict(
         "min-cut edge loads equal capacity over p2", load_misses,
         f"checked {len(cuts)} min-cut(s)",
@@ -774,10 +770,7 @@ def _equilibrium_property_checks(
     # Delivery identity: what the optimal routing would deliver under the
     # attacker's mixture equals the max-flow value minus the expected
     # attack cost.
-    optimal = _mean_table(net, point_mass(analysis.optimal_flow))
-    delivered = Fraction(
-        _scaled_delivery(optimal, s2, probs), prob_scale * optimal.scale
-    )
+    delivered = _expectations(net, optimal, s2).effective_flow
     expected_delivery = theta - exps.attack_cost
     detail = (
         f"expected delivery of the optimal routing is {delivered}, "

@@ -301,12 +301,6 @@ def max_flow(net: Network) -> tuple:
     return flow_value(net, amounts), amounts
 
 
-def min_cut(net: Network) -> Cut:
-    """The canonical minimum cut: the source side is the set of nodes
-    reachable from the source in the residual graph of a maximum flow."""
-    return _cut(net, min_cost_max_flow(net)[3])
-
-
 def cheapest_path_cost(net: Network) -> Optional[Fraction]:
     """Minimum per-unit transport cost over all source-sink paths that use
     only positive-capacity edges. ``None`` when the sink is unreachable."""
@@ -625,9 +619,9 @@ class FlowAnalysis(NamedTuple):
 
 def analyze(net: Network) -> FlowAnalysis:
     amounts, cost, unit_cost, source_side = min_cost_max_flow(net)
-    value = flow_value(net, amounts)
     decomposition = decompose(net, amounts)
     optimal = PathFlow(tuple(sorted(decomposition.paths)))
+    value = optimal.value  # the decomposition's cycles carry no net flow
 
     if value == 0:
         routing, witness = None, None

@@ -13,17 +13,20 @@ equality. Inside, like the flow layer, it computes on ints: the amounts
 or probabilities of one sum are scaled by the LCM of their denominators,
 costs and capacities are read off the network's integer form
 (``Network._integer_form``), and each reported number is one
-``Fraction`` of an int sum over the product of the scales. A router
-mixture's expectations are those of its mean flow, whose paths are
-mapped to edge ids and scaled costs once per table (``_mean_table``);
-``verify_equilibrium`` builds that table once and reads its payoffs, its
-edge loads and its property checks off it.
+``Fraction`` of an int sum over the product of the scales.
+
+Both payoffs are linear in path amounts, so every game quantity is read
+off one kind of table, whose rows only ``_table`` builds: a mixture's
+mean flow (``_mean_table``) or one flow, its own point mass without the
+probability merge (``_flow_table``). The pure payoffs are the expected
+payoffs of point masses. ``verify_equilibrium`` builds the mixture's
+table once and reads its payoffs, edge loads and property checks off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CapacityExceeded,
@@ -32,7 +35,7 @@ from .errors import (
     InvalidStrategy,
     LoopyFlowInSupport,
 )
-from .network import Network, ZERO
+from .network import Network
 from .rational import format_rational, parse_rational, to_integers
 
 ONE = Fraction(1)
@@ -59,9 +62,8 @@ class PathFlow(NamedTuple):
 
     def edge_amounts(self, net: Network) -> dict:
         """Per-edge flow induced by the path amounts, for the edges some
-        path uses."""
-        scale, totals = _edge_totals(net, self.paths)
-        return _fractions(totals, scale)
+        path uses, in first-use order."""
+        return _edge_amounts(_flow_table(net, self))
 
     def sort_key(self):
         return self.paths
@@ -87,9 +89,6 @@ class MixedStrategy(NamedTuple):
     """Finite-support distribution over PathFlow or Attack actions."""
 
     support: tuple
-
-    def expect(self, fn: Callable) -> Fraction:
-        return sum((prob * fn(action) for action, prob in self.support), ZERO)
 
 
 class _GameParamsFields(NamedTuple):
@@ -154,13 +153,13 @@ def path_flow(net: Network, items: Iterable = ()) -> PathFlow:
 
     flow = PathFlow(tuple(sorted(merged.items())))
     form = net._integer_form
-    scale, totals = _edge_totals(net, flow.paths)
-    for edge_id, total in totals.items():
-        if total * form.cap_scale > form.capacity[edge_id] * scale:
+    table = _flow_table(net, flow)
+    for edge_id, load in _edge_loads(table).items():
+        if load * form.cap_scale > form.capacity[edge_id] * table.scale:
             edge = net.edge(edge_id)
             raise CapacityExceeded(
                 f"edge ({edge.tail}, {edge.head}) carries "
-                f"{format_rational(Fraction(total, scale), 'the flow on an edge')} "
+                f"{format_rational(Fraction(load, table.scale), 'the flow on an edge')} "
                 f"but has capacity {edge.capacity}"
             )
     return flow
@@ -236,12 +235,8 @@ def path_cost(net: Network, nodes: Sequence) -> Fraction:
 def transport_cost(net: Network, flow: PathFlow) -> Fraction:
     """Total cost of sending the flow: sum over paths of amount times the
     path's per-unit cost (equal to the edge-sum form)."""
-    form = net._integer_form
-    scale, amounts = to_integers([amount for _, amount in flow.paths])
-    total = 0
-    for (nodes, _), amount in zip(flow.paths, amounts):
-        total += amount * _scaled_sum(form.cost, net.edge_ids_on_path(nodes))
-    return Fraction(total, scale * form.cost_scale)
+    table = _flow_table(net, flow)
+    return Fraction(table.transport, table.scale * net._integer_form.cost_scale)
 
 
 def attack_cost(net: Network, atk: Attack) -> Fraction:
@@ -252,14 +247,15 @@ def attack_cost(net: Network, atk: Attack) -> Fraction:
 
 def router_payoff(net: Network, flow: PathFlow, atk: Attack, params: GameParams) -> Fraction:
     """p1 times the delivered flow, minus the transport cost of everything
-    that was sent (lost flow is still paid for)."""
-    return params.p1 * effective_flow(net, flow, atk).value - transport_cost(net, flow)
+    that was sent (lost flow is still paid for): the expected router
+    payoff of the two point masses."""
+    return expected_payoffs(net, point_mass(flow), point_mass(atk), params)[0]
 
 
 def attacker_payoff(net: Network, flow: PathFlow, atk: Attack, params: GameParams) -> Fraction:
-    """p2 times the lost flow, minus the capacity cost of the attack."""
-    lost = flow.value - effective_flow(net, flow, atk).value
-    return params.p2 * lost - attack_cost(net, atk)
+    """p2 times the lost flow, minus the capacity cost of the attack: the
+    expected attacker payoff of the two point masses."""
+    return expected_payoffs(net, point_mass(flow), point_mass(atk), params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,8 @@ def payoffs_of(exps: ProfileExpectations, params: GameParams) -> tuple:
 def expected_edge_loads(net: Network, s1: MixedStrategy) -> dict:
     """Expected flow through each edge under the router's strategy."""
     table = _mean_table(net, s1)
-    return _fractions(dict(enumerate(_scaled_loads(net, table))), table.scale)
+    loads = _edge_loads(table)
+    return _fractions({i: loads.get(i, 0) for i in range(len(net.edges))}, table.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +335,6 @@ def _fractions(totals: dict, scale: int) -> dict:
     return {key: shared[total] for key, total in totals.items()}
 
 
-def _edge_totals(net: Network, paths) -> tuple:
-    """``(scale, totals)``: each edge that some of the (nodes, amount)
-    paths use, in first-use order, with its summed amount times
-    ``scale``."""
-    scale, amounts = to_integers([amount for _, amount in paths])
-    totals: dict = {}
-    for (nodes, _), amount in zip(paths, amounts):
-        for edge_id in net.edge_ids_on_path(nodes):
-            totals[edge_id] = totals.get(edge_id, 0) + amount
-    return scale, totals
-
-
 def _merged_paths(s1: MixedStrategy) -> tuple:
     """``(scale, merged)``: each distinct path of the support, in
     first-seen order, with its sum of prob * amount times ``scale``, the
@@ -367,33 +352,58 @@ def _merged_paths(s1: MixedStrategy) -> tuple:
 
 
 class _MeanTable(NamedTuple):
-    """A router mixture's mean flow on the network's integer form: each
-    row is a distinct path as (node sequence, edge ids, amount times
-    ``scale``, cost times the cost scale)."""
+    """A flow on the network's integer form: each row is a distinct path
+    as (node sequence, edge ids, amount times ``scale``, cost times the
+    cost scale); ``initial`` is the rows' summed amount times ``scale``
+    and ``transport`` their summed amount times cost."""
 
     scale: int
     rows: tuple
+    initial: int
+    transport: int
+
+
+def _table(net: Network, scale: int, paths) -> _MeanTable:
+    """The table of the (node sequence, amount times ``scale``) paths,
+    each mapped to its edge ids and scaled cost once."""
+    cost = net._integer_form.cost
+    rows = []
+    initial = transport = 0
+    for nodes, amount in paths:
+        ids = net.edge_ids_on_path(nodes)
+        unit = _scaled_sum(cost, ids)
+        rows.append((nodes, ids, amount, unit))
+        initial += amount
+        transport += amount * unit
+    return _MeanTable(scale, tuple(rows), initial, transport)
 
 
 def _mean_table(net: Network, s1: MixedStrategy) -> _MeanTable:
-    """The mean flow of ``s1`` (see ``mean_flow``), each path mapped to
-    its edge ids and scaled cost once."""
+    """The table of the mean flow of ``s1`` (see ``mean_flow``)."""
     scale, merged = _merged_paths(s1)
-    cost = net._integer_form.cost
-    rows = []
-    for nodes, amount in merged.items():
-        ids = net.edge_ids_on_path(nodes)
-        rows.append((nodes, ids, amount, _scaled_sum(cost, ids)))
-    return _MeanTable(scale, tuple(rows))
+    return _table(net, scale, merged.items())
 
 
-def _scaled_loads(net: Network, table: _MeanTable) -> list:
-    """Each edge's expected load times the table's scale, by edge id."""
-    loads = [0] * len(net.edges)
+def _flow_table(net: Network, flow: PathFlow) -> _MeanTable:
+    """The table of one flow: its point mass's mean table, without the
+    probability merge."""
+    scale, amounts = to_integers([amount for _, amount in flow.paths])
+    return _table(net, scale, zip([nodes for nodes, _ in flow.paths], amounts))
+
+
+def _edge_loads(table: _MeanTable) -> dict:
+    """Each edge some row uses, in first-use order, with its load times
+    the table's scale."""
+    loads: dict = {}
     for _, ids, amount, _ in table.rows:
         for i in ids:
-            loads[i] += amount
+            loads[i] = loads.get(i, 0) + amount
     return loads
+
+
+def _edge_amounts(table: _MeanTable) -> dict:
+    """Each edge some row uses, in first-use order, with its load."""
+    return _fractions(_edge_loads(table), table.scale)
 
 
 def _expectations(
@@ -402,33 +412,19 @@ def _expectations(
     """The expectations of the profile whose router mixture has this mean
     table: int sums, one Fraction each."""
     form = net._integer_form
-    scale = table.scale
-    initial = transport = 0
-    for _, _, amount, cost in table.rows:
-        initial += amount
-        transport += amount * cost
+    scale, initial = table.scale, table.initial
     prob_scale, probs = to_integers([prob for _, prob in s2.support])
-    attacked = 0
+    attacked = delivered = 0
     for (atk, _), prob in zip(s2.support, probs):
         attacked += prob * _scaled_sum(form.capacity, atk.edge_ids)
-    delivered = _scaled_delivery(table, s2, probs)
-    return ProfileExpectations(
-        initial_flow=Fraction(initial, scale),
-        transport_cost=Fraction(transport, scale * form.cost_scale),
-        attack_cost=Fraction(attacked, prob_scale * form.cap_scale),
-        effective_flow=Fraction(delivered, prob_scale * scale),
-        lost_flow=Fraction(initial * prob_scale - delivered, prob_scale * scale),
-    )
-
-
-def _scaled_delivery(table: _MeanTable, s2: MixedStrategy, probs: tuple) -> int:
-    """The table's flow that survives the attacker mixture, in
-    expectation, times the table's scale and the probabilities' scale:
-    ``probs`` are s2's probabilities as ``to_integers`` scales them."""
-    delivered = 0
-    for (atk, _), prob in zip(s2.support, probs):
         disrupted = set(atk.edge_ids)
         for _, ids, amount, _ in table.rows:
             if disrupted.isdisjoint(ids):
                 delivered += prob * amount
-    return delivered
+    return ProfileExpectations(
+        initial_flow=Fraction(initial, scale),
+        transport_cost=Fraction(table.transport, scale * form.cost_scale),
+        attack_cost=Fraction(attacked, prob_scale * form.cap_scale),
+        effective_flow=Fraction(delivered, prob_scale * scale),
+        lost_flow=Fraction(initial * prob_scale - delivered, prob_scale * scale),
+    )

@@ -120,13 +120,6 @@ class Network(_NetworkFields):
     def edge_by_pair(self) -> Mapping:
         return {(e.tail, e.head): e for e in self.edges}
 
-    @cached_property
-    def out_edges(self) -> Mapping:
-        table = {node: [] for node in self.nodes}
-        for e in self.edges:
-            table[e.tail].append(e)
-        return {node: tuple(edges) for node, edges in table.items()}
-
     def edge(self, edge_id: int) -> EdgeSpec:
         return self.edges[edge_id]
 

@@ -42,6 +42,20 @@ def in_edges(net):
     return table
 
 
+def out_edges(net):
+    """Each node's out-edges, in id order."""
+    table = {node: [] for node in net.nodes}
+    for e in net.edges:
+        table[e.tail].append(e)
+    return table
+
+
+def expect(strategy, fn):
+    """The expectation of ``fn`` over a mixed strategy, summed as
+    Fractions from zero."""
+    return sum((prob * fn(action) for action, prob in strategy.support), ZERO)
+
+
 def is_feasible(net, amounts):
     """Capacity bounds on every edge plus conservation at every node other
     than the source and the sink."""
@@ -49,10 +63,10 @@ def is_feasible(net, amounts):
         amount = amounts.get(e.id, ZERO)
         if amount < 0 or amount > e.capacity:
             return False
-    into = in_edges(net)
+    into, out = in_edges(net), out_edges(net)
     for node in net.nodes - {net.source, net.sink}:
         inflow = sum((amounts.get(e.id, ZERO) for e in into[node]), ZERO)
-        outflow = sum((amounts.get(e.id, ZERO) for e in net.out_edges[node]), ZERO)
+        outflow = sum((amounts.get(e.id, ZERO) for e in out[node]), ZERO)
         if inflow != outflow:
             return False
     return True
@@ -111,7 +125,7 @@ def lp_edge_always_saturated(net, max_flow_value, min_transport_cost, edge_id):
     secondary program: over all flows with the maximum value and the
     minimum transport cost, minimize the amount on this edge."""
     n = len(net.edges)
-    into = in_edges(net)
+    into, out = in_edges(net), out_edges(net)
     eq_rows = []
     for node in sorted(net.nodes):
         if node in (net.source, net.sink):
@@ -119,13 +133,13 @@ def lp_edge_always_saturated(net, max_flow_value, min_transport_cost, edge_id):
         coeffs = [ZERO] * n
         for e in into[node]:
             coeffs[e.id] += ONE
-        for e in net.out_edges[node]:
+        for e in out[node]:
             coeffs[e.id] -= ONE
         eq_rows.append((coeffs, ZERO))
     value_row = [ZERO] * n
     for e in into[net.sink]:
         value_row[e.id] += ONE
-    for e in net.out_edges[net.sink]:
+    for e in out[net.sink]:
         value_row[e.id] -= ONE
     eq_rows.append((value_row, max_flow_value))
     eq_rows.append(([e.cost for e in net.edges], min_transport_cost))
@@ -208,6 +222,7 @@ def recursive_simple_paths(net, budget):
     ``enumerate_simple_paths``."""
     paths = []
     on_path = [net.source]
+    out = out_edges(net)
 
     def walk(node):
         if node == net.sink:
@@ -215,7 +230,7 @@ def recursive_simple_paths(net, budget):
                 raise PathBudgetExceeded(f"more than {budget} paths")
             paths.append(tuple(on_path))
             return
-        for e in net.out_edges[node]:
+        for e in out[node]:
             if e.capacity <= 0 or e.head in on_path:
                 continue
             on_path.append(e.head)
@@ -278,11 +293,11 @@ def fraction_mean_flow(s1):
 def fraction_profile_expectations(net, s1, s2):
     mean = fraction_mean_flow(s1)
     initial = fraction_value(mean)
-    effective = s2.expect(lambda atk: fraction_value(effective_flow(net, mean, atk)))
+    effective = expect(s2, lambda atk: fraction_value(effective_flow(net, mean, atk)))
     return ProfileExpectations(
         initial_flow=initial,
         transport_cost=fraction_transport_cost(net, mean),
-        attack_cost=s2.expect(lambda atk: fraction_attack_cost(net, atk)),
+        attack_cost=expect(s2, lambda atk: fraction_attack_cost(net, atk)),
         effective_flow=effective,
         lost_flow=initial - effective,
     )
@@ -436,8 +451,8 @@ def fraction_property_checks(net, s1, s2, params, analysis, exps):
         "all supported named actions respect their bounds",
     ))
 
-    delivered = s2.expect(
-        lambda atk: fraction_value(effective_flow(net, analysis.optimal_flow, atk))
+    delivered = expect(
+        s2, lambda atk: fraction_value(effective_flow(net, analysis.optimal_flow, atk))
     )
     expected_delivery = theta - exps.attack_cost
     detail = (
@@ -595,6 +610,7 @@ def fraction_cheapest_path_cost(net):
     dist = {net.source: ZERO}
     final = set()
     heap = [(ZERO, index[net.source], net.source)]
+    out = out_edges(net)
     while heap:
         d, _, node = heapq.heappop(heap)
         if node in final:
@@ -602,7 +618,7 @@ def fraction_cheapest_path_cost(net):
         final.add(node)
         if node == net.sink:
             return d
-        for e in net.out_edges[node]:
+        for e in out[node]:
             if e.capacity <= 0 or e.head in final:
                 continue
             candidate = d + e.cost
@@ -668,9 +684,7 @@ def fraction_decompose(net, amounts):
         bottleneck = min(work[i] for i in cycle_edges)
         _subtract(work, cycle_edges, bottleneck)
         cycles.append((tuple(cycle_nodes), bottleneck))
-    out_ids = {
-        node: tuple(sorted(e.id for e in net.out_edges[node])) for node in net.nodes
-    }
+    out_ids = {node: tuple(e.id for e in edges) for node, edges in out_edges(net).items()}
     paths = []
     while True:
         extracted = _extract_path(net, work, out_ids)
@@ -703,7 +717,7 @@ def name_decompose(net, amounts):
     work = dict(zip(positive, scaled))
 
     cycles = _peel_cycles(net, work)
-    out_ids = {node: tuple(e.id for e in edges) for node, edges in net.out_edges.items()}
+    out_ids = {node: tuple(e.id for e in edges) for node, edges in out_edges(net).items()}
     paths = []
     while True:
         extracted = _extract_path(net, work, out_ids)

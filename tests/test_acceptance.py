@@ -38,7 +38,7 @@ from flowgame import (
     profile_expectations,
     verify_equilibrium,
 )
-from flowgame.game import ZERO
+from flowgame.network import ZERO
 
 from conftest import random_network, random_path_flow, random_probabilities
 from oracles import brute_force_attacker_response

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "construct_equilibrium", "decompose", "edge_always_saturated",
     "effective_flow", "enumerate_simple_paths", "expected_edge_loads",
     "expected_payoffs", "flow_value", "make_network", "max_flow", "maximin",
-    "mean_flow", "min_cost_max_flow", "min_cut", "minimax_certificate", "mixture",
+    "mean_flow", "min_cost_max_flow", "minimax_certificate", "mixture",
     "network_from_json", "network_to_json", "normalize_terminals",
     "parse_rational", "path_cost", "path_flow", "point_mass",
     "profile_expectations", "router_payoff", "transport_cost",
@@ -46,10 +46,10 @@ PUBLIC_MEMBERS = {
         "min_transport_cost", "optimal_flow", "routing_witness",
     ],
     "GameParams": ["p1", "p2"],
-    "MixedStrategy": ["expect", "support"],
+    "MixedStrategy": ["support"],
     "Network": [
         "edge", "edge_by_pair", "edge_ids_on_path", "edges", "nodes", "nodes_on_path",
-        "out_edges", "sink", "source",
+        "sink", "source",
     ],
     "PathFlow": ["edge_amounts", "is_zero", "paths", "sort_key", "value"],
     "ProfileExpectations": [

@@ -35,7 +35,7 @@ from flowgame import (
 )
 from flowgame.cli import load_network
 from flowgame.equilibrium import _equilibrium_property_checks, _mixture_drop_zero
-from flowgame.game import _expectations, _mean_table, payoffs_of
+from flowgame.game import _expectations, _mean_table
 
 HERE = Path(__file__).resolve().parent
 GOLDENS = HERE / "check_goldens.json"
@@ -78,9 +78,7 @@ def _records() -> dict:
         for label, s1, s2, params in _profiles(net, analysis):
             table = _mean_table(net, s1)
             exps = _expectations(net, table, s2)
-            checks = _equilibrium_property_checks(
-                net, s1, s2, params, analysis, table, exps, payoffs_of(exps, params)
-            )
+            checks = _equilibrium_property_checks(net, s1, s2, params, analysis, table, exps)
             records[f"{fixture.name} {label}"] = [
                 [check.name, check.status, check.detail] for check in checks
             ]

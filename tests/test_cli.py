@@ -990,7 +990,7 @@ def test_one_min_cost_max_flow_per_network(tmp_path, capsys, monkeypatch, comman
             report["equilibrium"]["p1_strategy"], report["equilibrium"]["p2_strategy"],
         ))
     stages = ("min_cost_max_flow", "decompose")
-    views = ("cheapest_path_cost", "max_flow", "min_cut")
+    views = ("cheapest_path_cost", "max_flow")
     calls = dict.fromkeys((*stages, *views), 0)
     for name in calls:
         def counted(*args, _original=getattr(flowgame.flows, name), _name=name, **kwargs):

@@ -21,7 +21,6 @@ from flowgame import (
     make_network,
     max_flow,
     min_cost_max_flow,
-    min_cut,
     network_from_json,
     network_to_json,
     path_cost,
@@ -49,6 +48,7 @@ from oracles import (
     is_feasible,
     lp_edge_always_saturated,
     name_decompose,
+    out_edges,
     strip_loops,
 )
 
@@ -97,7 +97,7 @@ def test_cheap_routing_net_analysis(cheap_routing_net):
 
 
 def test_triple_cut_net_min_cut(triple_cut_net):
-    cut = min_cut(triple_cut_net)
+    cut = analyze(triple_cut_net).min_cut
     assert edge_pairs(triple_cut_net, cut.cut_set) == [("1", "3"), ("2", "3"), ("2", "4")]
     assert cut.capacity == 3
     value, _ = max_flow(triple_cut_net)
@@ -126,7 +126,7 @@ def test_detour_net_analysis(detour_net):
 
 
 def test_single_edge_min_cut(single_edge_net):
-    cut = min_cut(single_edge_net)
+    cut = analyze(single_edge_net).min_cut
     assert edge_pairs(single_edge_net, cut.cut_set) == [("s", "t")]
     assert cut.capacity == 5
 
@@ -220,7 +220,7 @@ def test_cycle_peeling_matches_restarted_search():
             "t",
         )
         amounts = {}
-        walks = [[e.id] for e in net.out_edges["s"] if e.head == "t"]
+        walks = [[e.id] for e in out_edges(net)["s"] if e.head == "t"]
         for _ in range(rng.randint(2, 8)):
             # a random simple cycle of existing edges, if the walk closes
             cycle = rng.sample(nodes, rng.randint(2, 4))
@@ -313,7 +313,7 @@ def brute_force_min_cut_value(net):
 def lp_min_transport_cost(net, value):
     """Independent statement of the min-cost flow problem as an exact LP."""
     n = len(net.edges)
-    into = in_edges(net)
+    into, out = in_edges(net), out_edges(net)
     eq = []
     for node in sorted(net.nodes):
         if node in (net.source, net.sink):
@@ -321,13 +321,13 @@ def lp_min_transport_cost(net, value):
         coeffs = [ZERO] * n
         for e in into[node]:
             coeffs[e.id] += 1
-        for e in net.out_edges[node]:
+        for e in out[node]:
             coeffs[e.id] -= 1
         eq.append((coeffs, ZERO))
     value_row = [ZERO] * n
     for e in into[net.sink]:
         value_row[e.id] += 1
-    for e in net.out_edges[net.sink]:
+    for e in out[net.sink]:
         value_row[e.id] -= 1
     eq.append((value_row, value))
     ub = []
@@ -350,7 +350,7 @@ def test_random_networks_cross_checked(seed):
         assert flow_value(net, amounts) == value
         # max-flow equals the exhaustive minimum over all partitions
         assert value == brute_force_min_cut_value(net)
-        cut = min_cut(net)
+        cut = analyze(net).min_cut
         assert cut.capacity == value
 
         mc_amounts, cost, _, _ = min_cost_max_flow(net)
@@ -451,7 +451,7 @@ def test_grids_match_the_fraction_oracle_in_both_tie_orders():
         assert second == fraction_min_cost_max_flow(net, reverse_ties=True)
         differing += first != second[0]
         assert cheapest_path_cost(net) == fraction_cheapest_path_cost(net)
-        cut = min_cut(net)
+        cut = analyze(net).min_cut
         for flow in (first, second[0]):
             assert cut == fraction_canonical_cut(net, flow)
     # the tie order decides the flow on some of them
@@ -561,7 +561,7 @@ def test_routing_check_agrees_with_per_path_criterion():
 def test_all_min_cuts_include_canonical(triple_cut_net, detour_net):
     for net in (triple_cut_net, detour_net):
         cuts = all_min_cuts(net, max_flow(net)[1])
-        canonical = min_cut(net)
+        canonical = analyze(net).min_cut
         assert canonical.capacity == cuts[0].capacity
         assert any(set(c.cut_set) == set(canonical.cut_set) for c in cuts)
     # the detour network has several min-cuts, the triple-cut one exactly one
@@ -615,7 +615,7 @@ def test_nodes_off_the_saturated_edges_do_not_multiply_min_cuts():
         ["s", "1", "2", "3", "4", "t", *isolated, *zero_cap, *dangling], edges, "s", "t"
     )
     cuts = all_min_cuts(net, max_flow(net)[1])
-    assert cuts == (min_cut(net),)
+    assert cuts == (analyze(net).min_cut,)
     assert cuts[0].s_side == {"s", "1", "2", *dangling}
     # The cheap cross links u -> v_i -> w are never saturated: 3 cuts, not
     # the 2^30 + 2 closed source sides.
@@ -645,7 +645,7 @@ def test_all_min_cuts_beyond_partition_range():
     cuts = all_min_cuts(net, max_flow(net)[1])
     assert [net.edge(cut.cut_set[0]).head for cut in cuts] == nodes[1:]
     assert all(len(cut.cut_set) == 1 and cut.capacity == 1 for cut in cuts)
-    assert cuts[0] == min_cut(net)
+    assert cuts[0] == analyze(net).min_cut
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +710,7 @@ def test_integer_core_matches_fraction_oracle(seed):
         optimal = optimal_flow.edge_amounts(net)
         mixed = mix(first, min_cost_max_flow(relabelled(net, lambda e: 2 - e.cost))[0])
         min_cuts = distinct_partition_min_cuts(net)
-        cut = min_cut(net)
+        cut = analyze(net).min_cut
         for flow in (first, second[0], optimal, mixed):
             assert decompose(net, flow) == fraction_decompose(net, flow)
             assert cut == fraction_canonical_cut(net, flow)
@@ -746,7 +746,7 @@ def test_flows_off_the_capacity_lattice():
     assert off_lattice(net, flow)
     assert decompose(net, flow) == fraction_decompose(net, flow)
     assert decompose(net, flow).cycles == ((("a", "b", "a"), Fraction(1, 1009)),)
-    assert min_cut(net) == fraction_canonical_cut(net, flow)
+    assert analyze(net).min_cut == fraction_canonical_cut(net, flow)
     assert all_min_cuts(net, flow) == distinct_partition_min_cuts(net)
     saturated = [edge_always_saturated(net, flow, e.id) for e in net.edges]
     assert saturated == [True, True, True, True, False, False]

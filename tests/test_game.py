@@ -44,7 +44,7 @@ from flowgame.equilibrium import (
     closed_form_quantities,
     construct_equilibrium,
 )
-from flowgame.game import _expectations, _mean_table, payoffs_of
+from flowgame.game import _expectations, _mean_table
 from oracles import (
     edge_flow_cost,
     fraction_attack_cost,
@@ -634,7 +634,7 @@ def test_integer_game_layer_matches_fraction_oracle():
                 crafted = _expectations(net, table, r2)
                 assert crafted == fraction_profile_expectations(net, r1, r2)
                 assert _equilibrium_property_checks(
-                    net, r1, r2, params, analysis, table, crafted, payoffs_of(crafted, params)
+                    net, r1, r2, params, analysis, table, crafted
                 ) == fraction_property_checks(net, r1, r2, params, analysis, crafted)
             assert closed_form_quantities(
                 params, unit_cost, analysis.max_flow_value

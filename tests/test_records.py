@@ -171,13 +171,12 @@ def test_network_caches_its_tables_once_outside_its_value():
     net = make_network(["s", "a", "t"], [("s", "a", 1, 1), ("a", "t", 2, "1/3")], "s", "t")
     twin = make_network(["s", "a", "t"], [("s", "a", 1, 1), ("a", "t", 2, "1/3")], "s", "t")
     text = repr(net)
-    for name in ("_integer_form", "edge_by_pair", "out_edges"):
+    for name in ("_integer_form", "edge_by_pair"):
         first = getattr(net, name)
         assert getattr(net, name) is first, name
         with pytest.raises(AttributeError):
             setattr(net, name, first)
     assert net.edge_by_pair[("a", "t")] is net.edges[1]
-    assert net.out_edges["a"] == (net.edges[1],)
     assert net._integer_form.cost_scale == 3
     assert net == twin and hash(net) == hash(twin)
     assert repr(net) == text
