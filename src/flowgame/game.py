@@ -351,7 +351,7 @@ def _merged_paths(s1: MixedStrategy) -> tuple:
     return prob_scale * amount_scale, merged
 
 
-class _MeanTable(NamedTuple):
+class _PathTable(NamedTuple):
     """A flow on the network's integer form: each row is a distinct path
     as (node sequence, edge ids, amount times ``scale``, cost times the
     cost scale); ``initial`` is the rows' summed amount times ``scale``
@@ -363,7 +363,7 @@ class _MeanTable(NamedTuple):
     transport: int
 
 
-def _table(net: Network, scale: int, paths) -> _MeanTable:
+def _table(net: Network, scale: int, paths) -> _PathTable:
     """The table of the (node sequence, amount times ``scale``) paths,
     each mapped to its edge ids and scaled cost once."""
     cost = net._integer_form.cost
@@ -375,23 +375,23 @@ def _table(net: Network, scale: int, paths) -> _MeanTable:
         rows.append((nodes, ids, amount, unit))
         initial += amount
         transport += amount * unit
-    return _MeanTable(scale, tuple(rows), initial, transport)
+    return _PathTable(scale, tuple(rows), initial, transport)
 
 
-def _mean_table(net: Network, s1: MixedStrategy) -> _MeanTable:
+def _mean_table(net: Network, s1: MixedStrategy) -> _PathTable:
     """The table of the mean flow of ``s1`` (see ``mean_flow``)."""
     scale, merged = _merged_paths(s1)
     return _table(net, scale, merged.items())
 
 
-def _flow_table(net: Network, flow: PathFlow) -> _MeanTable:
+def _flow_table(net: Network, flow: PathFlow) -> _PathTable:
     """The table of one flow: its point mass's mean table, without the
     probability merge."""
     scale, amounts = to_integers([amount for _, amount in flow.paths])
     return _table(net, scale, zip([nodes for nodes, _ in flow.paths], amounts))
 
 
-def _edge_loads(table: _MeanTable) -> dict:
+def _edge_loads(table: _PathTable) -> dict:
     """Each edge some row uses, in first-use order, with its load times
     the table's scale."""
     loads: dict = {}
@@ -401,13 +401,13 @@ def _edge_loads(table: _MeanTable) -> dict:
     return loads
 
 
-def _edge_amounts(table: _MeanTable) -> dict:
+def _edge_amounts(table: _PathTable) -> dict:
     """Each edge some row uses, in first-use order, with its load."""
     return _fractions(_edge_loads(table), table.scale)
 
 
 def _expectations(
-    net: Network, table: _MeanTable, s2: MixedStrategy
+    net: Network, table: _PathTable, s2: MixedStrategy
 ) -> ProfileExpectations:
     """The expectations of the profile whose router mixture has this mean
     table: int sums, one Fraction each."""
