@@ -47,6 +47,19 @@ class EdgeSpec(NamedTuple):
     cost: Fraction
 
 
+def _record_repr(record) -> str:
+    """The NamedTuple repr, but with each frozenset field's members listed
+    in sorted order: a set's iteration order depends on the hash seed and
+    on its history, and a pickle round trip can change it."""
+    fields = ", ".join(
+        f"{name}=frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+        if isinstance(value, frozenset) and value
+        else f"{name}={value!r}"
+        for name, value in zip(record._fields, record)
+    )
+    return f"{type(record).__name__}({fields})"
+
+
 class Cut(NamedTuple):
     """A source-sink cut: the source-side node set, the ids of the edges
     leaving it, and their total capacity."""
@@ -54,6 +67,8 @@ class Cut(NamedTuple):
     s_side: frozenset
     cut_set: tuple
     capacity: Fraction
+
+    __repr__ = _record_repr
 
 
 class IntegerForm(NamedTuple):
@@ -93,6 +108,8 @@ class Network(_NetworkFields):
     value is its four fields. The tables derived from them are built on
     first use and cached in the instance's ``__dict__``, outside that
     value; no attribute can be assigned."""
+
+    __repr__ = _record_repr
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -1,8 +1,12 @@
 """The value semantics of the package's records: each is an immutable
 value whose repr, equality and hash come from its fields, in order."""
 
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,8 +44,8 @@ NET = make_network(["s", "t"], [("s", "t", 3, "1/2")], "s", "t")
 RECORDS = [
     (EdgeSpec, dict(id=0, tail="s", head="t", capacity=F(3), cost=F(1, 2)),
      "EdgeSpec(id=0, tail='s', head='t', capacity=Fraction(3, 1), cost=Fraction(1, 2))"),
-    (Cut, dict(s_side=frozenset({"s"}), cut_set=(0,), capacity=F(3)),
-     "Cut(s_side=frozenset({'s'}), cut_set=(0,), capacity=Fraction(3, 1))"),
+    (Cut, dict(s_side=frozenset({"s", "a"}), cut_set=(0,), capacity=F(3)),
+     "Cut(s_side=frozenset({'a', 's'}), cut_set=(0,), capacity=Fraction(3, 1))"),
     (IntegerForm,
      dict(cap_scale=1, cost_scale=2, capacity=(3,), cost=(1,), index={"s": 0, "t": 1},
           arcs=(((0, True, 1, 1),), ((0, False, 0, -1),)), ends=((0, 1),)),
@@ -102,7 +106,8 @@ RECORDS = [
      "value=Fraction(0, 1), action=Attack(edge_ids=(0,))), attacker_best=BestResponse("
      "value=Fraction(0, 1), action=Attack(edge_ids=(0,))), checks=())"),
     (type(NET), dict(nodes=NET.nodes, edges=(EDGE,), source="s", sink="t"),
-     f"Network(nodes={NET.nodes!r}, edges=({EDGE!r},), source='s', sink='t')"),
+     "Network(nodes=frozenset({'s', 't'}), edges=(EdgeSpec(id=0, tail='s', head='t', "
+     "capacity=Fraction(3, 1), cost=Fraction(1, 2)),), source='s', sink='t')"),
 ]
 
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
@@ -150,6 +155,44 @@ def test_records_survive_a_pickle_round_trip(cls, fields, text):
     record = cls(**fields)
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is cls and copy == record and repr(copy) == text
+
+
+# Builds the two records with set fields, as RECORDS does, and prints the
+# repr of each before and after a pickle round trip.
+PICKLED_REPRS = """
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from flowgame import Cut, make_network
+records = (
+    make_network(["s", "t"], [("s", "t", 3, "1/2")], "s", "t"),
+    Cut(frozenset({"s", "a"}), (0,), Fraction(3)),
+)
+for record in records:
+    print(repr(record))
+    print(repr(pickle.loads(pickle.dumps(record))))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["2", "36", "38"])
+def test_set_reprs_survive_a_pickle_round_trip_under_any_hash_seed(hash_seed):
+    # these seeds reorder the two-node set when pickling rebuilds it, so a
+    # repr that followed the set's iteration order would change
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src")]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    env = {"PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    child = subprocess.run(
+        [sys.executable, "-c", PICKLED_REPRS], capture_output=True, text=True, env=env
+    )
+    texts = {cls: text for cls, _, text in RECORDS}
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [texts[type(NET)]] * 2 + [texts[Cut]] * 2
 
 
 def test_game_params_coerce_and_validate():
