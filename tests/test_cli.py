@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from flowgame import attack, cli, enumerate_simple_paths, make_network, network_to_json
+from flowgame import (
+    InvalidPath,
+    ParseError,
+    attack,
+    cli,
+    enumerate_simple_paths,
+    make_network,
+    network_from_json,
+    network_to_json,
+)
 from flowgame.cli import main
 
 from conftest import (
@@ -1118,3 +1127,81 @@ def test_region_three_solve_is_byte_identical_across_hash_seeds(tmp_path, capsys
         assert len(report["verification"]["property_checks"]) == 8
         _, in_process, _ = run(capsys, *argv)
         assert first.stdout == in_process
+
+
+# ---------------------------------------------------------------------------
+# error branches: each input fault prints its one error line and exits 2
+# ---------------------------------------------------------------------------
+
+ZERO_FLOW = {"prob": "1", "flow": {"paths": []}}
+NO_ATTACK = {"prob": "1", "attack": []}
+NO_ACTION = {"p1_strategy": [ZERO_FLOW], "p2_strategy": [NO_ATTACK]}
+
+PROFILE_FAULTS = [
+    ([], "profile JSON must be an object"),
+    ({"p1_strategy": [ZERO_FLOW]}, "profile JSON needs 'p1_strategy' and 'p2_strategy'"),
+    ({**NO_ACTION, "p1_strategy": []}, "'p1_strategy' must be a nonempty list"),
+    ({**NO_ACTION, "p2_strategy": {}}, "'p2_strategy' must be a nonempty list"),
+    ({**NO_ACTION, "p1_strategy": [{"prob": "1"}]},
+     "each p1_strategy entry needs 'prob' and 'flow'"),
+    ({**NO_ACTION, "p2_strategy": [{"attack": []}]},
+     "each p2_strategy entry needs 'prob' and 'attack'"),
+    ({**NO_ACTION, "p1_strategy": [{"prob": "1", "flow": {"paths": [{"nodes": ["s", "t"]}]}}]},
+     "each path needs 'nodes' and 'amount'"),
+]
+
+
+@pytest.mark.parametrize("profile, message", PROFILE_FAULTS)
+def test_malformed_profiles_exit_2(tmp_path, capsys, profile, message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    code, out, err = run(capsys, "verify", TRIPLE_CUT, str(path), "--p1", "6", "--p2", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("player, opponent, message", [
+    ("1", [], "opponent strategy JSON must be an object"),
+    ("1", {"p1_strategy": [ZERO_FLOW]}, "player 1 responds to a 'p2_strategy'"),
+    ("2", {"p2_strategy": [NO_ATTACK]}, "player 2 responds to a 'p1_strategy'"),
+])
+def test_malformed_opponents_exit_2(tmp_path, capsys, player, opponent, message):
+    path = tmp_path / "opponent.json"
+    path.write_text(json.dumps(opponent))
+    code, out, err = run(
+        capsys, "best-response", TRIPLE_CUT, str(path), "--player", player, "--p1", "6", "--p2", "2"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"sink": "x"}, "sink 'x' is not a declared node"),
+    ({"edges": [{"from": "q", "to": "t", "capacity": "1", "cost": "1"}]},
+     "edge (q, t): unknown node 'q'"),
+    ({"sink": None, "sources": ["s"]}, "source set and sink set must both be nonempty"),
+])
+def test_invalid_networks_exit_2(tmp_path, capsys, fields, message):
+    data = {"nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [], **fields}
+    data = {key: value for key, value in data.items() if value is not None}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_missing_network_file_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def test_library_input_faults():
+    net = make_network(["s", "t"], [("s", "t", 1, 1)], "s", "t")
+    with pytest.raises(InvalidPath, match=r"^no edge with id 99$"):
+        attack(net, [99])
+    with pytest.raises(ParseError) as excinfo:
+        network_from_json("{")
+    assert str(excinfo.value) == (
+        "invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )
