@@ -25,7 +25,6 @@ from .errors import (
     LoopyFlowInSupport,
     NegativeCapacity,
     NegativeCost,
-    NoRoute,
     ParseError,
     PathBudgetExceeded,
     SelfLoop,

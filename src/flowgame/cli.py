@@ -423,8 +423,7 @@ def cmd_solve(args) -> int:
         max_attack_edges=args.max_attack_edges,
         analysis=analysis,
     )
-    unit_cost = analysis.cheapest_path_cost
-    region_tag = "degenerate" if unit_cost is None else classify_region(params, unit_cost).tag
+    region_tag = classify_region(params, analysis.cheapest_path_cost).tag
     closed = None
     if region_tag == "III":
         closed = _closed_forms_json(

@@ -17,6 +17,9 @@ cheapest per-unit path cost:
 Points exactly on a boundary (p1 equal to the path cost, or p2 equal
 to 1 with p1 above the cost) are reported as such, never folded into a
 neighbouring region: the closed-form results are stated on open regions.
+When the sink is unreachable the cost is infinite, and every (p1, p2)
+falls in the degenerate region, whose only equilibrium is no flow and no
+attack. ``classify_region`` makes this decision for every caller.
 
 All decisions are exact. A profile is an equilibrium iff both
 best-response gaps are exactly zero.
@@ -31,7 +34,6 @@ from .errors import (
     BoundaryParams,
     CheapestRoutingRequired,
     EdgeBudgetExceeded,
-    NoRoute,
     PathBudgetExceeded,
     WrongRegion,
 )
@@ -68,8 +70,9 @@ MAX_ATTACK_EDGES = 20
 # ---------------------------------------------------------------------------
 
 class Region(NamedTuple):
-    """Parameter region tag: "I", "II", "III", or "boundary" with flags
-    saying which equality binds."""
+    """Parameter region tag: "I", "II", "III", "boundary" with flags
+    saying which equality binds, or "degenerate" when the sink is
+    unreachable."""
 
     tag: str
     p1_at_cost: bool = False
@@ -87,12 +90,12 @@ class Region(NamedTuple):
 
 
 def classify_region(params: GameParams, unit_cost: Optional[Fraction]) -> Region:
-    """Exact classification of (p1, p2) against the cheapest path cost."""
+    """Exact classification of (p1, p2) against the cheapest path cost.
+    A cost of None, an unreachable sink, gives Region("degenerate"):
+    whatever the parameters, the only equilibrium is no flow and no
+    attack."""
     if unit_cost is None:
-        raise NoRoute(
-            "the sink is unreachable, the cheapest path cost is infinite; "
-            "the only equilibrium is no flow and no attack"
-        )
+        return Region("degenerate")
     if params.p1 < unit_cost:
         return Region("I")
     if params.p1 == unit_cost:
@@ -149,20 +152,16 @@ def construct_equilibrium(
     router probabilities (1 - 1/p2, 1/p2) on (zero flow, cheapest max
     flow) and attacker probabilities (cost/p1, 1 - cost/p1) on (no
     attack, full min-cut attack). Region III requires the network to
-    admit a min-cost max-flow on cheapest paths only. A disconnected
-    network yields the degenerate no-action profile directly.
+    admit a min-cost max-flow on cheapest paths only. A network without
+    a route, the degenerate region, yields the no-action profile too.
     """
     if analysis is None:
         analysis = analyze(net)
     zero = path_flow(net)
     no_attack = attack(net)
-    unit_cost = analysis.cheapest_path_cost
-    if unit_cost is None:
-        return EquilibriumProfile(
-            point_mass(zero), point_mass(no_attack), "degenerate-no-route"
-        )
-
-    region = classify_region(params, unit_cost)
+    region = classify_region(params, analysis.cheapest_path_cost)
+    if region.tag == "degenerate":
+        return EquilibriumProfile(point_mass(zero), point_mass(no_attack), "degenerate-no-route")
     if region.tag == "boundary":
         profiles = ()
         if region.p1_at_cost and params.p2 < 1:
@@ -189,18 +188,13 @@ def construct_equilibrium(
         )
 
     if not analysis.cheapest_routing:
-        witness = analysis.routing_witness
-        detail = ""
-        if witness is not None:  # a (nodes, cost) pair when routing fails
-            nodes, cost = witness
-            detail = (
-                f"; the optimal routing uses path {list(nodes)} of cost {cost}, "
-                f"above the cheapest path cost {unit_cost}"
-            )
+        nodes, cost = analysis.routing_witness  # a (nodes, cost) pair
         raise CheapestRoutingRequired(
             "the mixed construction needs a min-cost max-flow that travels "
-            "only along cheapest paths, and this network has none" + detail,
-            witness=witness,
+            "only along cheapest paths, and this network has none; the "
+            f"optimal routing uses path {list(nodes)} of cost {cost}, above "
+            f"the cheapest path cost {analysis.cheapest_path_cost}",
+            witness=analysis.routing_witness,
         )
     return EquilibriumProfile(
         _router_mixture(net, params, analysis),
@@ -563,12 +557,8 @@ def verify_equilibrium(
     if is_ne:
         if analysis is None:
             analysis = analyze(net)
-        unit_cost = analysis.cheapest_path_cost
-        if (
-            unit_cost is not None
-            and classify_region(params, unit_cost).tag == "III"
-            and analysis.cheapest_routing
-        ):
+        region = classify_region(params, analysis.cheapest_path_cost)
+        if region.tag == "III" and analysis.cheapest_routing:
             checks = _equilibrium_property_checks(
                 net, s1, s2, params, analysis, table, exps
             )
@@ -818,42 +808,37 @@ def minimax_certificate(
     For the router's side the certificate is an attacker mixture; against
     it no flow earns more than zero (checked by the exact best-response
     oracle, whose value is returned). Together with the maximin value of
-    zero this pins the minimax value to zero exactly. In Region I the
-    costless point masses certify; above the cheapest path cost the
-    attacker mixes the empty attack (probability cost/p1) with a full
-    min-cut attack, and in the contested region the router mixes the zero
-    flow (probability 1 - 1/p2) with a cheapest max flow.
+    zero this pins the minimax value to zero exactly. In Region I and in
+    the degenerate region the costless point masses certify; above the
+    cheapest path cost the attacker mixes the empty attack (probability
+    cost/p1) with a full min-cut attack, and in the contested region the
+    router mixes the zero flow (probability 1 - 1/p2) with a cheapest max
+    flow.
     """
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
     if analysis is None:
         analysis = analyze(net)
-    unit_cost = analysis.cheapest_path_cost
-
-    if unit_cost is None:
-        certificate = point_mass(attack(net) if player == 1 else path_flow(net))
-    else:
-        region = classify_region(params, unit_cost)
-        if region.tag == "boundary":
-            raise WrongRegion(
-                f"minimax certificates are stated on open regions; {region.describe()}"
-            )
-        if player == 1:
-            if region.tag == "I":
-                certificate = point_mass(attack(net))
-            else:
-                certificate = _attacker_mixture(net, params, analysis)
+    region = classify_region(params, analysis.cheapest_path_cost)
+    if region.tag == "boundary":
+        raise WrongRegion(
+            f"minimax certificates are stated on open regions; {region.describe()}"
+        )
+    if player == 1:
+        if region.tag in ("I", "degenerate"):
+            certificate = point_mass(attack(net))
         else:
-            if region.tag in ("I", "II"):
-                certificate = point_mass(path_flow(net))
-            else:
-                if not analysis.cheapest_routing:
-                    raise CheapestRoutingRequired(
-                        "the router-side certificate mixes in a cheapest max "
-                        "flow, which this network does not admit",
-                        witness=analysis.routing_witness,
-                    )
-                certificate = _router_mixture(net, params, analysis)
+            certificate = _attacker_mixture(net, params, analysis)
+    elif region.tag != "III":
+        certificate = point_mass(path_flow(net))
+    elif not analysis.cheapest_routing:
+        raise CheapestRoutingRequired(
+            "the router-side certificate mixes in a cheapest max "
+            "flow, which this network does not admit",
+            witness=analysis.routing_witness,
+        )
+    else:
+        certificate = _router_mixture(net, params, analysis)
 
     if player == 1:
         value = best_router_response(net, certificate, params, max_paths).value

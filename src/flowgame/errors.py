@@ -83,11 +83,6 @@ class UndecomposableFlow(FlowGameError):
     """An edge flow cannot be written as source-sink paths plus cycles."""
 
 
-class NoRoute(FlowGameError):
-    """The sink is unreachable from the source, so the cheapest path cost
-    is infinite and the game is degenerate."""
-
-
 # ---------------------------------------------------------------------------
 # Equilibrium construction and verification
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "DuplicateEdge", "EdgeBudgetExceeded", "EdgeSpec", "EmptyTerminalSet",
     "EquilibriumProfile", "FlowAnalysis", "FlowGameError", "GameParams",
     "InvalidParams", "InvalidPath", "InvalidStrategy", "LoopyFlowInSupport",
-    "MixedStrategy", "NegativeCapacity", "NegativeCost", "Network", "NoRoute",
+    "MixedStrategy", "NegativeCapacity", "NegativeCost", "Network",
     "ParseError", "PathBudgetExceeded", "PathFlow", "ProfileExpectations",
     "PropertyCheck", "Region", "SelfLoop", "SourceEqualsSink",
     "UndecomposableFlow", "UnknownEndpoint", "VerificationReport", "WrongRegion",

@@ -9,7 +9,6 @@ import pytest
 
 from flowgame import cli, flows
 from flowgame import (
-    NoRoute,
     UndecomposableFlow,
     all_min_cuts,
     always_saturated_edges,
@@ -868,9 +867,14 @@ def test_reported_transport_cost_is_the_path_by_path_sum():
     assert with_cycles >= 1
 
 
-def test_classify_no_route_error():
+def test_classify_no_route_is_degenerate():
+    # an unreachable sink is its own region at every (p1, p2), and the
+    # closed forms, stated for Region III, refuse it like any other region
     net = make_network(["s", "t"], [], "s", "t")
-    from flowgame import GameParams, classify_region
+    from flowgame import GameParams, Region, WrongRegion, classify_region, closed_form_quantities
 
-    with pytest.raises(NoRoute):
-        classify_region(GameParams(1, 1), cheapest_path_cost(net))
+    for p1, p2 in ((1, 2), (6, "1/2"), (6, 2), (6, 1)):
+        region = classify_region(GameParams(p1, p2), cheapest_path_cost(net))
+        assert region == Region("degenerate") and region.describe() == "degenerate"
+    with pytest.raises(WrongRegion, match="got degenerate$"):
+        closed_form_quantities(GameParams(6, 2), None, Fraction(0))
