@@ -49,10 +49,11 @@ class EdgeSpec(NamedTuple):
 
 def _record_repr(record) -> str:
     """The NamedTuple repr, but with each frozenset field's members listed
-    in sorted order: a set's iteration order depends on the hash seed and
-    on its history, and a pickle round trip can change it."""
+    in the order of their reprs: a set's iteration order depends on the
+    hash seed and on its history, and a pickle round trip can change it.
+    Sorting the reprs, not the members, works for names of any type."""
     fields = ", ".join(
-        f"{name}=frozenset({{{', '.join(map(repr, sorted(value)))}}})"
+        f"{name}=frozenset({{{', '.join(sorted(map(repr, value)))}}})"
         if isinstance(value, frozenset) and value
         else f"{name}={value!r}"
         for name, value in zip(record._fields, record)

@@ -195,6 +195,14 @@ def test_set_reprs_survive_a_pickle_round_trip_under_any_hash_seed(hash_seed):
     assert child.stdout.splitlines() == [texts[type(NET)]] * 2 + [texts[Cut]] * 2
 
 
+def test_set_reprs_order_members_of_any_type():
+    # make_network takes node names it cannot sort against each other;
+    # the repr orders their reprs instead
+    net = make_network(["s", 1, "t"], [("s", 1, 1, 1), (1, "t", 1, 1)], "s", "t")
+    assert repr(net).startswith("Network(nodes=frozenset({'s', 't', 1}), edges=(")
+    assert repr(Cut(frozenset({2, "s"}), (), F(0))).startswith("Cut(s_side=frozenset({'s', 2}),")
+
+
 def test_game_params_coerce_and_validate():
     params = GameParams("7/2", 2)
     assert params == GameParams(F(7, 2), F(2))
