@@ -97,25 +97,20 @@ def _cut_json(net: Network, cut: Cut) -> dict:
     }
 
 
-def _strategy1_json(net: Network, strategy: MixedStrategy) -> list:
+def _strategy_json(net: Network, strategy: MixedStrategy, field: str, write_action) -> list:
+    """Either player's mixture: each support entry's ``prob`` and, under
+    ``field``, its action as ``write_action(net, action)`` writes it."""
     return [
-        {"prob": _rat(prob), "flow": _flow_json(net, flow)}
-        for flow, prob in strategy.support
-    ]
-
-
-def _strategy2_json(net: Network, strategy: MixedStrategy) -> list:
-    return [
-        {"prob": _rat(prob), "attack": _attack_json(net, atk)}
-        for atk, prob in strategy.support
+        {"prob": _rat(prob), field: write_action(net, action)}
+        for action, prob in strategy.support
     ]
 
 
 def _profile_json(net: Network, profile: EquilibriumProfile) -> dict:
     return {
         "provenance": profile.provenance,
-        "p1_strategy": _strategy1_json(net, profile.s1),
-        "p2_strategy": _strategy2_json(net, profile.s2),
+        "p1_strategy": _strategy_json(net, profile.s1, "flow", _flow_json),
+        "p2_strategy": _strategy_json(net, profile.s2, "attack", _attack_json),
     }
 
 
@@ -200,9 +195,9 @@ def _load_json_file(path: str) -> object:
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # JSONDecodeError, or an integer literal past the interpreter's
-        # int-conversion digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past the interpreter's
+        # int-conversion digit limit, or nesting past its recursion limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -230,36 +225,28 @@ def parse_path_flow(net: Network, data) -> PathFlow:
     return path_flow(net, paths)
 
 
-def parse_router_strategy(net: Network, entries) -> MixedStrategy:
+def _parse_attack(net: Network, edges) -> Attack:
+    if not isinstance(edges, list) or not all(
+        _is_name_list(pair) and len(pair) == 2 for pair in edges
+    ):
+        raise ParseError("'attack' must be a list of [from, to] pairs of node names")
+    return attack(net, [tuple(pair) for pair in edges])
+
+
+def _parse_strategy(net: Network, entries, key: str, field: str, parse_action) -> MixedStrategy:
+    """Either player's mixture, listed under ``key``: each entry's action,
+    under ``field``, is read by ``parse_action(net, value)`` before its
+    ``prob``."""
     if not isinstance(entries, list) or not entries:
-        raise ParseError("'p1_strategy' must be a nonempty list")
+        raise ParseError(f"'{key}' must be a nonempty list")
     support = []
     for entry in entries:
         try:
             prob = entry["prob"]
-            flow = entry["flow"]
+            action = entry[field]
         except (TypeError, KeyError) as exc:
-            raise ParseError("each p1_strategy entry needs 'prob' and 'flow'") from exc
-        support.append((parse_path_flow(net, flow), parse_rational(prob, what="prob")))
-    return mixture(support)
-
-
-def parse_attacker_strategy(net: Network, entries) -> MixedStrategy:
-    if not isinstance(entries, list) or not entries:
-        raise ParseError("'p2_strategy' must be a nonempty list")
-    support = []
-    for entry in entries:
-        try:
-            prob = entry["prob"]
-            edges = entry["attack"]
-        except (TypeError, KeyError) as exc:
-            raise ParseError("each p2_strategy entry needs 'prob' and 'attack'") from exc
-        if not isinstance(edges, list) or not all(
-            _is_name_list(pair) and len(pair) == 2 for pair in edges
-        ):
-            raise ParseError("'attack' must be a list of [from, to] pairs of node names")
-        atk = attack(net, [tuple(pair) for pair in edges])
-        support.append((atk, parse_rational(prob, what="prob")))
+            raise ParseError(f"each {key} entry needs 'prob' and '{field}'") from exc
+        support.append((parse_action(net, action), parse_rational(prob, what="prob")))
     return mixture(support)
 
 
@@ -270,8 +257,8 @@ def load_profile(net: Network, path: str) -> tuple:
     if "p1_strategy" not in data or "p2_strategy" not in data:
         raise ParseError("profile JSON needs 'p1_strategy' and 'p2_strategy'")
     return (
-        parse_router_strategy(net, data["p1_strategy"]),
-        parse_attacker_strategy(net, data["p2_strategy"]),
+        _parse_strategy(net, data["p1_strategy"], "p1_strategy", "flow", parse_path_flow),
+        _parse_strategy(net, data["p2_strategy"], "p2_strategy", "attack", _parse_attack),
     )
 
 
@@ -468,13 +455,13 @@ def cmd_best_response(args) -> int:
     if args.player == 1:
         if "p2_strategy" not in data:
             raise ParseError("player 1 responds to a 'p2_strategy'")
-        opponent = parse_attacker_strategy(net, data["p2_strategy"])
+        opponent = _parse_strategy(net, data["p2_strategy"], "p2_strategy", "attack", _parse_attack)
         best = best_router_response(net, opponent, params, args.max_paths)
         action = {"flow": _flow_json(net, best.action)}
     else:
         if "p1_strategy" not in data:
             raise ParseError("player 2 responds to a 'p1_strategy'")
-        opponent = parse_router_strategy(net, data["p1_strategy"])
+        opponent = _parse_strategy(net, data["p1_strategy"], "p1_strategy", "flow", parse_path_flow)
         best = best_attacker_response(net, opponent, params, args.max_attack_edges)
         action = {"attack": _attack_json(net, best.action)}
 
@@ -516,11 +503,11 @@ def cmd_maximin(args) -> int:
         report["minimax_certificates"] = {
             "router_side": {
                 "best_response_value": _rat(cap1),
-                "attacker_mixture": _strategy2_json(net, cert1),
+                "attacker_mixture": _strategy_json(net, cert1, "attack", _attack_json),
             },
             "attacker_side": {
                 "best_response_value": _rat(cap2),
-                "router_mixture": _strategy1_json(net, cert2),
+                "router_mixture": _strategy_json(net, cert2, "flow", _flow_json),
             },
         }
     emit(report, args.format)
@@ -584,11 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit codes of the errors that are not parse or validation failures.
+# Exit codes of the errors that reach ``main`` and are not parse or
+# validation failures. ``cmd_solve`` catches BoundaryParams itself.
 _ERROR_EXITS = (
     ((PathBudgetExceeded, EdgeBudgetExceeded), EXIT_BUDGET),
     (CheapestRoutingRequired, EXIT_ROUTING),
-    (BoundaryParams, EXIT_BOUNDARY),
 )
 
 # Every character str.splitlines() breaks at, escaped, so that an error

@@ -24,6 +24,7 @@ from .errors import (
     InvalidPath,
     NegativeCapacity,
     NegativeCost,
+    NetworkValidationError,
     ParseError,
     SelfLoop,
     SourceEqualsSink,
@@ -51,7 +52,8 @@ def _record_repr(record) -> str:
     """The NamedTuple repr, but with each frozenset field's members listed
     in the order of their reprs: a set's iteration order depends on the
     hash seed and on its history, and a pickle round trip can change it.
-    Sorting the reprs, not the members, works for names of any type."""
+    A Network's node names are strings, but a Cut built by hand may hold
+    members of any type, so the reprs are sorted, not the members."""
     fields = ", ".join(
         f"{name}=frozenset({{{', '.join(sorted(map(repr, value)))}}})"
         if isinstance(value, frozenset) and value
@@ -183,14 +185,26 @@ def _coerce_edges(edges: Iterable) -> list:
     return coerced
 
 
+def _check_names(names: Sequence) -> None:
+    """Raise NetworkValidationError naming the first of ``names``, in the
+    caller's order, that is not a string: a NodeId is a str, and the flow
+    algorithms sort names."""
+    for name in names:
+        if not isinstance(name, str):
+            raise NetworkValidationError(f"node name {name!r} is not a string")
+
+
 def make_network(nodes: Iterable, edges: Iterable, source: NodeId, sink: NodeId) -> Network:
     """Validate a network candidate and freeze it.
 
     Raises an error naming the offending element when any invariant fails:
-    duplicate or self-loop edges, endpoints outside the node set, negative
-    capacities or costs, or source equal to sink.
+    node names that are not strings, duplicate or self-loop edges,
+    endpoints outside the node set, negative capacities or costs, or
+    source equal to sink.
     """
-    node_set = frozenset(nodes)
+    names = list(nodes)
+    _check_names([*names, source, sink])
+    node_set = frozenset(names)
     if source == sink:
         raise SourceEqualsSink(f"source and sink are both {source!r}")
     if source not in node_set:
@@ -243,6 +257,8 @@ def normalize_terminals(
     A candidate that already has exactly one source and one sink is
     returned unchanged, with no super-nodes added.
     """
+    sources, sinks = list(sources), list(sinks)
+    _check_names([*sources, *sinks])
     source_list = sorted(set(sources))
     sink_list = sorted(set(sinks))
     if not source_list or not sink_list:
@@ -256,25 +272,25 @@ def normalize_terminals(
     if len(source_list) == 1 and len(sink_list) == 1:
         return make_network(nodes, edges, source_list[0], sink_list[0])
 
-    node_set = set(nodes)
+    names = list(nodes)  # in the caller's order, for make_network's name check
     specs = _coerce_edges(edges)
     bound = sum((e.capacity for e in specs), ZERO) + 1
 
     edge_rows = [(e.tail, e.head, e.capacity, e.cost) for e in specs]
     source = source_list[0]
     if len(source_list) > 1:
-        source = _fresh_name("super_source", node_set)
-        node_set.add(source)
+        source = _fresh_name("super_source", names)
+        names.append(source)
         for original in source_list:
             edge_rows.append((source, original, bound, ZERO))
     sink = sink_list[0]
     if len(sink_list) > 1:
-        sink = _fresh_name("super_sink", node_set)
-        node_set.add(sink)
+        sink = _fresh_name("super_sink", names)
+        names.append(sink)
         for original in sink_list:
             edge_rows.append((original, sink, bound, ZERO))
 
-    return make_network(node_set, edge_rows, source, sink)
+    return make_network(names, edge_rows, source, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +308,9 @@ def network_from_json(data) -> Network:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except ValueError as exc:
-            # JSONDecodeError, or an integer literal past the interpreter's
-            # int-conversion digit limit
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer literal past the interpreter's
+            # int-conversion digit limit, or nesting past its recursion limit
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("network JSON must be an object")

@@ -1205,3 +1205,36 @@ def test_library_input_faults():
         "invalid JSON: Expecting property name enclosed in double quotes: "
         "line 1 column 2 (char 1)"
     )
+
+
+# Nesting past the interpreter's recursion limit is invalid JSON too.
+DEEP = "[" * 100000 + "]" * 100000
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+@pytest.mark.parametrize("role", ["network", "profile", "opponent"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, role):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    game = ["--p1", "6", "--p2", "2"]
+    argv = {
+        "network": ["analyze", str(deep)],
+        "profile": ["verify", TRIPLE_CUT, str(deep), *game],
+        "opponent": ["best-response", TRIPLE_CUT, str(deep), "--player", "1", *game],
+    }[role]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {deep} is not valid JSON: {TOO_DEEP}\n")
+
+
+def test_deeply_nested_json_exits_2_in_a_child_process(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    result = run_child(["analyze", str(deep)], "0")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {deep} is not valid JSON: {TOO_DEEP}\n"
+
+
+def test_library_refuses_deeply_nested_json():
+    with pytest.raises(ParseError) as excinfo:
+        network_from_json("[" * 3000 + "]" * 3000)
+    assert str(excinfo.value) == f"invalid JSON: {TOO_DEEP}"

@@ -989,6 +989,14 @@ def test_minimax_certificates_region_one(triple_cut_net):
     assert certificate2.support[0][0].is_zero
 
 
+def test_maximin_and_certificates_take_only_players_1_and_2(triple_cut_net):
+    params = GameParams(F(2), F(5))
+    with pytest.raises(ValueError, match=r"^player must be 1 or 2, got 3$"):
+        maximin(triple_cut_net, params, 3)
+    with pytest.raises(ValueError, match=r"^player must be 1 or 2, got 0$"):
+        minimax_certificate(triple_cut_net, params, 0)
+
+
 def test_minimax_certificate_boundary_rejected(triple_cut_net):
     with pytest.raises(WrongRegion):
         minimax_certificate(triple_cut_net, GameParams(F(3), F(2)), 1)

@@ -20,6 +20,7 @@ from flowgame import (
     normalize_terminals,
     parse_rational,
 )
+from flowgame.errors import NetworkValidationError
 from flowgame.flows import max_flow
 from flowgame.rational import to_integers
 
@@ -319,3 +320,27 @@ def test_collision_safe_super_source_name():
     )
     assert net.source == "_super_source"
     assert net.sink == "super_sink"
+
+
+@pytest.mark.parametrize(
+    "build, args, name",
+    [
+        (make_network, (["s", 1, "t"], [("s", 1, 1, 1), (1, "t", 1, 1)], "s", "t"), "1"),
+        (make_network, (["s", "t"], [], None, "t"), "None"),
+        (make_network, (["s", "t"], [], "s", ("t",)), "('t',)"),
+        (normalize_terminals, (["s", "t"], [], ["s", 1], ["t"]), "1"),
+        (normalize_terminals, (["s", "t"], [], ["s"], [2.0, "t"]), "2.0"),
+        (normalize_terminals, (["a", "b", 3, "t"], [], ["a", "b"], ["t"]), "3"),
+        # names walked in the caller's order, not in the hash-seeded order
+        # of a set of bytes
+        (make_network, (["s", b"y", b"x", "t"], [], "s", "t"), "b'y'"),
+        (normalize_terminals, (["s", b"y", b"x", "t", "u"], [], ["s"], ["t", "u"]), "b'y'"),
+        (normalize_terminals, (["s", "t"], [], [b"y", b"x"], ["t"]), "b'y'"),
+    ],
+    ids=["node", "source", "sink", "sources", "sinks", "multi-terminal nodes",
+         "first node", "first node, multi-terminal", "first source"],
+)
+def test_node_names_must_be_strings(build, args, name):
+    with pytest.raises(NetworkValidationError) as excinfo:
+        build(*args)
+    assert str(excinfo.value) == f"node name {name} is not a string"

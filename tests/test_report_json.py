@@ -73,3 +73,8 @@ def test_writer_refuses_floats_and_fractions(value, bad, where):
     nested = [bad, {"key": bad}, (value, {"inner": [bad]})][where]
     with pytest.raises(TypeError):
         written([value, nested])
+
+
+def test_writer_refuses_keys_that_are_not_str():
+    with pytest.raises(TypeError, match=r"^keys must be str, not int$"):
+        written({"a": 1, 2: "b"})
