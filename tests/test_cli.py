@@ -1195,18 +1195,6 @@ def test_missing_network_file_exits_2(tmp_path, capsys):
     assert err == f"error: cannot read {path}: [Errno 2] No such file or directory: {path!r}\n"
 
 
-def test_library_input_faults():
-    net = make_network(["s", "t"], [("s", "t", 1, 1)], "s", "t")
-    with pytest.raises(InvalidPath, match=r"^no edge with id 99$"):
-        attack(net, [99])
-    with pytest.raises(ParseError) as excinfo:
-        network_from_json("{")
-    assert str(excinfo.value) == (
-        "invalid JSON: Expecting property name enclosed in double quotes: "
-        "line 1 column 2 (char 1)"
-    )
-
-
 # Nesting past the interpreter's recursion limit is invalid JSON too.
 DEEP = "[" * 100000 + "]" * 100000
 TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
@@ -1234,7 +1222,16 @@ def test_deeply_nested_json_exits_2_in_a_child_process(tmp_path):
     assert result.stderr == f"error: {deep} is not valid JSON: {TOO_DEEP}\n"
 
 
-def test_library_refuses_deeply_nested_json():
+def test_library_input_faults():
+    net = make_network(["s", "t"], [("s", "t", 1, 1)], "s", "t")
+    with pytest.raises(InvalidPath, match=r"^no edge with id 99$"):
+        attack(net, [99])
+    with pytest.raises(ParseError) as excinfo:
+        network_from_json("{")
+    assert str(excinfo.value) == (
+        "invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"
+    )
     with pytest.raises(ParseError) as excinfo:
         network_from_json("[" * 3000 + "]" * 3000)
     assert str(excinfo.value) == f"invalid JSON: {TOO_DEEP}"
