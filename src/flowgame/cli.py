@@ -542,7 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
         if game_params:
             p.add_argument("--p1", required=True, help="router value per delivered unit")
             p.add_argument("--p2", required=True, help="attacker value per lost unit")
-            p.add_argument("--max-paths", type=int, default=MAX_PATHS)
+            p.add_argument(
+                "--max-paths", type=int, default=MAX_PATHS,
+                help="cap on the source-sink paths the router's best response "
+                "reaches; it never extends a path prefix that cannot pay "
+                "(default %(default)s)",
+            )
             p.add_argument("--max-attack-edges", type=int, default=MAX_ATTACK_EDGES)
 
     p = sub.add_parser("analyze", help="flow primitives and the routing check")

@@ -59,7 +59,7 @@ from .lp import solve_tableau
 from .network import Network, ZERO
 from .rational import to_integers
 
-# Default budgets: simple source-sink paths for the router's best
+# Default budgets: source-sink paths reached by the router's best
 # response, candidate edges for the attacker's.
 MAX_PATHS = 5000
 MAX_ATTACK_EDGES = 20
@@ -262,18 +262,23 @@ class BestResponse(NamedTuple):
 
 
 def _walk_paths(net: Network, hit: list, gain, unit: int, budget: int) -> list:
-    """Walk every simple source-sink path over positive-capacity edges, in
+    """Walk the simple source-sink paths over positive-capacity edges, in
     lowest-edge-id depth-first order, and return ``(edge ids, worth)`` for
     each path whose worth is positive.
 
     ``hit[i]`` is edge i's attack mask. A path's worth is the gain of its
     mask, the OR of its edges' masks, minus its scaled cost times ``unit``,
-    all on ints. ``gain(mask)`` is called once per mask met, so at most
-    once per subset of the attacks. Every simple path counts against
-    ``budget``, worth or not: PathBudgetExceeded is raised as soon as the
-    count would pass it. Only a profitable path gets an edge-id tuple. The
-    walk is iterative, so the depth is bounded by memory, not by the
-    recursion limit.
+    all on ints; a prefix's worth is defined the same way. ``gain(mask)``
+    is called once per mask met, so at most once per subset of the
+    attacks. Gains are nonnegative and never grow as a mask gains bits,
+    and charges only add, so no path is worth more than any of its
+    prefixes: the walk extends a prefix to an inner node only while the
+    prefix is worth more than 0. Every path it reaches at the sink counts
+    against ``budget``, worth or not: PathBudgetExceeded is raised as soon
+    as the count would pass it. Only a profitable path gets an edge-id
+    tuple, so the profitable paths are all found, in the order of the
+    unpruned walk. The walk is iterative, so the depth is bounded by
+    memory, not by the recursion limit.
     """
     form = net._integer_form
     capacity = form.capacity
@@ -297,23 +302,25 @@ def _walk_paths(net: Network, hit: list, gain, unit: int, budget: int) -> list:
         for e, head in arcs:
             if visited[head]:
                 continue
+            m = mask | hit[e]
+            g = gains.get(m)
+            if g is None:
+                g = gains[m] = gain(m)
+            cost = so_far + charge[e]
             if head == sink:
                 if count >= budget:
                     raise PathBudgetExceeded(
                         f"more than {budget} simple source-sink paths; raise the budget"
                     )
                 count += 1
-                m = mask | hit[e]
-                g = gains.get(m)
-                if g is None:
-                    g = gains[m] = gain(m)
-                w = g - so_far - charge[e]
-                if w > 0:
-                    found.append(((*on_path, e), w))
+                if g > cost:
+                    found.append(((*on_path, e), g - cost))
                 continue
+            if g <= cost:
+                continue  # no path through this prefix is profitable
             visited[head] = True
             on_path.append(e)
-            frames.append((head, iter(out[head]), mask | hit[e], so_far + charge[e]))
+            frames.append((head, iter(out[head]), m, cost))
             break
         else:
             frames.pop()
@@ -346,7 +353,10 @@ def best_router_response(
     with non-positive worth never help, so only the profitable ones enter
     the program; with none, the zero flow (worth 0) is optimal. Pure
     path flows suffice because the router payoff is linear in path
-    amounts and loops only add cost.
+    amounts and loops only add cost. A path is worth no more than any of
+    its prefixes, so the walk never extends a prefix worth 0 or less, and
+    ``max_paths`` caps the source-sink paths whose every proper prefix is
+    worth more than 0, not every simple path.
 
     The program runs on the scaled integer capacities and on the worths
     times the LCM of their denominators, so its amounts are those of the

@@ -175,10 +175,18 @@ def _coerce_edges(edges: Iterable) -> list:
 
     coerced = []
     for index, item in enumerate(edges):
-        if isinstance(item, EdgeSpec):
+        # An EdgeSpec has five fields, so it never passes as a row.
+        if isinstance(item, (tuple, list)) and len(item) == 4:
+            tail, head, capacity, cost = item
+        elif isinstance(item, EdgeSpec):
             tail, head, capacity, cost = item.tail, item.head, item.capacity, item.cost
         else:
-            tail, head, capacity, cost = item
+            raise NetworkValidationError(
+                f"edge #{index} is not a (tail, head, capacity, cost) row: {item!r}"
+            )
+        if not (isinstance(tail, str) and isinstance(head, str)):
+            name = head if isinstance(tail, str) else tail
+            raise NetworkValidationError(f"edge #{index}: node name {name!r} is not a string")
         capacity = rational(capacity, "capacity", tail, head)
         cost = rational(cost, "cost", tail, head)
         coerced.append(EdgeSpec(index, tail, head, capacity, cost))
@@ -198,7 +206,8 @@ def make_network(nodes: Iterable, edges: Iterable, source: NodeId, sink: NodeId)
     """Validate a network candidate and freeze it.
 
     Raises an error naming the offending element when any invariant fails:
-    node names that are not strings, duplicate or self-loop edges,
+    node names that are not strings, edge rows that are not EdgeSpecs or
+    (tail, head, capacity, cost) sequences, duplicate or self-loop edges,
     endpoints outside the node set, negative capacities or costs, or
     source equal to sink.
     """

@@ -241,6 +241,36 @@ def recursive_simple_paths(net, budget):
     return tuple(paths)
 
 
+def reached_paths(net, s2, params):
+    """The source-sink paths that the router's best response to ``s2``
+    reaches, by recursive depth-first search on Fractions, lowest edge id
+    first: a prefix is extended to an inner node only while p1 times the
+    probability that no supported attack hits it, minus its cost, is
+    positive. Every path that arrives at the sink is listed, profitable
+    or not, as its node sequence."""
+    paths = []
+    on_path = [net.source]
+    out = out_edges(net)
+
+    def worth(ids):
+        survival = sum((q for atk, q in s2.support if ids.isdisjoint(atk.edge_ids)), ZERO)
+        return params.p1 * survival - sum((net.edge(i).cost for i in ids), ZERO)
+
+    def walk(node, ids):
+        for e in out[node]:
+            if e.capacity <= 0 or e.head in on_path:
+                continue
+            if e.head == net.sink:
+                paths.append((*on_path, e.head))
+            elif worth(ids | {e.id}) > 0:
+                on_path.append(e.head)
+                walk(e.head, ids | {e.id})
+                on_path.pop()
+
+    walk(net.source, frozenset())
+    return tuple(paths)
+
+
 # ---------------------------------------------------------------------------
 # The game layer on Fraction, as it ran before its integer core: every sum
 # starts at ZERO and adds one Fraction per hop, path or attack

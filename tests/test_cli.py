@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from flowgame import (
+    GameParams,
     InvalidPath,
     ParseError,
     attack,
@@ -14,6 +15,7 @@ from flowgame import (
     make_network,
     network_from_json,
     network_to_json,
+    point_mass,
 )
 from flowgame.cli import main
 
@@ -24,6 +26,7 @@ from conftest import (
     random_probabilities,
     random_rational_network,
 )
+from oracles import reached_paths
 
 TRIPLE_CUT = str(FIXTURES / "triple_cut.json")
 CHEAP_ROUTING = str(FIXTURES / "cheap_routing.json")
@@ -622,38 +625,46 @@ def test_verify_budget_exceeded_exits_5(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "best-response"])
-def test_path_budget_counts_every_simple_path(tmp_path, capsys, command):
-    # the complete mesh on s, t and four inner nodes has
-    # 1 + 4 + 4*3 + 4*3*2 + 4*3*2*1 = 65 simple s-t paths: a budget of 65
-    # admits them all, and a budget of 64 stops the router at the 65th
+def test_path_budget_counts_the_paths_the_walk_reaches(tmp_path, capsys, command):
+    # the complete mesh on s, t and four inner nodes has 65 simple s-t
+    # paths. An attack of probability 1 on s->a and b->t leaves no path
+    # through s->a worth anything, so the router's walk never extends that
+    # prefix; the paths it reaches at the sink, b->t ones included, are
+    # the budget's count: a budget of k admits them and k - 1 stops the
+    # router at the last one
     nodes = ["s", "t", "a", "b", "c", "d"]
     net = make_network(
         nodes, [(tail, head, 1, 1) for tail in nodes for head in nodes if tail != head], "s", "t"
     )
     assert len(enumerate_simple_paths(net, 5000)) == 65
+    hit = [("s", "a"), ("b", "t")]
+    k = len(reached_paths(net, point_mass(attack(net, hit)), GameParams(F(9), F(2))))
+    assert 1 < k < 65
     net_file = tmp_path / "mesh.json"
     net_file.write_text(json.dumps(network_to_json(net)))
     profile = write_profile(
         tmp_path,
         "zero.json",
         [{"prob": "1", "flow": {"paths": []}}],
-        [{"prob": "1", "attack": [["s", "a"], ["b", "t"]]}],
+        [{"prob": "1", "attack": [list(pair) for pair in hit]}],
     )
     argv = [command, str(net_file), profile, "--p1", "9", "--p2", "2"]
     if command == "best-response":
         argv += ["--player", "1"]
-    code, out, err = run(capsys, *argv, "--max-paths", "65")
+    code, out, err = run(capsys, *argv, "--max-paths", str(k))
     assert code in (0, 1) and out and err == ""
-    code, out, err = run(capsys, *argv, "--max-paths", "64")
+    code, out, err = run(capsys, *argv, "--max-paths", str(k - 1))
     assert (code, out) == (5, "")
-    assert err == "error: more than 64 simple source-sink paths; raise the budget\n"
+    assert err == f"error: more than {k - 1} simple source-sink paths; raise the budget\n"
 
 
 @pytest.mark.parametrize("flag", ["--max-paths", "--max-attack-edges"])
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_negative_budgets_exit_2(tmp_path, capsys, command, flag):
     # Region I: the zero flow against the empty attack. A zero budget is
-    # valid; the path budget then stops the router's best response.
+    # valid. Every edge costs 1, so at p1 = 1 no path prefix pays, the
+    # router's walk reaches no path and Region I answers. At p1 = 6 paths
+    # pay, and the zero path budget stops the router's best response.
     argv = [command, TRIPLE_CUT, "--p1", "1", "--p2", "2"]
     if command == "verify":
         argv.append(write_profile(
@@ -666,8 +677,13 @@ def test_negative_budgets_exit_2(tmp_path, capsys, command, flag):
     assert out == ""
     assert_one_line_error(code, err)
     assert err == f"error: {flag} must be nonnegative, got -1\n"
-    code, _, err = run(capsys, *argv, flag, "0")
-    assert code == (5 if flag == "--max-paths" else 0)
+    code, out, err = run(capsys, *argv, flag, "0")
+    assert (code, err) == (0, "") and out
+    if flag == "--max-paths":
+        argv[argv.index("--p1") + 1] = "6"
+        code, out, err = run(capsys, *argv, flag, "0")
+        assert (code, out) == (5, "")
+        assert err == "error: more than 0 simple source-sink paths; raise the budget\n"
 
 
 @pytest.mark.parametrize(

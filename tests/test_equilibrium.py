@@ -34,6 +34,7 @@ from flowgame import (
 from flowgame import equilibrium, flows, lp
 
 from conftest import (
+    random_grid_network,
     random_network,
     random_path_flow,
     random_probabilities,
@@ -43,9 +44,13 @@ from oracles import (
     brute_force_attacker_response,
     edge_flow_cost,
     expect,
+    fraction_edge_amounts,
+    fraction_router_payoff,
     fraction_router_response,
+    fraction_solve_lp,
     is_feasible,
     lp_edge_always_saturated,
+    reached_paths,
     recursive_simple_paths,
 )
 
@@ -340,6 +345,17 @@ def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
     # columns. Bland's pivots depend on the column order, so the program
     # the router lays out as its tableau must also be the one rebuilt from
     # the enumerated paths, column for column and row for row.
+    programs = capture_packing_programs(monkeypatch)
+    for net, s2, params in wide_meshes(rng, make, 25):
+        assert_router_lays_out_packing_program(programs, net, s2, params)
+    columns = [len(minimize) for minimize, _ in programs]
+    assert sum(count >= 60 for count in columns) >= 22, sorted(columns)
+
+
+def capture_packing_programs(monkeypatch) -> list:
+    """Record, as ``(costs, [(row, rhs)])``, each program the router lays
+    out as its tableau, where it enters ``lp.solve_tableau``, after
+    checking that the tableau's slack columns are the identity."""
     programs = []
     solve_tableau = equilibrium.solve_tableau
 
@@ -351,20 +367,51 @@ def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
         return solve_tableau(costs, tableau)
 
     monkeypatch.setattr(equilibrium, "solve_tableau", capturing_solve_tableau)
-    for net, s2, params in wide_meshes(rng, make, 25):
-        before = len(programs)
-        assert best_router_response(net, s2, params) == fraction_router_response(net, s2, params)
-        costs, rows = packing_program(net, s2, params)
-        if not costs:
-            assert len(programs) == before
+    return programs
+
+
+def assert_router_lays_out_packing_program(programs, net, s2, params):
+    """The router's best response equals the Fraction oracle's, and the
+    program it lays out (captured into ``programs``) is the one rebuilt
+    from every simple path, column for column and row for row."""
+    before = len(programs)
+    assert best_router_response(net, s2, params) == fraction_router_response(net, s2, params)
+    costs, rows = packing_program(net, s2, params)
+    if not costs:
+        assert len(programs) == before
+        return
+    assert len(programs) == before + 1
+    minimize, ub = programs[-1]
+    assert proportional(minimize, costs)
+    assert [coeffs for coeffs, _ in ub] == [coeffs for coeffs, _ in rows]
+    assert proportional([rhs for _, rhs in ub], [rhs for _, rhs in rows])
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_pruned_router_walk_keeps_every_profitable_column(rational, monkeypatch):
+    # p1 within 2 of the cheapest path cost and attacks that hit many
+    # edges, so most prefixes stop paying and the walk skips what lies
+    # below them: the response and the program it lays out must still be
+    # those built from every simple path
+    rng = random.Random(47 + rational)
+    make = random_rational_network if rational else random_network
+    programs = capture_packing_programs(monkeypatch)
+    instances = pruned = 0
+    while instances < 150:
+        net = make(rng, max_internal=6, min_internal=3, density=0.5)
+        unit_cost = analyze(net).cheapest_path_cost
+        if unit_cost is None:
             continue
-        assert len(programs) == before + 1
-        minimize, ub = programs[-1]
-        assert proportional(minimize, costs)
-        assert [coeffs for coeffs, _ in ub] == [coeffs for coeffs, _ in rows]
-        assert proportional([rhs for _, rhs in ub], [rhs for _, rhs in rows])
-    columns = [len(minimize) for minimize, _ in programs]
-    assert sum(count >= 60 for count in columns) >= 22, sorted(columns)
+        instances += 1
+        params = GameParams(unit_cost + F(rng.randint(1, 8), 4), F(2))
+        s2 = random_attacks(rng, net, 0.3)
+        assert_router_lays_out_packing_program(programs, net, s2, params)
+        reached = len(reached_paths(net, s2, params))
+        simple = len(enumerate_simple_paths(net, 5000))
+        assert reached <= simple
+        pruned += reached < simple
+    assert len(programs) >= 50, len(programs)
+    assert pruned >= 100, pruned
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
@@ -456,9 +503,10 @@ def proportional(scaled, values) -> bool:
 
 def test_router_path_budget_counts_worthless_paths():
     # an attack of probability 1 makes every path it hits worthless, and
-    # the router's walk builds no program column for those; each simple
-    # path still counts against the budget, so the router stops at the
-    # same budget as the enumeration, not at the number of paths it keeps
+    # the router's walk extends no prefix it hits; the paths the walk
+    # still reaches at the sink count against the budget, worthless or
+    # not, so the router stops at that count, which lies between the
+    # number of paths it keeps and the number of simple paths
     rng = random.Random(29)
     checked = 0
     while checked < 30:
@@ -474,14 +522,48 @@ def test_router_path_budget_counts_worthless_paths():
             continue
         checked += 1
         s2 = point_mass(attack(net, hit))
+        reached = len(reached_paths(net, s2, params))
+        assert kept <= reached <= len(paths)
         full = best_router_response(net, s2, params)
-        for budget in sorted({0, kept, len(paths) // 2, len(paths) - 1, len(paths),
-                              len(paths) + 1}):
-            if budget < len(paths):
+        for budget in sorted({0, kept, reached // 2, max(reached - 1, 0), reached,
+                              reached + 1, len(paths)}):
+            if budget < reached:
                 with pytest.raises(PathBudgetExceeded, match=f"more than {budget} simple"):
                     best_router_response(net, s2, params, max_paths=budget)
             else:
                 assert best_router_response(net, s2, params, max_paths=budget) == full
+
+
+def test_router_best_response_passes_the_simple_path_wall():
+    # grids with back edges, s feeding the left column and the right
+    # column draining to t, have more than 5,000 simple s-t paths. Against
+    # the empty attack at p1 = 6 only prefixes cheaper than 6 pay, so the
+    # router's walk stays far below the default budget, and its value is
+    # the optimum of the edge-flow program with conservation rows
+    rng = random.Random(5)
+    params = GameParams(F(6), F(1, 2))
+    walled = 0
+    while walled < 3:
+        net = random_grid_network(rng, max_side=6)
+        try:
+            enumerate_simple_paths(net, 5000)
+            continue
+        except PathBudgetExceeded:
+            walled += 1
+        empty = attack(net)
+        best = best_router_response(net, point_mass(empty), params)
+        assert is_feasible(net, fraction_edge_amounts(net, best.action))
+        assert fraction_router_payoff(net, best.action, empty, params) == best.value
+        source = net.source
+        inner = sorted(net.nodes - {source, net.sink})
+        result = fraction_solve_lp(
+            [e.cost - params.p1 * ((e.tail == source) - (e.head == source)) for e in net.edges],
+            eq=[([(e.head == v) - (e.tail == v) for e in net.edges], 0) for v in inner],
+            ub=[([int(e.id == i) for e in net.edges], net.edge(i).capacity)
+                for i in range(len(net.edges))],
+        )
+        assert result.status == "optimal"
+        assert best.value == -result.objective > 0
 
 
 def test_path_budget_exceeded(triple_cut_net):

@@ -344,3 +344,43 @@ def test_node_names_must_be_strings(build, args, name):
     with pytest.raises(NetworkValidationError) as excinfo:
         build(*args)
     assert str(excinfo.value) == f"node name {name} is not a string"
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (make_network, (["s", "t"], [("s", "t", 1)], "s", "t"),
+         "edge #0 is not a (tail, head, capacity, cost) row: ('s', 't', 1)"),
+        (make_network, (["s", "t"], [("s", "t", 1, 1), 5], "s", "t"),
+         "edge #1 is not a (tail, head, capacity, cost) row: 5"),
+        (make_network, (["s", "t"], [None], "s", "t"),
+         "edge #0 is not a (tail, head, capacity, cost) row: None"),
+        (make_network, (["s", "t"], ["stab"], "s", "t"),
+         "edge #0 is not a (tail, head, capacity, cost) row: 'stab'"),
+        (make_network, (["s", "t"], [("s", "t", 1, 1, 0)], "s", "t"),
+         "edge #0 is not a (tail, head, capacity, cost) row: ('s', 't', 1, 1, 0)"),
+        (make_network, (["s", "t"], [("s", ["t"], 1, 1)], "s", "t"),
+         "edge #0: node name ['t'] is not a string"),
+        (make_network, (["s", "t"], [["s", "t", 1, 1], (1, "t", 1, 1)], "s", "t"),
+         "edge #1: node name 1 is not a string"),
+        (normalize_terminals, (["a", "b", "t"], [("a", "t", 1, 1), ("b",)], ["a", "b"], ["t"]),
+         "edge #1 is not a (tail, head, capacity, cost) row: ('b',)"),
+        (normalize_terminals, (["a", "b", "t"], [("a", "t", 1, 1), ("b", None, 1, 1)],
+                               ["a", "b"], ["t"]),
+         "edge #1: node name None is not a string"),
+    ],
+    ids=["three items", "bare int", "None", "string", "five items", "list endpoint",
+         "int endpoint", "multi-terminal row", "multi-terminal endpoint"],
+)
+def test_malformed_edge_rows_name_their_index(build, args, message):
+    with pytest.raises(NetworkValidationError) as excinfo:
+        build(*args)
+    assert str(excinfo.value) == message
+
+
+def test_edge_rows_may_be_lists_tuples_or_edge_specs():
+    rows = [["s", "a", 1, 2], ("a", "t", "3/2", 0), EdgeSpec(9, "s", "t", Fraction(1), Fraction(5))]
+    net = make_network(["s", "a", "t"], rows, "s", "t")
+    assert [tuple(e) for e in net.edges] == [
+        (0, "s", "a", 1, 2), (1, "a", "t", Fraction(3, 2), 0), (2, "s", "t", 1, 5)
+    ]
