@@ -535,11 +535,12 @@ def test_router_path_budget_counts_worthless_paths():
 
 
 def test_router_best_response_passes_the_simple_path_wall():
-    # grids with back edges, s feeding the left column and the right
-    # column draining to t, have more than 5,000 simple s-t paths. Against
-    # the empty attack at p1 = 6 only prefixes cheaper than 6 pay, so the
-    # router's walk stays far below the default budget, and its value is
-    # the optimum of the edge-flow program with conservation rows
+    # seeded grids with back edges, s feeding the left column and the
+    # right column draining to t, taken only when they have more than
+    # 5,000 simple s-t paths. Against the empty attack at p1 = 6 only
+    # prefixes cheaper than 6 pay, so the router's walk stays within the
+    # default budget, and its value is the optimum of the edge-flow
+    # program with conservation rows
     rng = random.Random(5)
     params = GameParams(F(6), F(1, 2))
     walled = 0
