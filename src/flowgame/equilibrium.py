@@ -55,7 +55,7 @@ from .game import (
     payoffs_of,
     point_mass,
 )
-from .lp import solve_tableau
+from .lp import solve_columns
 from .network import Network, ZERO
 from .rational import to_integers
 
@@ -385,24 +385,15 @@ def best_router_response(
     if not weighted:
         return BestResponse(ZERO, PathFlow(()))
 
-    # The fraction-free tableau, laid out directly: one row per edge some
-    # profitable path uses, in edge-id order, with the paths' 0/1 entries,
-    # the row's slack and the edge's scaled capacity.
-    n = len(weighted)
+    # One row per edge some profitable path uses, in edge-id order, with
+    # the edge's scaled capacity; each path is a column of 1s in its rows.
     edge_ids = sorted({i for ids, _ in weighted for i in ids})
-    m = len(edge_ids)
-    tableau = []
-    row_of = {}
-    for r, i in enumerate(edge_ids):
-        row = [0] * (n + m + 1)
-        row[n + r] = 1
-        row[-1] = form.capacity[i]
-        tableau.append(row)
-        row_of[i] = row
-    for j, (ids, _) in enumerate(weighted):
-        for i in ids:
-            row_of[i][j] = 1
-    status, _, basic = solve_tableau([-w for _, w in weighted], tableau)
+    row_of = {i: r for r, i in enumerate(edge_ids)}
+    status, _, basic = solve_columns(
+        [-w for _, w in weighted],
+        [[(row_of[i], 1) for i in ids] for ids, _ in weighted],
+        [form.capacity[i] for i in edge_ids],
+    )
     if status != "optimal":
         raise RuntimeError(f"path packing program came back {status}")
     # The basic amounts as ints over x_scale, the LCM of their denominators.

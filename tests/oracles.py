@@ -3,6 +3,7 @@ checked against."""
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 
 from flowgame import (
@@ -1028,3 +1029,99 @@ def _fraction_drive_out_artificials(tableau, basis, art_start):
         pivots += 1
         i += 1
     return pivots
+
+
+def dense_solve_columns(costs, columns, rhs):
+    """The reference for ``flowgame.lp.solve_columns``: the program laid
+    out as the dense fraction-free int tableau, with every slack column
+    and every structural entry held in each row, and run through Bland's
+    rule on it. ``(status, pivots, basic, pivot_elements)``: the first
+    three as ``solve_columns`` returns them, and the pivot element p of
+    each pivot in turn.
+
+    Row i of the tableau is its n structural entries, m slack entries
+    that are 1 at column n + i, and its rhs. A pivot on (r, c), with
+    p = row_r[c] > 0, replaces every other row i that has a nonzero in
+    column c by p*row_i - row_i[c]*row_r, divided by the gcd of its
+    entries when p > 1, and the reduced-cost row the same way."""
+    n, m = len(costs), len(rhs)
+    tableau = []
+    for i, b in enumerate(rhs):
+        row = [0] * (n + m + 1)
+        row[n + i] = 1
+        row[-1] = b
+        tableau.append(row)
+    for j, column in enumerate(columns):
+        for i, a in column:
+            tableau[i][j] = a
+    basis = list(range(n, n + m))
+    reduced = list(costs) + [0] * (m + 1)
+    status, elements = _dense_pivot_until_optimal(tableau, reduced, basis, n + m)
+    if status == "unbounded":
+        return status, len(elements), None, elements
+    basic = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau, basis) if b < n and row[-1]}
+    return status, len(elements), basic, elements
+
+
+def _dense_pivot_until_optimal(tableau, reduced, basis, width):
+    """Bland's rule to optimality or unboundedness: ``(status, pivot
+    elements)``."""
+    elements = []
+    while True:
+        entering = None
+        for j in range(width):
+            if reduced[j] < 0:
+                entering = j  # Bland: lowest improving index
+                break
+        if entering is None:
+            return "optimal", elements
+
+        # The least ratio rhs/coeff over positive coefficients, ties to the
+        # lowest basic index; ratios compare by cross-multiplying.
+        leaving = None
+        for i, row in enumerate(tableau):
+            coeff = row[entering]
+            if coeff > 0:
+                if leaving is None:
+                    leaving, num, den = i, row[-1], coeff
+                    continue
+                left, right = row[-1] * den, num * coeff
+                if left < right or (left == right and basis[i] < basis[leaving]):
+                    leaving, num, den = i, row[-1], coeff
+        if leaving is None:
+            return "unbounded", elements
+        elements.append(den)
+        _dense_pivot(tableau, reduced, basis, leaving, entering)
+
+
+def _dense_pivot(tableau, reduced, basis, row, col):
+    pivot_row = tableau[row]
+    p = pivot_row[col]  # > 0: the ratio test takes only positive entries
+    # Each other row becomes p*other - factor*pivot_row; the second term
+    # touches only the pivot row's nonzero columns.
+    nonzero = [(j, a) for j, a in enumerate(pivot_row) if a]
+    for r, other in enumerate(tableau):
+        factor = other[col]
+        if r != row and factor != 0:
+            tableau[r] = _dense_eliminate(other, p, factor, nonzero)
+    factor = reduced[col]
+    if factor != 0:
+        reduced[:] = _dense_eliminate(reduced, p, factor, nonzero)
+    basis[row] = col
+
+
+def _dense_eliminate(other, p, factor, nonzero):
+    """p*other - factor*pivot_row, divided by the gcd of its entries, with
+    the pivot row given by its nonzero ``(column, value)`` pairs. With
+    p = 1 it is other - factor*pivot_row, computed in ``other`` itself."""
+    if p == 1:
+        for j, a in nonzero:
+            other[j] -= factor * a
+        return other
+    new = [p * v for v in other]
+    for j, a in nonzero:
+        new[j] -= factor * a
+    g = math.gcd(*new)
+    if g > 1:
+        return [v // g for v in new]
+    return new

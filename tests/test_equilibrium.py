@@ -42,6 +42,7 @@ from conftest import (
 )
 from oracles import (
     brute_force_attacker_response,
+    dense_solve_columns,
     edge_flow_cost,
     expect,
     fraction_edge_amounts,
@@ -353,26 +354,28 @@ def test_router_best_response_matches_fraction_oracle(rational, monkeypatch):
 
 
 def capture_packing_programs(monkeypatch) -> list:
-    """Record, as ``(costs, [(row, rhs)])``, each program the router lays
-    out as its tableau, where it enters ``lp.solve_tableau``, after
-    checking that the tableau's slack columns are the identity."""
+    """Record, as ``(costs, [(row, rhs)])``, each program the router hands
+    to ``lp.solve_columns``, its rows rebuilt from its columns, after
+    checking that no column lists a row twice."""
     programs = []
-    solve_tableau = equilibrium.solve_tableau
+    solve_columns = equilibrium.solve_columns
 
-    def capturing_solve_tableau(costs, tableau):
-        n = len(costs)
-        for r, row in enumerate(tableau):
-            assert row[n:-1] == [int(k == r) for k in range(len(tableau))]
-        programs.append((list(costs), [(row[:n], row[-1]) for row in tableau]))
-        return solve_tableau(costs, tableau)
+    def capturing_solve_columns(costs, columns, rhs):
+        rows = [[0] * len(costs) for _ in rhs]
+        for j, column in enumerate(columns):
+            assert len({i for i, _ in column}) == len(column)
+            for i, a in column:
+                rows[i][j] = a
+        programs.append((list(costs), list(zip(rows, rhs))))
+        return solve_columns(costs, columns, rhs)
 
-    monkeypatch.setattr(equilibrium, "solve_tableau", capturing_solve_tableau)
+    monkeypatch.setattr(equilibrium, "solve_columns", capturing_solve_columns)
     return programs
 
 
 def assert_router_lays_out_packing_program(programs, net, s2, params):
     """The router's best response equals the Fraction oracle's, and the
-    program it lays out (captured into ``programs``) is the one rebuilt
+    program it hands over (captured into ``programs``) is the one rebuilt
     from every simple path, column for column and row for row."""
     before = len(programs)
     assert best_router_response(net, s2, params) == fraction_router_response(net, s2, params)
@@ -416,28 +419,28 @@ def test_pruned_router_walk_keeps_every_profitable_column(rational, monkeypatch)
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
 def test_router_tableau_and_solve_lp_run_one_pivot_loop(rational, monkeypatch):
-    # the router lays out its int tableau itself; solve_lp scales and lays
-    # out the same dense program. Both run Bland's loop exactly once, with
-    # the same pivots, objective and solution.
+    # the router hands its columns to solve_columns itself; solve_lp
+    # scales the same program's rows and turns them into columns. Both run
+    # Bland's loop exactly once, with the same pivots, objective and
+    # solution.
     rng = random.Random(43 + rational)
     make = random_rational_network if rational else random_network
     core_calls = []
-    core = lp._pivot_until_optimal
+    core = lp.solve_columns
 
     def counting_core(*args):
         core_calls.append(None)
         return core(*args)
 
     runs = []
-    solve_tableau = equilibrium.solve_tableau
 
-    def capturing_solve_tableau(costs, tableau):
-        program = (list(costs), [list(row) for row in tableau])
-        runs.append((program, solve_tableau(costs, tableau)))
+    def capturing_solve_columns(costs, columns, rhs):
+        program = (list(costs), [list(column) for column in columns], list(rhs))
+        runs.append((program, counting_core(costs, columns, rhs)))
         return runs[-1][1]
 
-    monkeypatch.setattr(lp, "_pivot_until_optimal", counting_core)
-    monkeypatch.setattr(equilibrium, "solve_tableau", capturing_solve_tableau)
+    monkeypatch.setattr(lp, "solve_columns", counting_core)
+    monkeypatch.setattr(equilibrium, "solve_columns", capturing_solve_columns)
     compared = 0
     for net, s2, params in wide_meshes(rng, make, 25):
         before = len(core_calls)
@@ -446,16 +449,42 @@ def test_router_tableau_and_solve_lp_run_one_pivot_loop(rational, monkeypatch):
             assert len(core_calls) == before
             continue
         assert len(core_calls) == before + 1
-        (costs, tableau), (status, pivots, basic) = runs[-1]
-        n = len(costs)
-        result = lp.solve_lp(costs, ub=[(row[:n], row[-1]) for row in tableau])
+        (costs, columns, rhs), (status, pivots, basic) = runs[-1]
+        rows = [[0] * len(costs) for _ in rhs]
+        for j, column in enumerate(columns):
+            for i, a in column:
+                rows[i][j] = a
+        result = lp.solve_lp(costs, ub=list(zip(rows, rhs)))
         assert len(core_calls) == before + 2
         assert status == result.status == "optimal"
         assert pivots == result.pivots > 0
         assert sum(costs[j] * x for j, x in basic.items()) == result.objective
-        assert [basic.get(j, 0) for j in range(n)] == list(result.solution)
+        assert [basic.get(j, 0) for j in range(len(costs))] == list(result.solution)
         compared += 1
     assert compared >= 20, compared
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_router_programs_pivot_as_on_the_dense_tableau(rational, monkeypatch):
+    # the slack-block loop against the dense fraction-free tableau it
+    # replaced, on every program the router hands over on wide meshes:
+    # the same status, pivot count and basic values
+    rng = random.Random(53 + rational)
+    make = random_rational_network if rational else random_network
+    runs = []
+    solve_columns = equilibrium.solve_columns
+
+    def capturing_solve_columns(costs, columns, rhs):
+        result = solve_columns(costs, columns, rhs)
+        runs.append((dense_solve_columns(costs, columns, rhs), result))
+        return result
+
+    monkeypatch.setattr(equilibrium, "solve_columns", capturing_solve_columns)
+    for net, s2, params in wide_meshes(rng, make, 25):
+        best_router_response(net, s2, params)
+    for (status, pivots, basic, _), result in runs:
+        assert result == (status, pivots, basic)
+    assert len(runs) >= 20 and sum(pivots for (_, pivots, _, _), _ in runs) >= 200, runs
 
 
 def wide_meshes(rng, make, count):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from flowgame.lp import solve_lp
+from flowgame.lp import solve_columns, solve_lp
 
-from oracles import fraction_solve_lp
+from oracles import dense_solve_columns, fraction_solve_lp
 
 ZERO = Fraction(0)
 
@@ -259,6 +259,56 @@ def test_integer_simplex_matches_fraction_oracle():
             negative += any(a < 0 for row, _ in ub for a in row)
     assert min(seen.values()) >= 1500, seen
     assert degenerate >= 800 and negative >= 800, (degenerate, negative)
+
+
+def random_columns(rng):
+    """A program in ``solve_columns`` form: up to 10 columns over up to 7
+    rows, with int coefficients of either sign, some columns empty, and
+    right-hand sides >= 0, some of them zero."""
+    n, m = rng.randint(0, 10), rng.randint(0, 7)
+    costs = [rng.randint(-5, 3) for _ in range(n)]
+    columns = [
+        [(i, rng.choice([-3, -1, 1, 1, 2, 3, 4, 6])) for i in sorted(rng.sample(range(m), k))]
+        for k in (min(rng.choice([0, 1, 2, 3, m]), m) for _ in range(n))
+    ]
+    rhs = [rng.randint(0, 12) if rng.random() < 0.7 else 0 for _ in range(m)]
+    return costs, columns, rhs
+
+
+def test_slack_block_loop_pivots_as_on_the_dense_tableau():
+    # solve_columns keeps only each row's multipliers of the input rows
+    # and computes a structural entry where a pivot reads it; the dense
+    # fraction-free tableau it replaced holds every entry. Both must make
+    # the same pivots to the same basis and values.
+    rng = random.Random(2027)
+    seen = {"optimal": 0, "unbounded": 0}
+    scaled = zero_rhs = negative = 0
+    for _ in range(2500):
+        costs, columns, rhs = random_columns(rng)
+        status, pivots, basic, elements = dense_solve_columns(costs, columns, rhs)
+        assert solve_columns(costs, columns, rhs) == (status, pivots, basic), (costs, columns, rhs)
+        seen[status] += 1
+        scaled += sum(p > 1 for p in elements)
+        if pivots:
+            zero_rhs += 0 in rhs
+            negative += any(a < 0 for column in columns for _, a in column)
+    assert min(seen.values()) >= 500, seen
+    assert scaled >= 1500 and zero_rhs >= 700 and negative >= 800, (scaled, zero_rhs, negative)
+
+
+@pytest.mark.parametrize(
+    "costs,columns,rhs,expected",
+    [
+        ([], [], [], ("optimal", 0, {})),
+        ([], [], [3, 0], ("optimal", 0, {})),
+        ([-1, 0, 2], [[], [], []], [], ("unbounded", 0, None)),
+        ([0, 2], [[], []], [], ("optimal", 0, {})),
+        ([1, -2], [[(0, 1)], [(1, 3)]], [4, 0], ("optimal", 1, {})),
+    ],
+)
+def test_programs_without_rows_or_columns(costs, columns, rhs, expected):
+    assert solve_columns(costs, columns, rhs) == expected
+    assert dense_solve_columns(costs, columns, rhs)[:3] == expected
 
 
 @pytest.mark.parametrize(
