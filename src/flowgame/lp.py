@@ -51,7 +51,8 @@ row i whose column-c entry f is nonzero by p*row_i - f*row_r, on the
 multipliers and the right-hand side. When p > 1 the new row is divided
 by the gcd of its multipliers: its structural entries and its
 right-hand side are integer combinations of them, so that is the gcd of
-the whole tableau row, and the entries stay as small as the data allow. When p = 1, as in most pivots of a 0/1 packing program, the row
+the whole tableau row, and the entries stay as small as the data
+allow. When p = 1, as in most pivots of a 0/1 packing program, the row
 is kept as it is: nothing was multiplied, and a common factor is rare.
 The reduced-cost row is kept only up to a positive factor; the
 objective is read off the solution.

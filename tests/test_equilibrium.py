@@ -361,16 +361,23 @@ def capture_packing_programs(monkeypatch) -> list:
     solve_columns = equilibrium.solve_columns
 
     def capturing_solve_columns(costs, columns, rhs):
-        rows = [[0] * len(costs) for _ in rhs]
-        for j, column in enumerate(columns):
+        for column in columns:
             assert len({i for i, _ in column}) == len(column)
-            for i, a in column:
-                rows[i][j] = a
-        programs.append((list(costs), list(zip(rows, rhs))))
+        programs.append((list(costs), packing_rows(len(costs), columns, rhs)))
         return solve_columns(costs, columns, rhs)
 
     monkeypatch.setattr(equilibrium, "solve_columns", capturing_solve_columns)
     return programs
+
+
+def packing_rows(n, columns, rhs) -> list:
+    """The ``(row, rhs)`` pairs of a program given by its ``n`` columns,
+    as ``solve_lp`` takes them."""
+    rows = [[0] * n for _ in rhs]
+    for j, column in enumerate(columns):
+        for i, a in column:
+            rows[i][j] = a
+    return list(zip(rows, rhs))
 
 
 def assert_router_lays_out_packing_program(programs, net, s2, params):
@@ -450,11 +457,7 @@ def test_router_tableau_and_solve_lp_run_one_pivot_loop(rational, monkeypatch):
             continue
         assert len(core_calls) == before + 1
         (costs, columns, rhs), (status, pivots, basic) = runs[-1]
-        rows = [[0] * len(costs) for _ in rhs]
-        for j, column in enumerate(columns):
-            for i, a in column:
-                rows[i][j] = a
-        result = lp.solve_lp(costs, ub=list(zip(rows, rhs)))
+        result = lp.solve_lp(costs, ub=packing_rows(len(costs), columns, rhs))
         assert len(core_calls) == before + 2
         assert status == result.status == "optimal"
         assert pivots == result.pivots > 0
