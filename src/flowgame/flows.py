@@ -166,34 +166,6 @@ def edge_always_saturated(
 # read off it
 # ---------------------------------------------------------------------------
 
-class _LatticeAmounts(dict):
-    """Edge amounts as ``min_cost_max_flow`` returns them: a dict from
-    edge id to ``Fraction`` that also keeps the flow's ints, edge i
-    carrying ``ints[i] / scale``. ``decompose`` peels those ints as they
-    are instead of scaling the Fractions back to ints. Any change to the
-    dict drops them, so a changed dict is decomposed from its values."""
-
-    __slots__ = ("ints", "scale")
-
-    def __init__(self, amounts, ints: list, scale: int):
-        super().__init__(amounts)
-        self.ints, self.scale = ints, scale
-
-
-def _drops_ints(name: str):
-    change = getattr(dict, name)
-
-    def changed(self, *args, **kwargs):
-        self.ints = None
-        return change(self, *args, **kwargs)
-
-    return changed
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"):
-    setattr(_LatticeAmounts, _name, _drops_ints(_name))
-
-
 def min_cost_max_flow(net: Network) -> tuple:
     """A maximum flow of minimum total transport cost.
 
@@ -266,7 +238,7 @@ def min_cost_max_flow(net: Network) -> tuple:
             open_arcs[node] = _open_arcs_at(form, forward_open, backward_open, node)
     # One Fraction per distinct amount, shared by every edge that carries it.
     shared = {amount: Fraction(amount, form.cap_scale) for amount in set(flow)}
-    amounts = _LatticeAmounts(enumerate(map(shared.__getitem__, flow)), flow, form.cap_scale)
+    amounts = {i: shared[amount] for i, amount in enumerate(flow)}
     # ``form.index`` lists the node names in node-number order.
     source_side = frozenset(
         name for name, value in zip(form.index, label) if value != unreached
@@ -479,24 +451,19 @@ def decompose(net: Network, amounts: Mapping) -> Decomposition:
     cannot be written this way (net flow running from sink to source)
     raise UndecomposableFlow.
     """
+    positive = {}
+    for edge_id, amount in amounts.items():
+        if amount.numerator < 0:
+            edge = net.edge(edge_id)
+            raise UndecomposableFlow(
+                f"negative amount {amount} on edge ({edge.tail}, {edge.head})"
+            )
+        if amount.numerator > 0:
+            positive[edge_id] = amount
     # Peeling takes minima and differences only, so it runs on the amounts
-    # times any common multiple of their denominators: the capacity scale
-    # for the min-cost max-flow's own ints, else the LCM of the amounts'.
-    if type(amounts) is _LatticeAmounts and amounts.ints is not None:
-        scale = amounts.scale
-        work = {edge_id: amount for edge_id, amount in enumerate(amounts.ints) if amount}
-    else:
-        positive = {}
-        for edge_id, amount in amounts.items():
-            if amount.numerator < 0:
-                edge = net.edge(edge_id)
-                raise UndecomposableFlow(
-                    f"negative amount {amount} on edge ({edge.tail}, {edge.head})"
-                )
-            if amount.numerator > 0:
-                positive[edge_id] = amount
-        scale, scaled = to_integers(list(positive.values()))
-        work = dict(zip(positive, scaled))
+    # times the LCM of their denominators.
+    scale, scaled = to_integers(list(positive.values()))
+    work = dict(zip(positive, scaled))
 
     # The search runs on node numbers, which follow sorted names. Each
     # node lists the edges leaving it that carry flow, in id order, as

@@ -434,6 +434,9 @@ def test_router_tableau_and_solve_lp_run_one_pivot_loop(rational, monkeypatch):
     make = random_rational_network if rational else random_network
     core_calls = []
     core = lp.solve_columns
+    # The router's binding is the LP core itself, not a copy of its loop,
+    # so the capture below counts the router's real run of that loop.
+    assert equilibrium.solve_columns is core
 
     def counting_core(*args):
         core_calls.append(None)
