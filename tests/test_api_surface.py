@@ -1,6 +1,8 @@
-"""The public surface of the package, pinned: any name or record member
-added to or removed from ``flowgame`` shows in this file's diff."""
+"""The public surface of the package, pinned: any name, record member or
+function parameter added to or removed from ``flowgame`` shows in this
+file's diff."""
 
+import inspect
 import types
 
 import flowgame
@@ -63,6 +65,51 @@ PUBLIC_MEMBERS = {
     ],
 }
 
+# The parameter names of each exported function, in order.
+PARAMETERS = {
+    "all_min_cuts": ["net", "flow", "open_arcs"],
+    "always_saturated_edges": ["net", "amounts", "edge_ids", "open_arcs"],
+    "analyze": ["net"],
+    "attack": ["net", "edges"],
+    "attack_cost": ["net", "atk"],
+    "attacker_payoff": ["net", "flow", "atk", "params"],
+    "best_attacker_response": ["net", "s1", "params", "max_attack_edges"],
+    "best_router_response": ["net", "s2", "params", "max_paths"],
+    "cheapest_path_cost": ["net"],
+    "classify_region": ["params", "unit_cost"],
+    "closed_form_quantities": ["params", "unit_cost", "max_flow_value"],
+    "construct_equilibrium": ["net", "params", "analysis"],
+    "decompose": ["net", "amounts"],
+    "edge_always_saturated": ["net", "amounts", "edge_id", "open_arcs"],
+    "effective_flow": ["net", "flow", "atk"],
+    "enumerate_simple_paths": ["net", "budget"],
+    "expected_edge_loads": ["net", "s1"],
+    "expected_payoffs": ["net", "s1", "s2", "params"],
+    "flow_value": ["net", "amounts"],
+    "make_network": ["nodes", "edges", "source", "sink"],
+    "max_flow": ["net"],
+    "maximin": ["net", "params", "player"],
+    "mean_flow": ["s1"],
+    "min_cost_max_flow": ["net"],
+    "minimax_certificate": [
+        "net", "params", "player", "analysis", "max_paths", "max_attack_edges",
+    ],
+    "mixture": ["items"],
+    "network_from_json": ["data"],
+    "network_to_json": ["net"],
+    "normalize_terminals": ["nodes", "edges", "sources", "sinks"],
+    "parse_rational": ["value", "what"],
+    "path_cost": ["net", "nodes"],
+    "path_flow": ["net", "items"],
+    "point_mass": ["action"],
+    "profile_expectations": ["net", "s1", "s2"],
+    "router_payoff": ["net", "flow", "atk", "params"],
+    "transport_cost": ["net", "flow"],
+    "verify_equilibrium": [
+        "net", "s1", "s2", "params", "max_paths", "max_attack_edges", "analysis",
+    ],
+}
+
 
 def _public(names):
     return sorted(name for name in names if not name.startswith("_"))
@@ -88,3 +135,14 @@ def test_public_members_of_the_exported_classes():
         name: _public(set(dir(cls)) - inherited) for name, cls in sorted(classes.items())
     }
     assert members == PUBLIC_MEMBERS
+
+
+def test_parameters_of_the_exported_functions():
+    functions = {
+        name: value for name, value in vars(flowgame).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    }
+    parameters = {
+        name: list(inspect.signature(fn).parameters) for name, fn in sorted(functions.items())
+    }
+    assert parameters == PARAMETERS
