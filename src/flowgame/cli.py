@@ -391,7 +391,7 @@ def cmd_solve(args) -> int:
     analysis = analyze(net)
 
     try:
-        profile = construct_equilibrium(net, params, analysis)
+        profile = construct_equilibrium(net, params)
     except BoundaryParams as exc:
         report = {
             "region": "boundary",
@@ -408,7 +408,6 @@ def cmd_solve(args) -> int:
         params,
         max_paths=args.max_paths,
         max_attack_edges=args.max_attack_edges,
-        analysis=analysis,
     )
     region_tag = classify_region(params, analysis.cheapest_path_cost).tag
     closed = None
@@ -479,7 +478,6 @@ def _action_name(action) -> str:
 def cmd_maximin(args) -> int:
     net = load_network(args.network)
     params = _game_params(args)
-    analysis = analyze(net)
 
     value1, action1 = maximin(net, params, 1)
     value2, action2 = maximin(net, params, 2)
@@ -489,10 +487,10 @@ def cmd_maximin(args) -> int:
     }
     try:
         cap1, cert1 = minimax_certificate(
-            net, params, 1, analysis, args.max_paths, args.max_attack_edges
+            net, params, 1, args.max_paths, args.max_attack_edges
         )
         cap2, cert2 = minimax_certificate(
-            net, params, 2, analysis, args.max_paths, args.max_attack_edges
+            net, params, 2, args.max_paths, args.max_attack_edges
         )
     except (PathBudgetExceeded, EdgeBudgetExceeded):
         raise  # exit 5, as for every other exceeded budget

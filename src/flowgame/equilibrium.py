@@ -140,12 +140,9 @@ def _router_mixture(net: Network, params: GameParams, analysis: FlowAnalysis) ->
     )
 
 
-def construct_equilibrium(
-    net: Network,
-    params: GameParams,
-    analysis: Optional[FlowAnalysis] = None,
-) -> EquilibriumProfile:
-    """Build the equilibrium for the network's parameter region.
+def construct_equilibrium(net: Network, params: GameParams) -> EquilibriumProfile:
+    """Build the equilibrium for the network's parameter region, which
+    its flow analysis decides (``analyze``, run once per network object).
 
     Region I gives the pure no-action profile, Region II the pure
     cheapest-routing profile, Region III the two-point mixture with
@@ -155,8 +152,7 @@ def construct_equilibrium(
     admit a min-cost max-flow on cheapest paths only. A network without
     a route, the degenerate region, yields the no-action profile too.
     """
-    if analysis is None:
-        analysis = analyze(net)
+    analysis = analyze(net)
     zero = path_flow(net)
     no_attack = attack(net)
     region = classify_region(params, analysis.cheapest_path_cost)
@@ -530,7 +526,6 @@ def verify_equilibrium(
     params: GameParams,
     max_paths: int = MAX_PATHS,
     max_attack_edges: int = MAX_ATTACK_EDGES,
-    analysis: Optional[FlowAnalysis] = None,
 ) -> VerificationReport:
     """Decide exactly whether (s1, s2) is an equilibrium.
 
@@ -539,11 +534,11 @@ def verify_equilibrium(
     equilibrium iff both gaps are exactly zero. For equilibria in the
     contested region of a cheapest-routing network, the structural
     properties every equilibrium must satisfy are checked as well. Only
-    those checks read the network's analysis, so it is computed, when
-    not passed in, only for an equilibrium. The router mixture's mean
-    flow is built once, as a table on the network's integer form, and
-    the profile's expectations are computed once from it, for its
-    payoffs and for those checks.
+    those checks read the network's analysis, so ``analyze`` is called
+    only for an equilibrium. The router mixture's mean flow is built
+    once, as a table on the network's integer form, and the profile's
+    expectations are computed once from it, for its payoffs and for
+    those checks.
     """
     table = _mean_table(net, s1)
     exps = _expectations(net, table, s2)
@@ -556,8 +551,7 @@ def verify_equilibrium(
 
     checks = ()
     if is_ne:
-        if analysis is None:
-            analysis = analyze(net)
+        analysis = analyze(net)
         region = classify_region(params, analysis.cheapest_path_cost)
         if region.tag == "III" and analysis.cheapest_routing:
             checks = _equilibrium_property_checks(
@@ -800,7 +794,6 @@ def minimax_certificate(
     net: Network,
     params: GameParams,
     player: int,
-    analysis: Optional[FlowAnalysis] = None,
     max_paths: int = MAX_PATHS,
     max_attack_edges: int = MAX_ATTACK_EDGES,
 ) -> tuple:
@@ -814,12 +807,11 @@ def minimax_certificate(
     cheapest path cost the attacker mixes the empty attack (probability
     cost/p1) with a full min-cut attack, and in the contested region the
     router mixes the zero flow (probability 1 - 1/p2) with a cheapest max
-    flow.
+    flow. The region and both mixtures come from ``analyze(net)``.
     """
     if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player!r}")
-    if analysis is None:
-        analysis = analyze(net)
+    analysis = analyze(net)
     region = classify_region(params, analysis.cheapest_path_cost)
     if region.tag == "boundary":
         raise WrongRegion(

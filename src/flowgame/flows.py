@@ -54,7 +54,7 @@ networks, not asymptotics:
   instead of summing it.
 
 Everything here is a pure function of an immutable network, safe for
-concurrent use.
+concurrent use; threads racing on a first ``analyze`` get equal records.
 """
 
 from __future__ import annotations
@@ -618,6 +618,13 @@ class FlowAnalysis(NamedTuple):
 
 
 def analyze(net: Network) -> FlowAnalysis:
+    """The network's flow analysis: one min-cost max-flow and its
+    decomposition, run on the first call for each network object and
+    cached in its ``__dict__``, outside its value, as ``Network`` caches
+    its other tables. Later calls on that object return the same record."""
+    cached = net.__dict__.get("_analysis")
+    if cached is not None:
+        return cached
     amounts, cost, unit_cost, source_side = min_cost_max_flow(net)
     decomposition = decompose(net, amounts)
     optimal = PathFlow(tuple(sorted(decomposition.paths)))
@@ -631,7 +638,7 @@ def analyze(net: Network) -> FlowAnalysis:
         costs = ((nodes, path_cost(net, nodes)) for nodes, _ in decomposition.paths)
         routing, witness = False, next(pair for pair in costs if pair[1] > unit_cost)
 
-    return FlowAnalysis(
+    analysis = net.__dict__["_analysis"] = FlowAnalysis(
         max_flow_value=value,
         min_cut=_cut(net, source_side),
         optimal_flow=optimal,
@@ -640,3 +647,4 @@ def analyze(net: Network) -> FlowAnalysis:
         cheapest_routing=routing,
         routing_witness=witness,
     )
+    return analysis

@@ -108,9 +108,9 @@ class _NetworkFields(NamedTuple):
 
 class Network(_NetworkFields):
     """A validated network; build one with :func:`make_network`. Its
-    value is its four fields. The tables derived from them are built on
-    first use and cached in the instance's ``__dict__``, outside that
-    value; no attribute can be assigned."""
+    value is its four fields. Derived tables and ``flows.analyze`` are
+    built on first use and cached in the instance's ``__dict__``, outside
+    that value, not copied by ``_replace``; no attribute can be assigned."""
 
     __repr__ = _record_repr
 

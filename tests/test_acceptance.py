@@ -105,7 +105,7 @@ def test_criterion_04_closed_forms_two_ways(triple_cut_net):
     with criterion(4, "closed forms equal direct support expectations"):
         params = GameParams(F(6), F(2))
         analysis = analyze(triple_cut_net)
-        profile = construct_equilibrium(triple_cut_net, params, analysis)
+        profile = construct_equilibrium(triple_cut_net, params)
 
         closed = closed_form_quantities(params, analysis.cheapest_path_cost,
                                         analysis.max_flow_value)
@@ -193,7 +193,7 @@ def test_criterion_08_support_properties(triple_cut_net):
     with criterion(8, "support properties: loads c/2, disruption prob 1/2, saturation"):
         params = GameParams(F(6), F(2))
         analysis = analyze(triple_cut_net)
-        profile = construct_equilibrium(triple_cut_net, params, analysis)
+        profile = construct_equilibrium(triple_cut_net, params)
 
         loads = expected_edge_loads(triple_cut_net, profile.s1)
         for edge_id in analysis.min_cut.cut_set:
@@ -225,10 +225,10 @@ def test_criterion_09_maximin_and_minimax(triple_cut_net):
         value2, action2 = maximin(triple_cut_net, params, 2)
         assert value2 == 0 and action2.is_empty
 
-        cap1, cert1 = minimax_certificate(triple_cut_net, params, 1, analysis)
+        cap1, cert1 = minimax_certificate(triple_cut_net, params, 1)
         assert cap1 == 0
         assert best_router_response(triple_cut_net, cert1, params).value == 0
-        cap2, cert2 = minimax_certificate(triple_cut_net, params, 2, analysis)
+        cap2, cert2 = minimax_certificate(triple_cut_net, params, 2)
         assert cap2 == 0
         assert best_attacker_response(triple_cut_net, cert2, params).value == 0
 

@@ -78,7 +78,7 @@ PARAMETERS = {
     "cheapest_path_cost": ["net"],
     "classify_region": ["params", "unit_cost"],
     "closed_form_quantities": ["params", "unit_cost", "max_flow_value"],
-    "construct_equilibrium": ["net", "params", "analysis"],
+    "construct_equilibrium": ["net", "params"],
     "decompose": ["net", "amounts"],
     "edge_always_saturated": ["net", "amounts", "edge_id", "open_arcs"],
     "effective_flow": ["net", "flow", "atk"],
@@ -92,7 +92,7 @@ PARAMETERS = {
     "mean_flow": ["s1"],
     "min_cost_max_flow": ["net"],
     "minimax_certificate": [
-        "net", "params", "player", "analysis", "max_paths", "max_attack_edges",
+        "net", "params", "player", "max_paths", "max_attack_edges",
     ],
     "mixture": ["items"],
     "network_from_json": ["data"],
@@ -106,7 +106,7 @@ PARAMETERS = {
     "router_payoff": ["net", "flow", "atk", "params"],
     "transport_cost": ["net", "flow"],
     "verify_equilibrium": [
-        "net", "s1", "s2", "params", "max_paths", "max_attack_edges", "analysis",
+        "net", "s1", "s2", "params", "max_paths", "max_attack_edges",
     ],
 }
 

@@ -34,6 +34,7 @@ from flowgame import (
 from flowgame import equilibrium, flows, lp
 
 from conftest import (
+    load_fixture,
     random_grid_network,
     random_network,
     random_path_flow,
@@ -129,7 +130,7 @@ def test_region_two_route_only(triple_cut_net):
 
 def test_region_three_mixture_probabilities(contested):
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     assert profile.provenance == "contested-mixed"
     probs1 = {flow.is_zero: p for flow, p in profile.s1.support}
     assert probs1[True] == F(1, 2) and probs1[False] == F(1, 2)
@@ -205,7 +206,7 @@ def test_closed_forms_match_direct_expectation(contested):
     assert report.yield_ratio == F(1, 2)
 
     # the same quantities by direct expectation over the mixed support
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     exps = profile_expectations(net, profile.s1, profile.s2)
     u1, u2 = expected_payoffs(net, profile.s1, profile.s2, params)
     assert (u1, u2) == (report.u1, report.u2)
@@ -239,7 +240,7 @@ def test_yield_is_invariant_under_capacity_scaling(triple_cut_net):
         assert report.yield_ratio == F(1, 2)  # independent of the scaling
         assert report.exp_attack_cost == F(3, 2) * k
         # mixture probabilities do not scale either
-        profile = construct_equilibrium(scaled, params, analysis)
+        profile = construct_equilibrium(scaled, params)
         assert {p for _, p in profile.s1.support} == {F(1, 2)}
         assert {p for _, p in profile.s2.support} == {F(1, 2)}
         check = verify_equilibrium(scaled, profile.s1, profile.s2, params)
@@ -267,7 +268,7 @@ def test_router_best_response_to_everything_attack(contested):
 
 def test_router_best_response_to_equilibrium_mixture(contested):
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     best = best_router_response(net, profile.s2, params)
     assert best.value == 0
 
@@ -288,7 +289,7 @@ def test_attacker_best_response_to_optimal_flow(contested):
 
 def test_attacker_best_response_to_equilibrium_mixture(contested):
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     best = best_attacker_response(net, profile.s1, params)
     assert best.value == 0
     assert best.action.is_empty  # empty attack wins the tie lexicographically
@@ -662,7 +663,7 @@ def test_attacker_search_matches_brute_force_on_layered_networks(width):
     net = complete_layered_network(random.Random(width), width)
     analysis = analyze(net)
     params = GameParams(F(9, 2), F(5, 2))
-    equilibrium = construct_equilibrium(net, params, analysis).s1
+    equilibrium = construct_equilibrium(net, params).s1
     first_path = analysis.optimal_flow.paths[0]
     off_equilibrium = mixture(
         [(analysis.optimal_flow, F(1, 2)), (path_flow(net, [first_path]), F(1, 2))]
@@ -769,7 +770,7 @@ def test_saturation_matches_lp_oracle():
 
 def test_constructed_equilibrium_verifies_with_property_checks(contested):
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
     assert_no_edge_set_does_better(report, net, profile.s1, params)
@@ -920,7 +921,7 @@ def test_zero_capacity_min_cut_edges_are_skipped():
     params = GameParams(F(6), F(2))
     analysis = analyze(net)
     assert analysis.min_cut.cut_set == attack(net, [("s", "a"), ("s", "t")]).edge_ids
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     # the constructed attack, and the same attack without (s, t)
     positive = mixture([(attack(net), F(1, 3)), (attack(net, [("s", "a")]), F(2, 3))])
     for s2 in (profile.s2, positive):
@@ -948,8 +949,8 @@ def test_constructed_region_three_equilibria_pass_every_check():
         if analysis.cheapest_path_cost is None or not analysis.cheapest_routing:
             continue
         params = GameParams(analysis.cheapest_path_cost + 1, F(2))
-        profile = construct_equilibrium(net, params, analysis)
-        report = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+        profile = construct_equilibrium(net, params)
+        report = verify_equilibrium(net, profile.s1, profile.s2, params)
         assert report.is_ne
         assert len(report.checks) == 8
         statuses = {check.status for check in report.checks}
@@ -965,8 +966,8 @@ def test_verify_analyzes_the_network_only_for_equilibria(contested, monkeypatch)
     # the analysis feeds only the property checks, and those run only for
     # equilibria: a profile that is not one costs no analysis
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
-    expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    profile = construct_equilibrium(net, params)
+    expected = verify_equilibrium(net, profile.s1, profile.s2, params)
     calls = []
 
     def counted(net):
@@ -985,6 +986,57 @@ def test_verify_analyzes_the_network_only_for_equilibria(contested, monkeypatch)
     assert {check.status for check in report.checks} <= {"pass", "not applicable"}
 
 
+# (p1, p2) on the triple-cut network, whose cheapest path cost is 3:
+# Regions I, II and III, and boundaries at p1 = 3 and at p2 = 1.
+SWEEP = [
+    (F(2), F(2)), (F(1), F(1, 2)),
+    (F(6), F(1, 2)), (F(5), F(3, 4)),
+    (F(6), F(2)), (F(4), F(3)), (F(7, 2), F(5, 4)), (F(20), F(3)),
+    (F(3), F(1, 2)), (F(3), F(2)), (F(6), F(1)),
+]
+
+
+def test_one_analysis_per_network_across_a_sweep(monkeypatch):
+    # the analysis depends on the network alone: solving, verifying and
+    # certifying a whole sweep of parameters on one network object runs
+    # its min-cost max-flow once
+    runs = []
+    original = flows.min_cost_max_flow
+
+    def counted(net):
+        runs.append(net)
+        return original(net)
+
+    monkeypatch.setattr(flows, "min_cost_max_flow", counted)
+    triple_cut = load_fixture("triple_cut.json")
+    no_route = make_network(["s", "a", "t"], [("s", "a", 1, 1), ("t", "a", 1, 1)], "s", "t")
+    tags = set()
+    for net in (triple_cut, no_route):
+        zero, empty = point_mass(path_flow(net)), point_mass(attack(net))
+        for p1, p2 in SWEEP:
+            params = GameParams(p1, p2)
+            tag = classify_region(params, analyze(net).cheapest_path_cost).tag
+            tags.add(tag)
+            try:
+                profiles = [construct_equilibrium(net, params)]
+            except BoundaryParams as exc:
+                assert tag == "boundary"
+                profiles = list(exc.profiles)
+            for profile in profiles:
+                report = verify_equilibrium(net, profile.s1, profile.s2, params)
+                assert report.is_ne
+                assert len(report.checks) == (8 if tag == "III" else 0)
+            verify_equilibrium(net, zero, empty, params)
+            for player in (1, 2):
+                if tag == "boundary":
+                    with pytest.raises(WrongRegion):
+                        minimax_certificate(net, params, player)
+                else:
+                    assert minimax_certificate(net, params, player)[0] == 0
+    assert tags == {"I", "II", "III", "boundary", "degenerate"}
+    assert len(runs) == 2 and runs[0] is triple_cut and runs[1] is no_route
+
+
 def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch):
     # the payoffs and the checks share one expectations call on one mean
     # table of s1, built by verification itself (the attacker's best
@@ -993,8 +1045,8 @@ def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch
     # expectations call, its delivery; and every disrupted edge's
     # saturation verdict walks one build of the open-arc lists
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
-    expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    profile = construct_equilibrium(net, params)
+    expected = verify_equilibrium(net, profile.s1, profile.s2, params)
     calls, arc_lists, tables = [], [], []
 
     def counted(name):
@@ -1019,7 +1071,7 @@ def test_verify_computes_expectations_and_saturation_once(contested, monkeypatch
         flows, "edge_always_saturated",
         lambda *args: arc_lists.append(args[3]) or per_edge(*args),
     )
-    report = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report == expected
     assert report.is_ne and len(report.checks) == 8
     assert len({i for atk, _ in profile.s2.support for i in atk.edge_ids}) == 3
@@ -1032,8 +1084,8 @@ def test_verify_builds_the_open_arcs_once(contested, monkeypatch):
     # the saturation verdicts and the min-cut search read one build of the
     # optimal flow's open residual arcs
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
-    expected = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    profile = construct_equilibrium(net, params)
+    expected = verify_equilibrium(net, profile.s1, profile.s2, params)
     builds, arc_lists = [], []
     build = flows._open_arcs
 
@@ -1054,7 +1106,7 @@ def test_verify_builds_the_open_arcs_once(contested, monkeypatch):
             lambda *args, original=original, position=position:
                 arc_lists.append(args[position]) or original(*args),
         )
-    report = verify_equilibrium(net, profile.s1, profile.s2, params, analysis=analysis)
+    report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report == expected and report.is_ne
     assert len(builds) == 1 and len(arc_lists) == 5
     assert all(arcs is builds[0] for arcs in arc_lists)
@@ -1089,10 +1141,10 @@ def test_maximin_without_cheapest_routing(detour_net):
 
 def test_minimax_certificates_in_contested_region(contested):
     net, params, analysis = contested
-    value1, certificate1 = minimax_certificate(net, params, 1, analysis)
+    value1, certificate1 = minimax_certificate(net, params, 1)
     assert value1 == 0
     assert {prob for _, prob in certificate1.support} == {F(1, 2)}
-    value2, certificate2 = minimax_certificate(net, params, 2, analysis)
+    value2, certificate2 = minimax_certificate(net, params, 2)
     assert value2 == 0
     assert {prob for _, prob in certificate2.support} == {F(1, 2)}
 
@@ -1146,7 +1198,7 @@ def test_delivery_identity_at_equilibrium(contested):
     from flowgame import effective_flow
 
     net, params, analysis = contested
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     delivered = expect(
         profile.s2, lambda atk: effective_flow(net, analysis.optimal_flow, atk).value
     )
@@ -1197,7 +1249,7 @@ def _contested_outcome(net, analysis, p1, p2):
     """Direct expectations and both payoffs of the constructed Region III
     profile at (p1, p2)."""
     params = GameParams(p1, p2)
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     assert profile.provenance == "contested-mixed"
     return (
         profile_expectations(net, profile.s1, profile.s2),
@@ -1325,9 +1377,8 @@ def test_layered_network_end_to_end():
     assert analysis.cheapest_routing is True
 
     params = GameParams(F(9), F(3))
-    profile = construct_equilibrium(net, params, analysis)
-    report = verify_equilibrium(net, profile.s1, profile.s2, params,
-                                analysis=analysis)
+    profile = construct_equilibrium(net, params)
+    report = verify_equilibrium(net, profile.s1, profile.s2, params)
     assert report.is_ne
     assert all(
         check.status in ("pass", "not applicable") for check in report.checks

@@ -572,7 +572,7 @@ def test_integer_game_layer_matches_fraction_oracle():
         if checked % 3 == 0 and analysis.cheapest_routing:
             params = GameParams(unit_cost + F(rng.randint(1, 6), rng.randint(1, 3)),
                                 1 + F(rng.randint(1, 6), rng.randint(1, 3)))
-            s1, s2, _ = construct_equilibrium(net, params, analysis)
+            s1, s2, _ = construct_equilibrium(net, params)
             flows = [flow for flow, _ in s1.support]
             attacks = [atk for atk, _ in s2.support]
         else:

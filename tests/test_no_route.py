@@ -110,14 +110,13 @@ def test_no_route_library_results(net, region):
     assert analysis.cheapest_path_cost is None and analysis.max_flow_value == 0
     zero, empty = point_mass(path_flow(net)), point_mass(attack(net))
 
-    profile = construct_equilibrium(net, params, analysis)
+    profile = construct_equilibrium(net, params)
     assert profile == (zero, empty, "degenerate-no-route")
-    assert minimax_certificate(net, params, 1, analysis) == (0, empty)
-    assert minimax_certificate(net, params, 2, analysis) == (0, zero)
-    for given in (analysis, None):
-        report = verify_equilibrium(net, zero, empty, params, analysis=given)
-        assert report.is_ne and report.checks == ()
-        assert (report.u1, report.u2, report.router_gap, report.attacker_gap) == (0, 0, 0, 0)
+    assert minimax_certificate(net, params, 1) == (0, empty)
+    assert minimax_certificate(net, params, 2) == (0, zero)
+    report = verify_equilibrium(net, zero, empty, params)
+    assert report.is_ne and report.checks == ()
+    assert (report.u1, report.u2, report.router_gap, report.attacker_gap) == (0, 0, 0, 0)
 
 
 if __name__ == "__main__":

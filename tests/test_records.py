@@ -27,6 +27,7 @@ from flowgame import (
     PropertyCheck,
     Region,
     VerificationReport,
+    analyze,
     make_network,
 )
 from flowgame.errors import NetworkValidationError
@@ -234,6 +235,16 @@ def test_network_caches_its_tables_once_outside_its_value():
     assert net == twin and hash(net) == hash(twin)
     assert repr(net) == text
     assert net != make_network(["s", "a", "t"], [("s", "a", 1, 1), ("a", "t", 2, 1)], "s", "t")
+    # the flow analysis is cached the same way, and the value stays its fields
+    analysis = analyze(net)
+    assert analyze(net) is analysis and analysis.max_flow_value == 1
+    assert net == twin and hash(net) == hash(twin) and repr(net) == text
+    copy = pickle.loads(pickle.dumps(net))
+    assert copy == net and hash(copy) == hash(net) and repr(copy) == text
+    assert analyze(copy) == analysis
+    fresh = net._replace()
+    assert fresh == net and vars(fresh) == {}
+    assert analyze(fresh) == analysis and analyze(fresh) is not analysis
 
 
 def test_integer_form_lists_each_residual_arc_once_with_its_signed_cost():
