@@ -18,13 +18,16 @@ REFERENCE = json.loads((BENCHMARK / "reference.json").read_text())
 
 
 def _benchmark_modules():
-    # checks.py imports instances.py by its bare name, as run.py does
+    # checks.py imports instances.py by its bare name, as run.py does; no
+    # bytecode is written, so the test leaves nothing under benchmark/
     sys.path.insert(0, str(BENCHMARK))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         import checks
         import instances
     finally:
         sys.path.remove(str(BENCHMARK))
+        sys.dont_write_bytecode = dont_write
     return checks, instances
 
 
