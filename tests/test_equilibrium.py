@@ -1026,7 +1026,9 @@ def test_one_analysis_per_network_across_a_sweep(monkeypatch):
                 report = verify_equilibrium(net, profile.s1, profile.s2, params)
                 assert report.is_ne
                 assert len(report.checks) == (8 if tag == "III" else 0)
-            verify_equilibrium(net, zero, empty, params)
+            # no action is an equilibrium only where routing cannot profit
+            quiet = verify_equilibrium(net, zero, empty, params)
+            assert quiet.is_ne == (net is no_route or p1 <= 3)
             for player in (1, 2):
                 if tag == "boundary":
                     with pytest.raises(WrongRegion):
